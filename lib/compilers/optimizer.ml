@@ -113,6 +113,9 @@ let run_tv ?(flags = Passes.no_bugs) ?(check = Tv.check_pass) pipeline m :
       List.fold_left
         (fun (m, steps) pass ->
           let m' = run_pass flags m pass in
+          (* carry an unchanged module forward as the very same value, so
+             its digest is reused by identity (Digest.of_module) *)
+          let m' = if Module_ir.equal_exact m m' then m else m' in
           (m', (pass, check m m') :: steps))
         (m, []) pipeline
     in

@@ -63,8 +63,11 @@ val run_tv :
 (** Translation-validated pipeline: run every pass and validate each
     before/after pair with [check] (default {!Tv.check_pass}; the harness
     engine passes its digest-memoized variant), naming the guilty pass of
-    the first mismatch.  [Error] carries a crash signature when an
-    injected crash bug fires mid-pipeline. *)
+    the first mismatch.  A pass whose output is {!Module_ir.equal_exact}
+    to its input is carried forward as the input value itself, so [check]
+    sees a physically equal pair and digests are reused by identity;
+    [check] still runs on every step.  [Error] carries a crash signature
+    when an injected crash bug fires mid-pipeline. *)
 
 val standard : pass_name list
 (** The [-O] pipeline. *)

@@ -93,3 +93,37 @@ let parse_request line =
 
 let ok fields = Json.Obj (("ok", Json.Bool true) :: fields)
 let error msg = Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str msg) ]
+
+(* ---------- line framing ---------- *)
+
+let max_line_bytes = 1 lsl 20
+
+(* the pieces of the pending line, newest first, and their total length *)
+type partial = { rev_parts : string list; len : int }
+
+let no_partial = { rev_parts = []; len = 0 }
+
+(* Only the new chunk is scanned for newlines: the pending pieces hold
+   none, so every byte is scanned once and copied at most twice. *)
+let frame p chunk =
+  let n = String.length chunk in
+  let rec go p start rev_lines =
+    match String.index_from_opt chunk start '\n' with
+    | None ->
+        let p =
+          if start = n then p
+          else
+            {
+              rev_parts = String.sub chunk start (n - start) :: p.rev_parts;
+              len = p.len + n - start;
+            }
+        in
+        (List.rev rev_lines, if p.len > max_line_bytes then None else Some p)
+    | Some i ->
+        if p.len + i - start > max_line_bytes then (List.rev rev_lines, None)
+        else
+          let last = String.sub chunk start (i - start) in
+          let line = String.concat "" (List.rev (last :: p.rev_parts)) in
+          go no_partial (i + 1) (line :: rev_lines)
+  in
+  go p 0 []

@@ -45,3 +45,21 @@ val ok : (string * Json.t) list -> Json.t
 
 val error : string -> Json.t
 (** [{"ok": false, "error": msg}] *)
+
+(** {1 Line framing} *)
+
+val max_line_bytes : int
+(** The longest request line the daemon reads (1 MiB, newline excluded). *)
+
+type partial
+(** The bytes of a request line received so far, without its newline. *)
+
+val no_partial : partial
+
+val frame : partial -> string -> string list * partial option
+(** [frame p chunk] appends a chunk read from a socket to the pending
+    line [p] and returns the lines it completes, in order, with the new
+    pending line.  The second component is [None] once a line, complete
+    or not, exceeds {!max_line_bytes}; the lines before it are still
+    returned.  Only [chunk] is scanned for newlines, so framing a stream
+    costs time linear in its length. *)

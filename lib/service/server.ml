@@ -4,7 +4,7 @@ module Jobs = Tbct_store.Jobs
 
 type client = {
   fd : Unix.file_descr;
-  buf : Buffer.t;  (* accumulated partial line *)
+  mutable partial : Protocol.partial;  (* the request line read so far *)
   mutable attached : string option;  (* job id this client streams *)
   mutable alive : bool;
 }
@@ -267,25 +267,27 @@ let handle_line srv pool c line =
     | Ok req -> handle_request srv pool c req
     | Error msg -> send_json srv c (Protocol.error msg)
 
-(* Drain whatever bytes are ready into the client's line buffer and
-   process every complete line. *)
+(* Drain whatever bytes are ready and process every line they complete.
+   A client whose request line outgrows the cap is answered with an error
+   and dropped: it would otherwise grow the daemon's memory without
+   bound. *)
 let read_chunk srv pool c =
   let chunk = Bytes.create 4096 in
   match Unix.read c.fd chunk 0 (Bytes.length chunk) with
   | 0 -> c.alive <- false
-  | n ->
-      Buffer.add_subbytes c.buf chunk 0 n;
-      let data = Buffer.contents c.buf in
-      Buffer.clear c.buf;
-      let parts = String.split_on_char '\n' data in
-      let rec go = function
-        | [] -> ()
-        | [ tail ] -> Buffer.add_string c.buf tail  (* partial line *)
-        | line :: rest ->
-            handle_line srv pool c line;
-            go rest
+  | n -> (
+      let lines, partial =
+        Protocol.frame c.partial (Bytes.sub_string chunk 0 n)
       in
-      go parts
+      List.iter (handle_line srv pool c) lines;
+      match partial with
+      | Some p -> c.partial <- p
+      | None ->
+          send_json srv c
+            (Protocol.error
+               (Printf.sprintf "request line exceeds %d bytes"
+                  Protocol.max_line_bytes));
+          c.alive <- false)
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error _ -> c.alive <- false
 
@@ -307,7 +309,14 @@ let poll_io srv pool timeout =
     | fd, _ ->
         srv.clients <-
           srv.clients
-          @ [ { fd; buf = Buffer.create 256; attached = None; alive = true } ]
+          @ [
+              {
+                fd;
+                partial = Protocol.no_partial;
+                attached = None;
+                alive = true;
+              };
+            ]
     | exception Unix.Unix_error _ -> ()
   end;
   List.iter

@@ -9,7 +9,10 @@
     original generation even though replay may end with a smaller bound. *)
 
 val of_module : Module_ir.t -> string
-(** Hex digest of a module's canonical disassembly. *)
+(** Hex digest of a module's canonical disassembly.  A module physically
+    equal to one of the last few digested on the calling domain reuses
+    that digest without disassembling again; the cache holds its modules
+    weakly, so it keeps none of them alive. *)
 
 val of_input : Input.t -> string
 (** Hex digest of an input's canonical listing. *)

@@ -275,5 +275,36 @@ let defined_ids m =
     contents but may end with a smaller bound. *)
 let equal_ignoring_bound a b = equal { a with id_bound = 0 } { b with id_bound = 0 }
 
+(* Physical equality short-circuits every list and function: a pass that
+   leaves a function alone usually hands the same value back, so an
+   unchanged module compares in time proportional to what was rebuilt. *)
+let rec equal_list eq xs ys =
+  xs == ys
+  ||
+  match (xs, ys) with
+  | x :: xs, y :: ys -> eq x y && equal_list eq xs ys
+  | [], [] -> true
+  | _ :: _, [] | [], _ :: _ -> false
+
+(* Floats compare by bit pattern: [0.0] and [-0.0] disassemble (and so
+   digest) differently, and a NaN equals an identical NaN. *)
+let equal_value_exact (x : Constant.t) (y : Constant.t) =
+  match (x, y) with
+  | Float f, Float g -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+  | _ -> Constant.equal x y
+
+let equal_exact a b =
+  a == b
+  || a.id_bound = b.id_bound
+     && Id.equal a.entry b.entry
+     && equal_list equal_type_decl a.types b.types
+     && equal_list
+          (fun c d ->
+            Id.equal c.cd_id d.cd_id && Id.equal c.cd_ty d.cd_ty
+            && equal_value_exact c.cd_value d.cd_value)
+          a.constants b.constants
+     && equal_list equal_global_decl a.globals b.globals
+     && equal_list (fun f g -> f == g || Func.equal f g) a.functions b.functions
+
 let empty =
   { id_bound = 1; types = []; constants = []; globals = []; functions = []; entry = 0 }

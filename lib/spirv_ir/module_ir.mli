@@ -55,6 +55,13 @@ val equal_ignoring_bound : t -> t -> bool
     preconditions, so replaying a recorded sequence reproduces a variant's
     contents but may end with a smaller bound. *)
 
+val equal_exact : t -> t -> bool
+(** Equality of every field, [id_bound] included, with float constants
+    compared by bit pattern ([Int64.bits_of_float]).  Unlike {!equal},
+    which follows IEEE [=], it tells [0.0] from [-0.0] and equates a NaN
+    with itself, so it is at least as fine as {!Digest.of_module}:
+    [equal_exact a b] implies equal digests. *)
+
 val empty : t
 
 (** {1 Fresh ids} *)

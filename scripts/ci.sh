@@ -335,12 +335,31 @@ if ! cmp -s "$STORE/tests-par.txt" "$STORE/tests-refint-par.txt"; then
   exit 1
 fi
 
+# TV campaign gate: a --tv campaign (translation validation after every
+# pass, digests reused by identity across pass steps) must give the same
+# hit list at --domains 1, at --domains 4 and under the reference
+# interpreter
+./_build/default/bin/tbct_cli.exe campaign --tv --seeds 20 --domains 1 \
+    --hits-out "$STORE/hits-tv-seq.txt" > /dev/null
+./_build/default/bin/tbct_cli.exe campaign --tv --seeds 20 --domains 4 \
+    --hits-out "$STORE/hits-tv-par.txt" > /dev/null
+./_build/default/bin/tbct_cli.exe campaign --tv --seeds 20 --domains 1 \
+    --reference-interp --hits-out "$STORE/hits-tv-refint.txt" > /dev/null
+if ! cmp -s "$STORE/hits-tv-seq.txt" "$STORE/hits-tv-par.txt"; then
+  echo "CI: 4-domain --tv campaign hit list differs from the sequential one" >&2
+  exit 1
+fi
+if ! cmp -s "$STORE/hits-tv-seq.txt" "$STORE/hits-tv-refint.txt"; then
+  echo "CI: --tv campaign differs from the reference interpreter" >&2
+  exit 1
+fi
+
 # serve smoke: a daemon on a temp socket runs two concurrent campaigns
 # over one shared engine.  Gates: both jobs complete under attach, the
 # jobs share the engine (cross-job memo hits > 0 in status --json), drain
-# exits the daemon cleanly, and a daemon killed -9 mid-campaign resumes
-# its job on restart to a hit list byte-identical to an uninterrupted
-# batch run.  Daemon PIDs come from $! — pgrep would match this script's
+# exits the daemon cleanly, an over-long request line is refused, and a
+# daemon killed -9 mid-campaign resumes its job on restart to a hit list
+# byte-identical to an uninterrupted batch run.  Daemon PIDs come from $! — pgrep would match this script's
 # own command line.
 SDIR=$(mktemp -d)
 SOCK="$SDIR/s"  # keep the socket path well under the sun_path limit
@@ -368,6 +387,27 @@ if ! "$TBCT" status --socket "$SOCK" --json \
     | grep -q '"cross_job_memo_hits":[1-9]'; then
   echo "CI: two concurrent jobs produced no cross-job memo hits —" \
        "the daemon is not sharing one engine" >&2
+  kill "$DPID" 2> /dev/null || true
+  exit 1
+fi
+# a request line past the 1 MiB cap is answered with an error and its
+# client dropped; the daemon keeps serving everyone else
+if ! python3 - "$SOCK" <<'PY'
+import socket, sys
+s = socket.socket(socket.AF_UNIX)
+s.settimeout(30)
+s.connect(sys.argv[1])
+s.sendall(b"x" * ((1 << 20) + 1))
+reply = b""
+while True:
+    chunk = s.recv(4096)
+    if not chunk:
+        break
+    reply += chunk
+sys.exit(0 if reply.startswith(b'{"ok":false') else 1)
+PY
+then
+  echo "CI: an over-long request line was not refused with an error" >&2
   kill "$DPID" 2> /dev/null || true
   exit 1
 fi
@@ -411,4 +451,4 @@ if ! cmp -s "$SDIR/hits-resumed.txt" "$SDIR/hits-fresh.txt"; then
 fi
 rm -rf "$SDIR"
 
-echo "CI: build + tests + lint + tv + loop-coverage + memory-coverage + contract-smoke + store-smoke + registry-gates + perf-smoke + pool-determinism + compiled-kernel-equivalence + serve-smoke + invariant checks passed"
+echo "CI: build + tests + lint + tv + loop-coverage + memory-coverage + contract-smoke + store-smoke + registry-gates + perf-smoke + pool-determinism + compiled-kernel-equivalence + tv-campaign + serve-smoke + invariant checks passed"

@@ -49,6 +49,146 @@ let test_digest_input () =
     (String.equal (Spirv_ir.Digest.of_input i1) (Spirv_ir.Digest.of_input i3))
 
 (* ------------------------------------------------------------------ *)
+(* Exact equality and digest reuse by identity *)
+
+(* a digest computed from scratch, past the identity cache *)
+let recomputed m =
+  Stdlib.Digest.to_hex (Stdlib.Digest.string (Spirv_ir.Disasm.to_string m))
+
+(* a physically distinct, structurally identical copy *)
+let deep_copy (m : Spirv_ir.Module_ir.t) : Spirv_ir.Module_ir.t =
+  Marshal.from_string (Marshal.to_string m []) 0
+
+let with_float_constant m f =
+  let open Spirv_ir.Module_ir in
+  let m, ty = float_ty m in
+  let id = m.id_bound in
+  {
+    m with
+    id_bound = id + 1;
+    constants =
+      m.constants
+      @ [ { cd_id = id; cd_ty = ty; cd_value = Spirv_ir.Constant.Float f } ];
+  }
+
+let test_equal_exact_cases () =
+  let m = List.assoc "gradient" (Lazy.force Corpus.lowered_references) in
+  let eq = Spirv_ir.Module_ir.equal_exact in
+  let zero = with_float_constant m 0.0 in
+  let neg_zero = with_float_constant m (-0.0) in
+  Alcotest.(check bool) "0.0 vs -0.0" false (eq zero neg_zero);
+  Alcotest.(check bool) "0.0 and -0.0 digest differently" false
+    (String.equal (recomputed zero) (recomputed neg_zero));
+  let nan = with_float_constant m (Int64.float_of_bits 0x7FF8_0000_0000_0000L) in
+  let neg_nan =
+    with_float_constant m (Int64.float_of_bits 0xFFF8_0000_0000_0000L)
+  in
+  Alcotest.(check bool) "NaN vs its sign flip" false (eq nan neg_nan);
+  Alcotest.(check bool) "NaN module vs its rebuilt copy" true
+    (eq nan (deep_copy nan));
+  Alcotest.(check bool) "id_bound + 1" false
+    (eq m { m with Spirv_ir.Module_ir.id_bound = m.Spirv_ir.Module_ir.id_bound + 1 });
+  Alcotest.(check bool) "structurally rebuilt copy" true (eq m (deep_copy m))
+
+(* every module a target's pipeline passes through, up to a crash *)
+let pipeline_intermediates (t : Compilers.Target.t) m =
+  let rec go m acc = function
+    | [] -> List.rev acc
+    | pass :: rest -> (
+        match
+          Compilers.Optimizer.run_pass t.Compilers.Target.opt_flags m pass
+        with
+        | m' -> go m' (m' :: acc) rest
+        | exception Compilers.Opt_util.Compiler_crash _ -> List.rev acc)
+  in
+  go m [ m ] t.Compilers.Target.pipeline
+
+let rec consecutive = function
+  | a :: (b :: _ as rest) -> (a, b) :: consecutive rest
+  | [ _ ] | [] -> []
+
+let prop_equal_exact_refines_digest =
+  let refs = Lazy.force Corpus.lowered_references in
+  QCheck.Test.make ~count:12 ~name:"equal_exact a b implies equal digests"
+    QCheck.(pair (int_bound (List.length refs - 1)) (int_bound 10_000))
+    (fun (i, seed) ->
+      let m = snd (List.nth refs i) in
+      let ctx = Spirv_fuzz.Context.make m Corpus.default_input in
+      let variant =
+        (Spirv_fuzz.Fuzzer.run ~seed ctx).Spirv_fuzz.Fuzzer.final
+          .Spirv_fuzz.Context.m
+      in
+      List.for_all
+        (fun m0 ->
+          List.for_all
+            (fun t ->
+              let ms = pipeline_intermediates t m0 in
+              List.for_all
+                (fun (a, b) ->
+                  (not (Spirv_ir.Module_ir.equal_exact a b))
+                  || String.equal (recomputed a) (recomputed b))
+                (consecutive ms @ List.map (fun m -> (m, deep_copy m)) ms))
+            Compilers.Target.all)
+        [ m; variant ])
+
+(* more distinct modules than the cache has slots, digested in orders
+   that evict and revisit *)
+let distinct_modules () =
+  let refs = List.map snd (Lazy.force Corpus.lowered_references) in
+  Array.of_list (refs @ List.map deep_copy refs)
+
+let test_digest_reuse_interleaved () =
+  let ms = distinct_modules () in
+  let n = Array.length ms in
+  Alcotest.(check bool) "more modules than cache slots" true (n > 16);
+  let want = Array.map recomputed ms in
+  let forward = List.init n Fun.id in
+  let orders =
+    [
+      forward;
+      List.rev forward;
+      List.concat_map (fun i -> [ i; i * 7 mod n; i ]) forward;
+      forward;
+    ]
+  in
+  List.iter
+    (List.iter (fun i ->
+         Alcotest.(check string)
+           (Printf.sprintf "module %d" i)
+           want.(i)
+           (Spirv_ir.Digest.of_module ms.(i))))
+    orders;
+  (* a repeat is served from the cache: the very same string comes back *)
+  let d = Spirv_ir.Digest.of_module ms.(0) in
+  Alcotest.(check bool) "repeat reuses the digest" true
+    (d == Spirv_ir.Digest.of_module ms.(0))
+
+let test_digest_reuse_across_workers () =
+  let ms = distinct_modules () in
+  let n = Array.length ms in
+  let order = Array.init 600 (fun k -> k * 7 mod n) in
+  let digest k = Spirv_ir.Digest.of_module ms.(order.(k)) in
+  let seq = Array.init (Array.length order) digest in
+  Harness.Pool.with_pool ~workers:4 (fun pool ->
+      let par = Harness.Pool.map pool (Array.length order) digest in
+      Alcotest.(check (array string)) "4 workers = sequential" seq par)
+
+(* digest a fresh module, keeping only a weak handle on it *)
+let digest_fresh_copy probe m =
+  let fresh = deep_copy m in
+  ignore (Spirv_ir.Digest.of_module fresh : string);
+  Weak.set probe 0 (Some fresh)
+[@@inline never]
+
+let test_digest_cache_retains_nothing () =
+  let m = List.assoc "gradient" (Lazy.force Corpus.lowered_references) in
+  let probe = Weak.create 1 in
+  digest_fresh_copy probe m;
+  Gc.full_major ();
+  Alcotest.(check bool) "module referenced only by the cache is collected"
+    false (Weak.check probe 0)
+
+(* ------------------------------------------------------------------ *)
 (* Engine cache semantics *)
 
 let test_engine_memoizes () =
@@ -202,7 +342,16 @@ let () =
           Alcotest.test_case "distinguishes corpus modules" `Quick
             test_digest_distinguishes_modules;
           Alcotest.test_case "input digests" `Quick test_digest_input;
-        ] );
+          Alcotest.test_case "equal_exact: floats by bits, id_bound, copies"
+            `Quick test_equal_exact_cases;
+          Alcotest.test_case "reuse matches recomputation, interleaved"
+            `Quick test_digest_reuse_interleaved;
+          Alcotest.test_case "reuse: 4 workers = sequential" `Quick
+            test_digest_reuse_across_workers;
+          Alcotest.test_case "reuse retains no module" `Quick
+            test_digest_cache_retains_nothing;
+        ]
+        @ [ QCheck_alcotest.to_alcotest prop_equal_exact_refines_digest ] );
       ( "cache",
         [
           Alcotest.test_case "memoizes backend runs" `Quick test_engine_memoizes;

@@ -178,6 +178,73 @@ let test_protocol_errors () =
   | Ok _ -> Alcotest.fail "attach without job accepted"
 
 (* ------------------------------------------------------------------ *)
+(* Line framing *)
+
+(* feed the chunks in order; the lines they complete, and the pending
+   state or [None] once a line outgrew the cap *)
+let frame_all chunks =
+  List.fold_left
+    (fun (lines, state) chunk ->
+      match state with
+      | None -> (lines, None)
+      | Some p ->
+          let more, state = Protocol.frame p chunk in
+          (lines @ more, state))
+    ([], Some Protocol.no_partial) chunks
+
+let test_framing_split_and_batched () =
+  let lines, state = frame_all [ "{\"cmd\":"; "\"pi"; "ng\"}\n" ] in
+  Alcotest.(check (list string)) "a line split over three chunks"
+    [ "{\"cmd\":\"ping\"}" ] lines;
+  Alcotest.(check bool) "nothing pending" true (Option.is_some state);
+  let lines, state = frame_all [ "a\nb\n\nc" ] in
+  Alcotest.(check (list string)) "several lines in one chunk" [ "a"; "b"; "" ]
+    lines;
+  (match state with
+  | None -> Alcotest.fail "short lines refused"
+  | Some p ->
+      Alcotest.(check (list string)) "the tail completes later" [ "c" ]
+        (fst (Protocol.frame p "\n")));
+  let exact = String.make Protocol.max_line_bytes 'x' in
+  let lines, state = frame_all [ exact; "\n" ] in
+  Alcotest.(check bool) "a line of exactly the cap is accepted" true
+    (lines = [ exact ] && Option.is_some state)
+
+let test_framing_overlong_line () =
+  let chunk = String.make 4096 'x' in
+  let chunks_to_cap = Protocol.max_line_bytes / 4096 in
+  let _, state = frame_all (List.init chunks_to_cap (fun _ -> chunk)) in
+  Alcotest.(check bool) "up to the cap the line stays pending" true
+    (Option.is_some state);
+  let lines, state =
+    frame_all ("ok\n" :: List.init (chunks_to_cap + 1) (fun _ -> chunk))
+  in
+  Alcotest.(check (list string)) "lines before the long one survive" [ "ok" ]
+    lines;
+  Alcotest.(check bool) "a line past the cap is refused" true (state = None);
+  let _, state = frame_all [ String.make (Protocol.max_line_bytes + 1) 'x' ^ "\n" ] in
+  Alcotest.(check bool) "a complete line past the cap is refused" true
+    (state = None)
+
+(* any chunking of a stream frames to the lines String.split_on_char sees *)
+let test_framing_any_chunking =
+  QCheck.Test.make ~count:300 ~name:"framing is independent of chunking"
+    QCheck.(
+      pair
+        (string_gen_of_size Gen.(0 -- 60) Gen.(oneofl [ 'a'; 'b'; '\n' ]))
+        (small_list small_nat))
+    (fun (stream, cuts) ->
+      let rec chunks s = function
+        | [] -> [ s ]
+        | c :: rest ->
+            let c = min c (String.length s) in
+            String.sub s 0 c :: chunks (String.sub s c (String.length s - c)) rest
+      in
+      let lines, state = frame_all (chunks stream cuts) in
+      let want = List.rev (List.tl (List.rev (String.split_on_char '\n' stream))) in
+      lines = want && Option.is_some state)
+
+(* ------------------------------------------------------------------ *)
 (* Job store *)
 
 let record id seeds : Jobs.record =
@@ -467,6 +534,14 @@ let () =
       ( "protocol",
         qcheck [ test_protocol_roundtrip ]
         @ [ Alcotest.test_case "bad requests" `Quick test_protocol_errors ] );
+      ( "framing",
+        qcheck [ test_framing_any_chunking ]
+        @ [
+            Alcotest.test_case "split and batched lines" `Quick
+              test_framing_split_and_batched;
+            Alcotest.test_case "over-long line refused" `Quick
+              test_framing_overlong_line;
+          ] );
       ( "jobs-store",
         [
           Alcotest.test_case "round trip + monotonic ids" `Quick

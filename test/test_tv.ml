@@ -405,6 +405,130 @@ let qcheck_tv_sound =
     tv_soundness_prop
 
 (* ------------------------------------------------------------------ *)
+(* Carry-forward: run_tv hands an unchanged pass output on as the input
+   value itself.  It must change no TV result and no engine counter, so
+   it is compared against the plain fold over run_pass it replaced. *)
+
+let reference_run_tv ~flags ~check pipeline m =
+  match
+    List.fold_left
+      (fun (m, steps) pass ->
+        let m' = Compilers.Optimizer.run_pass flags m pass in
+        (m', (pass, check m m') :: steps))
+      (m, []) pipeline
+  with
+  | m', rev_steps ->
+      let tv_steps = List.rev rev_steps in
+      Ok
+        {
+          Compilers.Optimizer.tv_module = m';
+          tv_steps;
+          tv_guilty =
+            List.find_map
+              (function p, Compilers.Tv.Mismatch _ -> Some p | _ -> None)
+              tv_steps;
+        }
+  | exception Compilers.Opt_util.Compiler_crash signature -> Error signature
+
+(* the clean flags, each injected bug alone, and every target's roster *)
+let bug_flag_sets =
+  let c = clean in
+  List.sort_uniq compare
+    ([
+       c;
+       { c with Compilers.Passes.bug_fold_div_crash = true };
+       { c with Compilers.Passes.bug_keep_stale_phi_entries = true };
+       { c with Compilers.Passes.bug_fold_sub_zero = true };
+       { c with Compilers.Passes.bug_inline_swaps_const_args = true };
+       { c with Compilers.Passes.bug_hoist_loop_load = true };
+       { c with Compilers.Passes.bug_forward_aliased_store = true };
+     ]
+    @ List.map
+        (fun (t : Compilers.Target.t) -> t.Compilers.Target.opt_flags)
+        Compilers.Target.all)
+
+let carry_forward_modules () =
+  let corpus = Lazy.force Corpus.lowered_references in
+  let fuzzed =
+    List.filteri (fun i _ -> i mod 6 = 0) corpus
+    |> List.mapi (fun i (name, m) ->
+           let ctx = Spirv_fuzz.Context.make m Corpus.default_input in
+           let result = Spirv_fuzz.Fuzzer.run ~seed:(i + 1) ctx in
+           ( name ^ " fuzzed",
+             result.Spirv_fuzz.Fuzzer.final.Spirv_fuzz.Context.m ))
+  in
+  corpus @ fuzzed
+  @ [
+      ("sub-zero trigger", sub_zero_trigger ());
+      ("inline-swap trigger", inline_swap_trigger ());
+      ("div-zero trigger", div_zero_trigger ());
+      ("stale-phi trigger", stale_phi_trigger ());
+    ]
+
+let report_summary = function
+  | Error signature -> "crash: " ^ signature
+  | Ok r ->
+      String.concat "; "
+        (List.map
+           (fun (p, v) ->
+             Compilers.Optimizer.show_pass_name p ^ " "
+             ^ Compilers.Tv.show_verdict v)
+           r.Compilers.Optimizer.tv_steps)
+      ^ " | guilty "
+      ^ Option.fold ~none:"-" ~some:Compilers.Optimizer.show_pass_name
+          r.Compilers.Optimizer.tv_guilty
+      ^ " | module " ^ Digest.of_module r.Compilers.Optimizer.tv_module
+
+let tv_counters e =
+  let s = Harness.Engine.stats e in
+  let named =
+    List.filter
+      (fun (k, _) ->
+        k = "mem-proofs" || String.starts_with ~prefix:"tv-abstain:" k)
+      s.Harness.Engine.counters
+  in
+  (s.Harness.Engine.tv_checks, s.Harness.Engine.tv_hits, named)
+
+let test_carry_forward_changes_nothing () =
+  let modules = carry_forward_modules () in
+  let carried = Harness.Engine.create () in
+  let reference = Harness.Engine.create () in
+  let check e before after = Harness.Engine.tv_check e ~before ~after in
+  let blamed = ref 0 and crashed = ref 0 in
+  List.iter
+    (fun (t : Compilers.Target.t) ->
+      let pipeline = t.Compilers.Target.pipeline in
+      List.iter
+        (fun flags ->
+          List.iter
+            (fun (name, m) ->
+              let got =
+                Compilers.Optimizer.run_tv ~flags ~check:(check carried)
+                  pipeline m
+              in
+              let want =
+                reference_run_tv ~flags ~check:(check reference) pipeline m
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s on %s" name t.Compilers.Target.name)
+                (report_summary want) (report_summary got);
+              match want with
+              | Ok { Compilers.Optimizer.tv_guilty = Some _; _ } -> incr blamed
+              | Ok _ -> ()
+              | Error _ -> incr crashed)
+            modules)
+        bug_flag_sets)
+    Compilers.Target.all;
+  let checks, hits, named = tv_counters reference in
+  let checks', hits', named' = tv_counters carried in
+  Alcotest.(check int) "tv_checks" checks checks';
+  Alcotest.(check int) "tv_hits" hits hits';
+  Alcotest.(check (list (pair string int))) "tv-abstain and mem-proofs" named
+    named';
+  Alcotest.(check bool) "the sweep blamed a pass" true (!blamed > 0);
+  Alcotest.(check bool) "the sweep crashed a pass" true (!crashed > 0)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "tv"
@@ -432,4 +556,9 @@ let () =
           Alcotest.test_case "signature refinement helpers" `Quick test_signature_helpers;
         ] );
       ("soundness", [ QCheck_alcotest.to_alcotest qcheck_tv_sound ]);
+      ( "carry",
+        [
+          Alcotest.test_case "run_tv = plain fold: verdicts, blame, counters"
+            `Slow test_carry_forward_changes_nothing;
+        ] );
     ]
