@@ -10,7 +10,13 @@ let () =
   in
   Printf.printf "fuzzing %d seeds against every target...\n%!"
     scale.Harness.Experiments.seeds;
-  let hits = Harness.Experiments.run_campaign ~scale Harness.Pipeline.Spirv_fuzz_tool in
+  (* one engine for the whole workflow: reductions reuse the campaign's
+     memoized runs *)
+  let engine = Harness.Engine.create () in
+  let hits =
+    Harness.Experiments.run_campaign ~scale ~engine
+      Harness.Pipeline.Spirv_fuzz_tool
+  in
   let crashes =
     List.filter
       (fun (h : Harness.Experiments.hit) ->
@@ -25,7 +31,9 @@ let () =
   (* reduce each crash (capped per signature), collect the minimized
      transformation sequences, and run the Figure 6 selection — the Table 4
      plumbing does exactly this end to end *)
-  let rows, total = Harness.Experiments.table4 ~scale ~hits:[| hits; []; [] |] () in
+  let rows, total =
+    Harness.Experiments.table4 ~scale ~engine ~hits:[| hits; []; [] |] ()
+  in
   Printf.printf "\n%-14s %6s %6s %8s %9s %6s\n" "Target" "Tests" "Sigs" "Reports"
     "Distinct" "Dups";
   List.iter

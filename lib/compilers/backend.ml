@@ -15,6 +15,14 @@ type run_result =
   | Compiled_ok                (** tooling target, no execution *)
   | Crashed of string          (** crash signature *)
 
+(** The target's optimizer pipeline with its flags, an injected crash
+    turned into [Error signature]: the reference for [run]'s [optimize]. *)
+let target_optimize (t : Target.t) (m : Module_ir.t) :
+    (Module_ir.t, string) result =
+  match Optimizer.run ~flags:t.Target.opt_flags t.Target.pipeline m with
+  | optimized -> Ok optimized
+  | exception Opt_util.Compiler_crash signature -> Error signature
+
 (** Ground truth for experiments: which injected bug produced a crash
     signature (None for real faults such as validation failures, which get
     a derived signature).
@@ -22,9 +30,14 @@ type run_result =
     [render] is the execution kernel applied to the post-miscompile module;
     it defaults to the reference interpreter.  The harness engine passes
     the flat compiled kernel here (with its per-digest program cache) —
-    any substitute must be observably bit-identical to [Interp.render]. *)
-let run ?(render = fun m input -> Interp.render m input) (t : Target.t)
-    (m : Module_ir.t) (input : Input.t) : run_result =
+    any substitute must be observably bit-identical to [Interp.render].
+    [optimize] likewise defaults to [target_optimize t]; the engine passes
+    its memoized version. *)
+let run ?(render = fun m input -> Interp.render m input) ?optimize
+    (t : Target.t) (m : Module_ir.t) (input : Input.t) : run_result =
+  let optimize =
+    match optimize with Some f -> f | None -> target_optimize t
+  in
   let check_phase phase m =
     List.find_map
       (fun id ->
@@ -37,9 +50,9 @@ let run ?(render = fun m input -> Interp.render m input) (t : Target.t)
   match check_phase Bug.Before_opt m with
   | Some signature -> Crashed signature
   | None -> (
-      match Optimizer.run ~flags:t.Target.opt_flags t.Target.pipeline m with
-      | exception Opt_util.Compiler_crash signature -> Crashed signature
-      | optimized -> (
+      match optimize m with
+      | Error signature -> Crashed signature
+      | Ok optimized -> (
           match check_phase Bug.After_opt optimized with
           | Some signature -> Crashed signature
           | None -> (

@@ -16,8 +16,14 @@ type run_result =
   | Compiled_ok          (** tooling targets (spirv-opt): no execution *)
   | Crashed of string    (** a crash signature *)
 
+val target_optimize : Target.t -> Module_ir.t -> (Module_ir.t, string) result
+(** The target's optimizer pipeline under its [opt_flags]; an injected
+    crash bug firing mid-pipeline gives [Error signature].  A deterministic
+    function of {!Target.config_key} and the module. *)
+
 val run :
   ?render:(Module_ir.t -> Input.t -> (Image.t, Interp.trap) result) ->
+  ?optimize:(Module_ir.t -> (Module_ir.t, string) result) ->
   Target.t ->
   Module_ir.t ->
   Input.t ->
@@ -26,7 +32,12 @@ val run :
     defaults to {!Interp.render}.  The harness engine substitutes the flat
     compiled kernel ({!Compile.render_batch} behind a per-digest program
     cache); any substitute must be observably bit-identical to the
-    reference interpreter. *)
+    reference interpreter.
+
+    [optimize] runs the target's optimizer on the submitted module;
+    defaults to [target_optimize t].  The harness engine substitutes a
+    memo keyed by {!Target.config_key} and module digest; any substitute
+    must return what [target_optimize t] returns. *)
 
 val optimize_reference : Module_ir.t -> Module_ir.t option
 (** Clean [-O] for preparing optimized copies of reference shaders. *)

@@ -161,6 +161,29 @@ let swiftshader =
     executes = true;
   }
 
+(* Every flag is named: a new flag trips warning 9 here (an error in the
+   default dev profile) until it is part of the key. *)
+let config_key t =
+  let {
+    Passes.bug_fold_div_crash;
+    bug_keep_stale_phi_entries;
+    bug_fold_sub_zero;
+    bug_inline_swaps_const_args;
+    bug_hoist_loop_load;
+    bug_forward_aliased_store;
+  } =
+    t.opt_flags
+  in
+  let bits =
+    List.map
+      (fun b -> if b then "1" else "0")
+      [ bug_fold_div_crash; bug_keep_stale_phi_entries; bug_fold_sub_zero;
+        bug_inline_swaps_const_args; bug_hoist_loop_load;
+        bug_forward_aliased_store ]
+  in
+  String.concat "," (List.map Optimizer.show_pass_name t.pipeline)
+  ^ "|" ^ String.concat "" bits
+
 let all =
   [ amd_llpc; mesa; mesa_old; nvidia; pixel5; pixel4; spirv_opt; spirv_opt_old; swiftshader ]
 

@@ -31,6 +31,12 @@ val spirv_opt : t
 val spirv_opt_old : t
 val swiftshader : t
 
+val config_key : t -> string
+(** The target's optimizer configuration: its pipeline's pass names and
+    its [opt_flags] bits, and nothing else.  Targets with equal keys
+    optimize every module identically, whatever their names or bug
+    rosters (AMD-LLPC, Mesa and the Pixel images share one). *)
+
 val all : t list
 (** The nine targets, in Table 2 order. *)
 

@@ -2,7 +2,8 @@
     mutex-guarded, content-addressed memo table over
     {!Compilers.Backend.run} with a bounded LRU eviction policy, an
     optional persistent {!Tbct_store.Cas} backend (read-through /
-    write-through), the baseline cache, the memoized clean [-O] step,
+    write-through), the baseline cache, the memoized clean [-O] step, the
+    per-configuration target-optimizer memo shared by runs and TV blame,
     counters and per-stage wall-clock accounting.  One engine may be
     shared across domains. *)
 
@@ -12,6 +13,14 @@ module Cas = Tbct_store.Cas
 module Run_codec = Tbct_store.Run_codec
 
 let default_memo_capacity = 65536
+
+(* The target optimizer's outcome on one module, shared by every target
+   with the same configuration.  [blame] stays [None] until translation
+   validation has run on the module; a crashed pipeline needs none. *)
+type pipeline_entry = {
+  outcome : (Module_ir.t, string) result;
+  blame : Compilers.Optimizer.pass_name option option;
+}
 
 type t = {
   lock : Mutex.t;
@@ -24,6 +33,8 @@ type t = {
       (* (before digest, after digest) -> translation-validation verdict *)
   mutable compile_memo : (string, Compile.t) Lru.t;
       (* module digest -> lowered program for the flat execution kernel *)
+  mutable pipeline_memo : (string * string, pipeline_entry) Lru.t;
+      (* (Target.config_key, module digest) -> target optimizer outcome *)
   use_compiled : bool;
       (* false: reference-interpreter mode (the differential oracle) *)
   memo_capacity : int;
@@ -81,6 +92,7 @@ let create ?store ?(memo_capacity = default_memo_capacity) ?(compiled = true)
     opt_memo = Lru.create ~capacity:memo_capacity;
     tv_memo = Lru.create ~capacity:memo_capacity;
     compile_memo = Lru.create ~capacity:memo_capacity;
+    pipeline_memo = Lru.create ~capacity:memo_capacity;
     use_compiled = compiled;
     memo_capacity;
     baselines = Hashtbl.create 64;
@@ -103,10 +115,13 @@ let create ?store ?(memo_capacity = default_memo_capacity) ?(compiled = true)
 
 let cas e = e.store
 
+let bump_counter_locked e name n =
+  Hashtbl.replace e.named_counters name
+    (n + Option.value ~default:0 (Hashtbl.find_opt e.named_counters name))
+
 let bump_counter e name n =
   Mutex.lock e.lock;
-  Hashtbl.replace e.named_counters name
-    (n + Option.value ~default:0 (Hashtbl.find_opt e.named_counters name));
+  bump_counter_locked e name n;
   Mutex.unlock e.lock
 
 let locked e f =
@@ -117,6 +132,8 @@ let add_stage_locked e stage dt =
   Hashtbl.replace e.stage_wall stage
     (dt +. Option.value ~default:0.0 (Hashtbl.find_opt e.stage_wall stage))
 
+let pipeline_runs_counter = "pipeline-runs"
+let pipeline_hits_counter = "pipeline-hits"
 let execute_stage = "execute"
 let optimize_stage = "optimize"
 let tv_stage = "tv"
@@ -150,6 +167,44 @@ let compiled_program e (m : Module_ir.t) : Compile.t =
    module, which differs from the module the engine was asked about, so it
    is digested and lowered (through the cache) on its own. *)
 let compiled_render e m input = Compile.render_batch (compiled_program e m) input
+
+(* Store a fresh pipeline outcome under the engine lock.  A racing domain
+   may have stored the same key meanwhile; an optimized module already in
+   the table is kept, so every consumer shares one value (and its digest
+   and lowered program by identity). *)
+let record_pipeline e key (entry : pipeline_entry) =
+  locked e (fun () ->
+      let entry =
+        match Lru.find e.pipeline_memo key with
+        | Some { outcome = Ok m; blame } ->
+            {
+              outcome = Ok m;
+              blame = (match entry.blame with None -> blame | b -> b);
+            }
+        | Some _ | None -> entry
+      in
+      Lru.set e.pipeline_memo key entry;
+      bump_counter_locked e pipeline_runs_counter 1)
+
+let pipeline_hit e = bump_counter e pipeline_hits_counter 1
+
+let pipeline_key (t : Compilers.Target.t) m =
+  (Compilers.Target.config_key t, Digest.of_module m)
+
+(* The optimize hook handed to [Backend.run]: any entry for the key
+   answers, whichever consumer stored it. *)
+let memo_optimize e (t : Compilers.Target.t) (m : Module_ir.t) :
+    (Module_ir.t, string) result =
+  let key = pipeline_key t m in
+  let cached = locked e (fun () -> Lru.find e.pipeline_memo key) in
+  match cached with
+  | Some entry ->
+      pipeline_hit e;
+      entry.outcome
+  | None ->
+      let outcome = Compilers.Backend.target_optimize t m in
+      record_pipeline e key { outcome; blame = None };
+      outcome
 
 (* The mutex is released while the backend runs: two domains missing on the
    same key may both execute, but [Backend.run] is deterministic, so the
@@ -185,7 +240,8 @@ let run e (t : Compilers.Target.t) (m : Module_ir.t) (input : Input.t) :
           let t0 = Unix.gettimeofday () in
           let r =
             if e.use_compiled then
-              Compilers.Backend.run ~render:(compiled_render e) t m input
+              Compilers.Backend.run ~render:(compiled_render e)
+                ~optimize:(memo_optimize e t) t m input
             else Compilers.Backend.run t m input
           in
           let dt = Unix.gettimeofday () -. t0 in
@@ -328,6 +384,36 @@ let tv_check e ~(before : Module_ir.t) ~(after : Module_ir.t) :
   | None -> ());
   v
 
+let run_tv e (t : Compilers.Target.t) m =
+  Compilers.Optimizer.run_tv ~flags:t.Compilers.Target.opt_flags
+    ~check:(fun before after -> tv_check e ~before ~after)
+    t.Compilers.Target.pipeline m
+
+let tv_blame e (t : Compilers.Target.t) (m : Module_ir.t) :
+    (Compilers.Optimizer.pass_name option, string) result =
+  if not e.use_compiled then
+    Result.map (fun r -> r.Compilers.Optimizer.tv_guilty) (run_tv e t m)
+  else
+    let key = pipeline_key t m in
+    let cached = locked e (fun () -> Lru.find e.pipeline_memo key) in
+    match cached with
+    | Some { outcome = Error signature; _ } ->
+        pipeline_hit e;
+        Error signature
+    | Some { blame = Some guilty; _ } ->
+        pipeline_hit e;
+        Ok guilty
+    | Some { blame = None; _ } | None -> (
+        match run_tv e t m with
+        | Ok r ->
+            let guilty = r.Compilers.Optimizer.tv_guilty in
+            record_pipeline e key
+              { outcome = Ok r.Compilers.Optimizer.tv_module; blame = Some guilty };
+            Ok guilty
+        | Error signature ->
+            record_pipeline e key { outcome = Error signature; blame = None };
+            Error signature)
+
 let timed e ~stage f =
   let t0 = Unix.gettimeofday () in
   Fun.protect
@@ -354,11 +440,12 @@ let stats e : stats =
         compile_hits = e.compile_hits;
         memo_entries =
           Lru.length e.memo + Lru.length e.opt_memo + Lru.length e.tv_memo
-          + Lru.length e.compile_memo;
+          + Lru.length e.compile_memo + Lru.length e.pipeline_memo;
         memo_capacity = e.memo_capacity;
         memo_evictions =
           Lru.evictions e.memo + Lru.evictions e.opt_memo
-          + Lru.evictions e.tv_memo + Lru.evictions e.compile_memo;
+          + Lru.evictions e.tv_memo + Lru.evictions e.compile_memo
+          + Lru.evictions e.pipeline_memo;
         runs_saved;
         hit_rate =
           (if looked_up = 0 then 0.0
@@ -376,12 +463,19 @@ let stats e : stats =
           |> List.sort (fun (a, _) (b, _) -> String.compare a b);
       })
 
+let counter (s : stats) name =
+  Option.value ~default:0 (List.assoc_opt name s.counters)
+
+let pipeline_runs s = counter s pipeline_runs_counter
+let pipeline_hits s = counter s pipeline_hits_counter
+
 let reset e =
   locked e (fun () ->
       e.memo <- Lru.create ~capacity:e.memo_capacity;
       e.opt_memo <- Lru.create ~capacity:e.memo_capacity;
       e.tv_memo <- Lru.create ~capacity:e.memo_capacity;
       e.compile_memo <- Lru.create ~capacity:e.memo_capacity;
+      e.pipeline_memo <- Lru.create ~capacity:e.memo_capacity;
       Hashtbl.reset e.baselines;
       Hashtbl.reset e.stage_wall;
       Hashtbl.reset e.domain_runs;

@@ -5,11 +5,16 @@
     The engine holds a content-addressed memo table mapping
     [(target, module digest, input digest)] to the backend's run result,
     plus the baseline cache for original-program runs (keyed by
-    [(target, reference name)]) and a memo table for the clean [-O]
-    optimization step (module digest -> optimized module).  All stores are
-    guarded by a mutex, so one engine may be shared by several OCaml 5
-    domains — the domain-parallel campaigns of {!Experiments} do exactly
-    that.
+    [(target, reference name)]), a memo table for the clean [-O]
+    optimization step (module digest -> optimized module) and a pipeline
+    memo for each target's own optimizer: [(config key, module digest)]
+    -> optimized module or crash signature, plus the translation-validation
+    blame once {!tv_blame} has run.  The key is
+    {!Compilers.Target.config_key}, not the target name, so targets that
+    share a pipeline and flags share every entry; {!run} and {!tv_blame}
+    both read and fill it.  All stores are guarded by a mutex, so one
+    engine may be shared by several OCaml 5 domains — the domain-parallel
+    campaigns of {!Experiments} do exactly that.
 
     The in-memory tables are bounded: {!create}'s [memo_capacity] caps the
     entry count and least-recently-used entries are evicted past it
@@ -46,7 +51,9 @@ type stats = {
   opt_hits : int;        (** optimize-step hits (memory or disk) *)
   store_hits : int;      (** run results served from the disk store *)
   store_writes : int;    (** objects written through to the disk store *)
-  tv_checks : int;       (** translation-validation checks requested *)
+  tv_checks : int;
+      (** pass steps handed to translation validation; a blame served by
+          the pipeline memo re-validates nothing and adds none *)
   tv_hits : int;         (** TV verdicts served without re-validating *)
   compiles : int;        (** modules lowered by the flat execution kernel *)
   compile_hits : int;    (** renders served by an already-lowered program *)
@@ -55,7 +62,9 @@ type stats = {
   memo_evictions : int;  (** entries evicted by the LRU bound *)
   runs_saved : int;      (** [cache_hits + baseline_hits + store_hits] *)
   hit_rate : float;      (** [runs_saved / (runs_saved + runs_executed)] *)
-  execute_wall : float;  (** seconds spent inside the backend *)
+  execute_wall : float;
+      (** seconds spent inside [Backend.run], pipeline memo lookups and
+          misses included *)
   stages : (string * float) list;
       (** cumulative wall-clock per stage, sorted by stage name;
           ["execute"] is maintained by {!run}, ["optimize"] by
@@ -66,9 +75,14 @@ type stats = {
           equals [runs_executed].  A single entry means a sequential
           run. *)
   counters : (string * int) list;
-      (** caller-defined named tallies ({!bump_counter}), sorted by name —
-          e.g. the per-transformation-type [proposed/*] and [applied/*]
-          counts campaign drivers accumulate from fuzzer results *)
+      (** named tallies, sorted by name: caller-defined ones
+          ({!bump_counter}, e.g. the per-transformation-type [proposed/*]
+          and [applied/*] counts campaign drivers accumulate from fuzzer
+          results) and the engine's own: [pipeline-runs] (target
+          optimizer pipelines actually run, by {!run} or {!tv_blame}),
+          [pipeline-hits] (optimizer outcomes and blames served by the
+          pipeline memo), and [tv-abstain:*] and [mem-proofs], which,
+          like [tv_checks], count only steps actually validated *)
 }
 
 val default_memo_capacity : int
@@ -86,9 +100,11 @@ val create :
     [compile_hits] in {!stats}), and executed with
     {!Spirv_ir.Compile.render_batch} — observably bit-identical to the
     reference interpreter.  [~compiled:false] keeps every render on
-    {!Spirv_ir.Interp.render}: the reference-interpreter mode the CI
-    byte-equality gate runs campaigns under (the differential oracle for
-    the kernel itself). *)
+    {!Spirv_ir.Interp.render} and uses no pipeline memo: {!run} takes
+    [Backend.run]'s default optimizer and {!tv_blame} runs
+    [Optimizer.run_tv] every time.  It is the reference mode the CI
+    byte-equality gates run campaigns under (the differential oracle for
+    the kernel and the pipeline memo). *)
 
 val cas : t -> Tbct_store.Cas.t option
 (** The disk store this engine is backed by, if any. *)
@@ -97,7 +113,9 @@ val run : t -> Compilers.Target.t -> Module_ir.t -> Input.t ->
   Compilers.Backend.run_result
 (** Content-addressed [Backend.run]: memory memo, then the disk store,
     then execute-and-record (billing the ["execute"] stage).  The mutex is
-    not held during execution, so concurrent misses proceed in parallel. *)
+    not held during execution, so concurrent misses proceed in parallel.
+    An execution takes the target's optimizer output from the pipeline
+    memo ([Backend.run]'s [?optimize] hook). *)
 
 val baseline : t -> Compilers.Target.t -> ref_name:string ->
   Module_ir.t -> Input.t -> Compilers.Backend.run_result
@@ -121,6 +139,18 @@ val tv_check : t -> before:Module_ir.t -> after:Module_ir.t ->
     is a deterministic function of the two modules and the verdict codec
     is exact. *)
 
+val tv_blame : t -> Compilers.Target.t -> Module_ir.t ->
+  (Compilers.Optimizer.pass_name option, string) result
+(** The translation-validation blame of the target's optimizer on a
+    module: [Ok (Some pass)] names the first pass with a [Mismatch],
+    [Ok None] means every step is [Equivalent] or [Abstained], [Error]
+    carries the crash signature of a pipeline that crashed.  Memoized in
+    the pipeline memo; a miss runs [Optimizer.run_tv] with {!tv_check}
+    and also stores the optimized module, which a later {!run} on any
+    target of the same configuration reuses.  An entry {!run} stored
+    answers a crash without validation and supplies the module, but a
+    blame still needs one [run_tv]. *)
+
 val timed : t -> stage:string -> (unit -> 'a) -> 'a
 (** Run a thunk and add its wall-clock time to the named stage. *)
 
@@ -131,8 +161,14 @@ val bump_counter : t -> string -> int -> unit
 val stats : t -> stats
 (** A consistent snapshot of the engine's counters. *)
 
+val pipeline_runs : stats -> int
+(** The [pipeline-runs] counter: target optimizer pipelines actually run. *)
+
+val pipeline_hits : stats -> int
+(** The [pipeline-hits] counter: pipeline-memo lookups that ran nothing. *)
+
 val reset : t -> unit
-(** Clear every cache and zero every counter and stage clock.  The disk
+(** Clear every cache (the pipeline memo included) and zero every counter and stage clock.  The disk
     store (if any) is left untouched. *)
 
 val pp_stats : Format.formatter -> stats -> unit

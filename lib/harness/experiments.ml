@@ -87,11 +87,10 @@ let references_for (tool : Pipeline.tool) =
     and every freshly computed seed is reported to [on_seed] — possibly
     from a worker domain, so the hook must be thread-safe. *)
 let run_campaign ?(scale = default_scale) ?(targets = Compilers.Target.all)
-    ?(domains = 1) ?pool ?engine ?(check_contracts = false) ?(tv = false)
+    ?(domains = 1) ?pool ~engine ?(check_contracts = false) ?(tv = false)
     ?(weights = []) ?(skip = fun (_ : int) -> (None : hit list option))
     ?(stop = fun () -> false)
     ?(on_seed = fun (_ : int) (_ : hit list) -> ()) tool : hit list =
-  let engine = match engine with Some e -> e | None -> Engine.create () in
   let refs = Array.of_list (references_for tool) in
   let hits_for_seed seed =
     let ref_name, ref_source, ref_module = refs.(seed mod Array.length refs) in
@@ -423,8 +422,7 @@ type rq2 = {
   rq2_median_glsl : float;
 }
 
-let rq2 ?(scale = default_scale) ?engine ?pool ~(hits : hit list array) () : rq2 =
-  let engine = match engine with Some e -> e | None -> Engine.create () in
+let rq2 ?(scale = default_scale) ~engine ?pool ~(hits : hit list array) () : rq2 =
   let study_targets =
     List.map (fun (t : Compilers.Target.t) -> t.Compilers.Target.name)
       Compilers.Target.reduction_study
@@ -520,9 +518,8 @@ let reduce_crash_hit ?(known = fun ~target:_ ~bug_id:_ -> None)
     task per hit, hit-ordered merge, same list as sequential).  [?known]
     short-circuits hits whose (target, bug id) already has a banked
     reduced test. *)
-let reduced_crash_tests ?(scale = default_scale) ?engine ?pool ?known
+let reduced_crash_tests ?(scale = default_scale) ~engine ?pool ?known
     ~(hits : hit list) () : (string * dedup_test) list =
-  let engine = match engine with Some e -> e | None -> Engine.create () in
   let study =
     List.map (fun (t : Compilers.Target.t) -> t.Compilers.Target.name)
       Compilers.Target.dedup_study
@@ -546,7 +543,7 @@ let reduced_crash_tests ?(scale = default_scale) ?engine ?pool ?known
       Pool.map_list pool (reduce_crash_hit ?known engine) crash_hits
       |> List.filter_map Fun.id
 
-let table4 ?(scale = default_scale) ?ignored ?engine ?pool ?tests
+let table4 ?(scale = default_scale) ?ignored ~engine ?pool ?tests
     ~(hits : hit list array) () : table4_row list * table4_row =
   let study =
     List.map (fun (t : Compilers.Target.t) -> t.Compilers.Target.name)
@@ -555,7 +552,7 @@ let table4 ?(scale = default_scale) ?ignored ?engine ?pool ?tests
   let reduced_tests =
     match tests with
     | Some tests -> tests
-    | None -> reduced_crash_tests ~scale ?engine ?pool ~hits:hits.(0) ()
+    | None -> reduced_crash_tests ~scale ~engine ?pool ~hits:hits.(0) ()
   in
   let row target =
     let tests = List.filter_map (fun (t, d) -> if String.equal t target then Some d else None) reduced_tests in

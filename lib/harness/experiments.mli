@@ -37,7 +37,7 @@ val run_campaign :
   ?targets:Compilers.Target.t list ->
   ?domains:int ->
   ?pool:Pool.t ->
-  ?engine:Engine.t ->
+  engine:Engine.t ->
   ?check_contracts:bool ->
   ?tv:bool ->
   ?weights:(Spirv_fuzz.Registry.family * int) list ->
@@ -48,7 +48,8 @@ val run_campaign :
   hit list
 (** For each seed, generate one variant from a round-robin reference and
     test it against every target (with the optimize-and-retry step).  Every
-    execution flows through the engine ([?engine] defaults to a fresh one).
+    execution flows through the caller's engine, so its memo tables and
+    stage clocks serve and report the whole campaign.
     Parallelism goes through {!Pool}, one task per seed: [?pool] reuses a
     caller-owned pool (so one pool serves campaign and reduction);
     otherwise [?domains] (default 1) sizes a temporary pool, clamped to
@@ -149,7 +150,7 @@ type rq2 = {
 }
 
 val rq2 :
-  ?scale:scale -> ?engine:Engine.t -> ?pool:Pool.t -> hits:hit list array ->
+  ?scale:scale -> engine:Engine.t -> ?pool:Pool.t -> hits:hit list array ->
   unit -> rq2
 
 (** {1 Table 4: deduplication} *)
@@ -166,7 +167,7 @@ type dedup_test = {
 }
 
 val reduced_crash_tests :
-  ?scale:scale -> ?engine:Engine.t -> ?pool:Pool.t ->
+  ?scale:scale -> engine:Engine.t -> ?pool:Pool.t ->
   ?known:(target:string -> bug_id:string -> dedup_test option) ->
   hits:hit list ->
   unit -> (string * dedup_test) list
@@ -191,7 +192,7 @@ type table4_row = {
 val table4 :
   ?scale:scale ->
   ?ignored:Tbct.Dedup.String_set.t ->
-  ?engine:Engine.t ->
+  engine:Engine.t ->
   ?pool:Pool.t ->
   ?tests:(string * dedup_test) list ->
   hits:hit list array ->

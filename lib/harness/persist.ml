@@ -253,7 +253,7 @@ let hit_line (h : Experiments.hit) =
     (if h.Experiments.hit_detection.Pipeline.via_opt then "opt" else "direct")
 
 let run_campaign ?(scale = Experiments.default_scale)
-    ?(targets = Compilers.Target.all) ?domains ?pool ?engine ?check_contracts
+    ?(targets = Compilers.Target.all) ?domains ?pool ~engine ?check_contracts
     ?tv ?weights ?(resume = false) ?(fsync = false) ?stop
     ?(on_seed = fun (_ : int) (_ : Experiments.hit list) -> ()) ~dir tool :
     (outcome, string) result =
@@ -284,7 +284,7 @@ let run_campaign ?(scale = Experiments.default_scale)
             on_seed seed hits
           in
           let hits =
-            Experiments.run_campaign ~scale ~targets ?domains ?pool ?engine
+            Experiments.run_campaign ~scale ~targets ?domains ?pool ~engine
               ?check_contracts ?tv ?weights ~skip:skip_hook ?stop
               ~on_seed:seed_hook tool
           in

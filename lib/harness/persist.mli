@@ -106,7 +106,7 @@ val run_campaign :
   ?targets:Compilers.Target.t list ->
   ?domains:int ->
   ?pool:Pool.t ->
-  ?engine:Engine.t ->
+  engine:Engine.t ->
   ?check_contracts:bool ->
   ?tv:bool ->
   ?weights:(Spirv_fuzz.Registry.family * int) list ->

@@ -48,23 +48,16 @@ let compare_runs ~original ~variant : detection option =
 
 (** Translation-validate the target's own optimizer pipeline (with the
     target's injected-bug flags) on a module, via the engine's memoized
-    checker.  [Some signature] when some pass provably miscompiles — the
+    blame.  [Some signature] when some pass provably miscompiles — the
     pass-granular ["miscompile:<target>:<pass>"] bucket; [None] when every
     step is [Equivalent] or [Abstained] (abstention is never reported as a
     bug, DESIGN.md §8) or when a pass crashes (the crash signature is the
     dynamic oracle's business). *)
 let tv_signature (engine : Engine.t) (t : Compilers.Target.t)
     (m : Module_ir.t) : Signature.t option =
-  match
-    Compilers.Optimizer.run_tv ~flags:t.Compilers.Target.opt_flags
-      ~check:(fun before after -> Engine.tv_check engine ~before ~after)
-      t.Compilers.Target.pipeline m
-  with
-  | Error _ -> None
-  | Ok report -> (
-      match report.Compilers.Optimizer.tv_guilty with
-      | Some p -> Some (Signature.miscompile ~target:t ~pass:(Some p))
-      | None -> None)
+  match Engine.tv_blame engine t m with
+  | Ok (Some p) -> Some (Signature.miscompile ~target:t ~pass:(Some p))
+  | Ok None | Error _ -> None
 
 (** Run one variant module against one target, including the
     optimize-and-retry step.  All executions go through [engine].

@@ -31,6 +31,12 @@ type detection = {
   via_opt : bool;  (** detected only on the additionally-optimized variant *)
 }
 
+val tv_signature : Engine.t -> Compilers.Target.t -> Module_ir.t -> Signature.t option
+(** The translation validator's verdict on the target's own optimizer
+    pipeline for a module, through {!Engine.tv_blame}:
+    [Some "miscompile:<target>:<pass>"] when a pass provably miscompiles;
+    [None] when no step mismatches or a pass crashes. *)
+
 val run_variant :
   ?tv:bool ->
   Engine.t ->

@@ -89,6 +89,8 @@ let engine_json (s : Harness.Engine.stats) =
       ("tv_hits", Json.Int s.Harness.Engine.tv_hits);
       ("compiles", Json.Int s.Harness.Engine.compiles);
       ("compile_hits", Json.Int s.Harness.Engine.compile_hits);
+      ("pipeline_runs", Json.Int (Harness.Engine.pipeline_runs s));
+      ("pipeline_hits", Json.Int (Harness.Engine.pipeline_hits s));
       ("memo_entries", Json.Int s.Harness.Engine.memo_entries);
       ("memo_evictions", Json.Int s.Harness.Engine.memo_evictions);
       ("runs_saved", Json.Int s.Harness.Engine.runs_saved);

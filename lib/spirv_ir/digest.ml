@@ -3,12 +3,10 @@
     The digest of a module is computed over its exact textual disassembly,
     which {!Disasm} guarantees to be precisely invertible by {!Asm} (floats
     are printed in hexadecimal notation), so two modules digest equally iff
-    their listings coincide.  Notably the digest ignores [id_bound]: fuzzers
-    burn ids on proposals that fail their preconditions, so replaying a
-    recorded transformation sequence reproduces a variant's {e contents}
-    with a possibly smaller bound — such replays must (and do) share a
-    digest, which is what lets the execution engine memoize the repeated
-    prefix replays of delta debugging.
+    their listings coincide.  The listing starts with [OpIdBound], so the
+    digest covers [id_bound] too: two modules that differ only in their
+    bound digest differently, and no memo keyed by digests ever hands one
+    module's result to the other.
 
     A digest is computed once per distinct module value: a per-domain ring
     of weak references maps recently digested modules, by physical

@@ -3,10 +3,10 @@
 
     Digests are computed over the exact textual disassembly (respectively
     the canonical input listing), so they are stable across
-    disassemble/assemble round trips and ignore [id_bound] (see the
-    fresh-id discipline in {!Module_ir}): a variant regenerated by
-    replaying a recorded transformation sequence digests equally to the
-    original generation even though replay may end with a smaller bound. *)
+    disassemble/assemble round trips.  The listing includes [OpIdBound],
+    so [id_bound] is part of the digest: modules that differ only in
+    their bound (fresh ids are allocated from it, see {!Module_ir}) never
+    share a memo entry. *)
 
 val of_module : Module_ir.t -> string
 (** Hex digest of a module's canonical disassembly.  A module physically

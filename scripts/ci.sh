@@ -338,9 +338,20 @@ fi
 # TV campaign gate: a --tv campaign (translation validation after every
 # pass, digests reused by identity across pass steps) must give the same
 # hit list at --domains 1, at --domains 4 and under the reference
-# interpreter
+# interpreter.  The compiled-mode campaigns take every target optimizer
+# outcome and TV blame from the engine's pipeline memo, shared across
+# targets with the same configuration; the reference-interpreter engine
+# has no pipeline memo and runs each target's pipeline afresh, so the
+# byte-equality checks also prove memo == fresh pipeline runs.  The
+# sequential campaign must report pipeline-hits > 0, or nothing was
+# shared and the comparison proves nothing.
 ./_build/default/bin/tbct_cli.exe campaign --tv --seeds 20 --domains 1 \
-    --hits-out "$STORE/hits-tv-seq.txt" > /dev/null
+    --stats --hits-out "$STORE/hits-tv-seq.txt" > "$STORE/stats-tv-seq.txt"
+pipeline_hits=$(awk '$1 == "pipeline-hits" { print $2 }' "$STORE/stats-tv-seq.txt")
+if [ "${pipeline_hits:-0}" -le 0 ]; then
+  echo "CI: --tv campaign reports no pipeline-memo hits" >&2
+  exit 1
+fi
 ./_build/default/bin/tbct_cli.exe campaign --tv --seeds 20 --domains 4 \
     --hits-out "$STORE/hits-tv-par.txt" > /dev/null
 ./_build/default/bin/tbct_cli.exe campaign --tv --seeds 20 --domains 1 \

@@ -10,7 +10,10 @@ let scale = { Harness.Experiments.default_scale with Harness.Experiments.seeds =
 let tool = Harness.Pipeline.Spirv_fuzz_tool
 
 (* the sequential, fresh-engine baseline every other campaign is compared to *)
-let baseline_hits = lazy (Harness.Experiments.run_campaign ~scale tool)
+let baseline_hits =
+  lazy
+    (Harness.Experiments.run_campaign ~engine:(Harness.Engine.create ())
+       ~scale tool)
 
 let check_same_hits msg expected actual =
   Alcotest.(check int) (msg ^ ": count") (List.length expected) (List.length actual);
@@ -246,11 +249,272 @@ let test_reduction_hits_cache () =
             (s.Harness.Engine.baseline_hits > 0))
 
 (* ------------------------------------------------------------------ *)
+(* The pipeline memo: one target-optimizer outcome per (configuration,
+   module digest), shared by Engine.run and the TV blame and across
+   targets.  Every result must equal a reference engine's, which runs
+   Backend.run's default optimizer and Optimizer.run_tv every time. *)
+
+let reference_engine () = Harness.Engine.create ~compiled:false ()
+
+(* both consumers of the memo, on one target *)
+let run_and_blame ~tv_first e (t : Compilers.Target.t) m =
+  let run () = Harness.Engine.run e t m Corpus.default_input in
+  let blame () = Harness.Pipeline.tv_signature e t m in
+  if tv_first then
+    let b = blame () in
+    (run (), b)
+  else
+    let r = run () in
+    (r, blame ())
+
+let run_result_t =
+  Alcotest.testable
+    (fun fmt -> function
+      | Compilers.Backend.Rendered _ -> Format.pp_print_string fmt "Rendered"
+      | Compilers.Backend.Compiled_ok -> Format.pp_print_string fmt "Compiled_ok"
+      | Compilers.Backend.Crashed s -> Format.fprintf fmt "Crashed %S" s)
+    ( = )
+
+(* the memo engine twice, so the second answers come from its entries *)
+let check_against_reference ~tv_first e reference label t m =
+  let r', b' = run_and_blame ~tv_first reference t m in
+  let label = label ^ " on " ^ t.Compilers.Target.name in
+  List.iter
+    (fun pass ->
+      let r, b = run_and_blame ~tv_first e t m in
+      Alcotest.check run_result_t (label ^ pass ^ ": run") r' r;
+      Alcotest.(check (option string)) (label ^ pass ^ ": tv signature") b' b)
+    [ ""; " again" ]
+
+(* a call with two same-typed constant arguments: SwiftShader's
+   bug_inline_swaps_const_args swaps them while inlining, and the TV
+   blame names Inline *)
+let inline_swap_module () =
+  let open Spirv_ir in
+  let b = Builder.create () in
+  let void_t = Builder.void_ty b and float_t = Builder.float_ty b in
+  let out = Builder.output_color b in
+  let hb, h, params =
+    Builder.begin_function b ~name:"h" ~ret:float_t ~params:[ float_t; float_t ]
+  in
+  Builder.start_block hb (Builder.new_label hb);
+  (match params with
+  | [ p0; p1 ] -> Builder.ret_value hb (Builder.fsub hb p0 p1)
+  | _ -> assert false);
+  ignore (Builder.end_function hb);
+  let fb, main, _ = Builder.begin_function b ~name:"main" ~ret:void_t ~params:[] in
+  Builder.start_block fb (Builder.new_label fb);
+  let v = Builder.call fb h [ Builder.cfloat b 0.25; Builder.cfloat b 0.75 ] in
+  let one = Builder.cfloat b 1.0 in
+  Builder.store fb out
+    (Builder.composite fb ~ty:(Builder.vec4f b) [ v; one; one; one ]);
+  Builder.ret fb;
+  ignore (Builder.end_function fb);
+  Builder.finish b ~entry:main
+
+(* a copy whose id_bound leaves a gap: Inline allocates fresh ids from
+   id_bound, so the copy optimizes to a different module *)
+let with_larger_id_bound (m : Spirv_ir.Module_ir.t) =
+  { m with Spirv_ir.Module_ir.id_bound = m.Spirv_ir.Module_ir.id_bound + 37 }
+
+let memo_sweep_modules () =
+  let refs = Lazy.force Corpus.lowered_references in
+  let fuzzed =
+    List.filteri (fun i _ -> i mod 4 = 0) refs
+    |> List.mapi (fun i (name, m) ->
+           let ctx = Spirv_fuzz.Context.make m Corpus.default_input in
+           ( name ^ " fuzzed",
+             (Spirv_fuzz.Fuzzer.run ~seed:(i + 3) ctx).Spirv_fuzz.Fuzzer.final
+               .Spirv_fuzz.Context.m ))
+  in
+  let ms = refs @ fuzzed @ [ ("inline-swap trigger", inline_swap_module ()) ] in
+  (* each copy right after its original, whose entries it must not be
+     served *)
+  List.concat_map
+    (fun (name, m) ->
+      [ (name, m); (name ^ " +id_bound", with_larger_id_bound m) ])
+    ms
+
+let test_pipeline_memo_matches_reference ~tv_first () =
+  let e = Harness.Engine.create () in
+  let reference = reference_engine () in
+  let modules = memo_sweep_modules () in
+  List.iter
+    (fun (name, m) ->
+      List.iter
+        (fun t -> check_against_reference ~tv_first e reference name t m)
+        Compilers.Target.all)
+    modules;
+  let s = Harness.Engine.stats e in
+  Alcotest.(check bool) "targets shared pipeline outcomes" true
+    (Harness.Engine.pipeline_hits s > 0);
+  Alcotest.(check (option string)) "the sweep has a blame to serve"
+    (Some "miscompile:SwiftShader:Inline")
+    (Harness.Pipeline.tv_signature reference Compilers.Target.swiftshader
+       (inline_swap_module ()));
+  Alcotest.(check int) "the reference engine uses no pipeline memo" 0
+    (Harness.Engine.pipeline_runs (Harness.Engine.stats reference)
+    + Harness.Engine.pipeline_hits (Harness.Engine.stats reference))
+
+(* the listing starts with OpIdBound, so the memo keys never share an
+   entry between modules that differ only in id_bound *)
+let test_id_bound_in_digest () =
+  List.iter
+    (fun (name, m) ->
+      Alcotest.(check bool) (name ^ ": copy digests differently") false
+        (String.equal
+           (Spirv_ir.Digest.of_module m)
+           (Spirv_ir.Digest.of_module (with_larger_id_bound m))))
+    (Lazy.force Corpus.lowered_references)
+
+(* a one-block main writing [build]'s float to the red channel *)
+let mk_module build =
+  let open Spirv_ir in
+  let b = Builder.create () in
+  let void_t = Builder.void_ty b in
+  let out = Builder.output_color b in
+  let fb, main, _ = Builder.begin_function b ~name:"main" ~ret:void_t ~params:[] in
+  Builder.start_block fb (Builder.new_label fb);
+  let v = build b fb in
+  let one = Builder.cfloat b 1.0 in
+  Builder.store fb out
+    (Builder.composite fb ~ty:(Builder.vec4f b) [ v; one; one; one ]);
+  Builder.ret fb;
+  ignore (Builder.end_function fb);
+  let m = Builder.finish b ~entry:main in
+  (match Validate.check m with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "crafted module invalid");
+  m
+
+(* an integer division by constant zero: spirv-opt's bug_fold_div_crash
+   crashes on it; AMD-LLPC runs the same passes with clean flags *)
+let div_zero_module () =
+  mk_module (fun b fb ->
+      let open Spirv_ir in
+      let q = Builder.sdiv fb (Builder.cint b 7) (Builder.cint b 0) in
+      let c = Builder.ieq fb q (Builder.cint b 1) in
+      Builder.select fb c (Builder.cfloat b 0.0) (Builder.cfloat b 1.0))
+
+(* a select on bools whose condition is a local variable holding [true]:
+   the full pipeline forwards the store and folds the select away, the
+   light one (no Store_forward) leaves it for Mesa-Old's select-bool
+   back-end crash *)
+let bool_select_module () =
+  mk_module (fun b fb ->
+      let open Spirv_ir in
+      let v = Builder.local_var fb ~pointee:(Builder.bool_ty b) in
+      Builder.store fb v (Builder.cbool b true);
+      let c = Builder.load fb v in
+      let x =
+        Builder.extract fb (Builder.load fb (Builder.frag_coord b)) [ 0 ]
+      in
+      let dynamic = Builder.flt fb x (Builder.cfloat b 4.0) in
+      let s = Builder.select fb c dynamic (Builder.cbool b false) in
+      Builder.select fb s (Builder.cfloat b 0.0) (Builder.cfloat b 1.0))
+
+let is_crash = function Compilers.Backend.Crashed _ -> true | _ -> false
+
+let test_key_separates_flags () =
+  let m = div_zero_module () in
+  let amd = Compilers.Target.amd_llpc and spv = Compilers.Target.spirv_opt in
+  Alcotest.(check bool) "same pipeline" true
+    (amd.Compilers.Target.pipeline = spv.Compilers.Target.pipeline);
+  let reference = reference_engine () in
+  let run e t = Harness.Engine.run e t m Corpus.default_input in
+  Alcotest.(check bool) "spirv-opt crashes (reference)" true
+    (is_crash (run reference spv));
+  Alcotest.(check bool) "AMD-LLPC does not crash (reference)" false
+    (is_crash (run reference amd));
+  (* either target first: the second must not be served the first's
+     entry *)
+  List.iter
+    (fun order ->
+      let e = Harness.Engine.create () in
+      List.iter
+        (fun (t : Compilers.Target.t) ->
+          Alcotest.check run_result_t t.Compilers.Target.name (run reference t)
+            (run e t);
+          Alcotest.(check bool) (t.Compilers.Target.name ^ ": blame") true
+            (Harness.Engine.tv_blame e t m
+            = Harness.Engine.tv_blame reference t m))
+        order;
+      (* AMD-LLPC's run and its blame, spirv-opt's run; spirv-opt's
+         blame is its stored crash *)
+      Alcotest.(check int) "pipeline runs" 3
+        (Harness.Engine.pipeline_runs (Harness.Engine.stats e)))
+    [ [ amd; spv ]; [ spv; amd ] ]
+
+(* Mesa runs the full pipeline, Mesa-Old the light one, both with clean
+   flags.  On the witness Mesa-Old's result changes when it is handed the
+   full pipeline's output, which a key without the pipeline would give
+   it. *)
+let test_key_separates_pipeline () =
+  let mesa = Compilers.Target.mesa and old = Compilers.Target.mesa_old in
+  Alcotest.(check bool) "same flags" true
+    (mesa.Compilers.Target.opt_flags = old.Compilers.Target.opt_flags);
+  let m = bool_select_module () in
+  let input = Corpus.default_input in
+  Alcotest.(check bool) "the witness tells the pipelines apart" true
+    (Compilers.Backend.run old m input
+    <> Compilers.Backend.run
+         ~optimize:(Compilers.Backend.target_optimize mesa)
+         old m input);
+  let reference = reference_engine () in
+  List.iter
+    (fun order ->
+      let e = Harness.Engine.create () in
+      List.iter
+        (fun t ->
+          check_against_reference ~tv_first:false e reference "witness" t m)
+        order)
+    [ [ mesa; old ]; [ old; mesa ] ]
+
+let test_pipeline_memo_accounting () =
+  let m = List.assoc "gradient" (Lazy.force Corpus.lowered_references) in
+  let m2 = List.assoc "helper_distance" (Lazy.force Corpus.lowered_references) in
+  (* AMD-LLPC compiles without executing: no lowered program, so a run
+     fills the run memo and the pipeline memo only *)
+  let amd = Compilers.Target.amd_llpc in
+  let run e m = ignore (Harness.Engine.run e amd m Corpus.default_input) in
+  let e = Harness.Engine.create ~memo_capacity:1 () in
+  let reference = Harness.Engine.create ~memo_capacity:1 ~compiled:false () in
+  run e m;
+  run reference m;
+  let s = Harness.Engine.stats e and r = Harness.Engine.stats reference in
+  Alcotest.(check int) "memo_entries counts the pipeline table"
+    (r.Harness.Engine.memo_entries + 1) s.Harness.Engine.memo_entries;
+  run e m2;
+  run reference m2;
+  let s = Harness.Engine.stats e and r = Harness.Engine.stats reference in
+  Alcotest.(check int) "memo_evictions counts the pipeline table"
+    (r.Harness.Engine.memo_evictions + 1) s.Harness.Engine.memo_evictions;
+  (* a blame on the same configuration reuses nothing of a plain run's
+     entry but the module; a second one is a hit *)
+  let mesa = Compilers.Target.mesa in
+  let blame () = ignore (Harness.Engine.tv_blame e mesa m2) in
+  blame ();
+  blame ();
+  let s = Harness.Engine.stats e in
+  Alcotest.(check (pair int int)) "pipeline runs and hits" (3, 1)
+    (Harness.Engine.pipeline_runs s, Harness.Engine.pipeline_hits s);
+  Harness.Engine.reset e;
+  Alcotest.(check int) "reset empties every table" 0
+    (Harness.Engine.stats e).Harness.Engine.memo_entries;
+  run e m2;
+  Alcotest.(check (pair int int)) "a run after reset runs the pipeline" (1, 0)
+    (let s = Harness.Engine.stats e in
+     (Harness.Engine.pipeline_runs s, Harness.Engine.pipeline_hits s))
+
+(* ------------------------------------------------------------------ *)
 (* Domain-parallel campaigns *)
 
 let test_parallel_campaign domains () =
   let expected = Lazy.force baseline_hits in
-  let par = Harness.Experiments.run_campaign ~scale ~domains tool in
+  let par =
+    Harness.Experiments.run_campaign ~engine:(Harness.Engine.create ())
+      ~scale ~domains tool
+  in
   check_same_hits (Printf.sprintf "%d-domain campaign" domains) expected par
 
 let test_parallel_shared_engine () =
@@ -275,8 +539,14 @@ let test_domains_exceed_seeds () =
   (* regression: --domains beyond the seed count used to spawn domains
      with empty ranges; the pool clamp must keep the hit list identical *)
   let small = { scale with Harness.Experiments.seeds = 5 } in
-  let expected = Harness.Experiments.run_campaign ~scale:small tool in
-  let par = Harness.Experiments.run_campaign ~scale:small ~domains:16 tool in
+  let expected =
+    Harness.Experiments.run_campaign ~engine:(Harness.Engine.create ())
+      ~scale:small tool
+  in
+  let par =
+    Harness.Experiments.run_campaign ~engine:(Harness.Engine.create ())
+      ~scale:small ~domains:16 tool
+  in
   check_same_hits "16 domains over 5 seeds" expected par
 
 let test_caller_pool_both_phases () =
@@ -323,7 +593,8 @@ let test_raising_on_seed_propagates () =
   (* a raising on_seed hook must surface from the parallel campaign (the
      pool drains, then re-raises) rather than deadlocking or vanishing *)
   match
-    Harness.Experiments.run_campaign ~scale ~domains:3
+    Harness.Experiments.run_campaign ~engine:(Harness.Engine.create ())
+      ~scale ~domains:3
       ~on_seed:(fun seed _ -> if seed = 7 then raise Hook_failure)
       tool
   with
@@ -359,6 +630,21 @@ let () =
             test_cached_campaign_identical;
           Alcotest.test_case "reduction hits the cache" `Slow
             test_reduction_hits_cache;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "memo = reference, run first" `Slow
+            (test_pipeline_memo_matches_reference ~tv_first:false);
+          Alcotest.test_case "memo = reference, TV first" `Slow
+            (test_pipeline_memo_matches_reference ~tv_first:true);
+          Alcotest.test_case "id_bound is part of the digest" `Quick
+            test_id_bound_in_digest;
+          Alcotest.test_case "key separates flags" `Quick
+            test_key_separates_flags;
+          Alcotest.test_case "key separates pipelines" `Slow
+            test_key_separates_pipeline;
+          Alcotest.test_case "accounting and reset" `Quick
+            test_pipeline_memo_accounting;
         ] );
       ( "parallel",
         [

@@ -150,11 +150,17 @@ let test_interestingness_reproduces () =
 
 let small_scale = { Harness.Experiments.default_scale with Harness.Experiments.seeds = 40 }
 
-let campaign = lazy (Harness.Experiments.run_campaign ~scale:small_scale Harness.Pipeline.Spirv_fuzz_tool)
+let campaign =
+  lazy
+    (Harness.Experiments.run_campaign ~engine:(Harness.Engine.create ())
+       ~scale:small_scale Harness.Pipeline.Spirv_fuzz_tool)
 
 let test_campaign_is_deterministic () =
   let a = Lazy.force campaign in
-  let b = Harness.Experiments.run_campaign ~scale:small_scale Harness.Pipeline.Spirv_fuzz_tool in
+  let b =
+    Harness.Experiments.run_campaign ~engine:(Harness.Engine.create ())
+      ~scale:small_scale Harness.Pipeline.Spirv_fuzz_tool
+  in
   Alcotest.(check int) "same size" (List.length a) (List.length b);
   List.iter2
     (fun (x : Harness.Experiments.hit) (y : Harness.Experiments.hit) ->

@@ -387,8 +387,10 @@ let test_engine_memo_eviction () =
   Alcotest.(check bool) "evicted entries recompute to identical results" true
     (first = again);
   let s = Harness.Engine.stats engine in
+  (* three tables fill here, each capped: runs, target pipelines and
+     lowered programs *)
   Alcotest.(check bool) "entry count bounded by capacity" true
-    (s.Harness.Engine.memo_entries <= 2 * s.Harness.Engine.memo_capacity);
+    (s.Harness.Engine.memo_entries <= 3 * s.Harness.Engine.memo_capacity);
   Alcotest.(check int) "capacity reported" 2 s.Harness.Engine.memo_capacity;
   Alcotest.(check bool) "evictions counted" true
     (s.Harness.Engine.memo_evictions > 0)
@@ -467,14 +469,19 @@ let test_engine_tv_memoized () =
 
 let scale = { Harness.Experiments.default_scale with Harness.Experiments.seeds = 14 }
 let tool = Harness.Pipeline.Spirv_fuzz_tool
-let baseline_hits = lazy (Harness.Experiments.run_campaign ~scale tool)
+let baseline_hits =
+  lazy
+    (Harness.Experiments.run_campaign ~engine:(Harness.Engine.create ())
+       ~scale tool)
 
 let outcome_or_fail = function
   | Ok (o : Harness.Persist.outcome) -> o
   | Error e -> Alcotest.failf "campaign failed: %s" e
 
 let run_persisted ?resume dir =
-  outcome_or_fail (Harness.Persist.run_campaign ~scale ?resume ~dir tool)
+  outcome_or_fail
+    (Harness.Persist.run_campaign ~engine:(Harness.Engine.create ()) ~scale
+       ?resume ~dir tool)
 
 let kill_journal ~keep_fraction dir =
   let path = Harness.Persist.journal_path dir in
@@ -528,14 +535,17 @@ let test_campaign_resume_extends () =
   let small = { scale with Harness.Experiments.seeds = 6 } in
   let dir = fresh_dir () in
   let o0 =
-    outcome_or_fail (Harness.Persist.run_campaign ~scale:small ~dir tool)
+    outcome_or_fail
+      (Harness.Persist.run_campaign ~engine:(Harness.Engine.create ())
+         ~scale:small ~dir tool)
   in
   Alcotest.(check (option int)) "fresh campaign is not an extension" None
     o0.Harness.Persist.extended_from;
   (* grow 0..5 to 0..13 *)
   let o1 =
     outcome_or_fail
-      (Harness.Persist.run_campaign ~scale ~resume:true ~dir tool)
+      (Harness.Persist.run_campaign ~engine:(Harness.Engine.create ())
+         ~scale ~resume:true ~dir tool)
   in
   Alcotest.(check (option int)) "extension recorded" (Some 6)
     o1.Harness.Persist.extended_from;
@@ -545,7 +555,8 @@ let test_campaign_resume_extends () =
     o1.Harness.Persist.seeds_run;
   let fresh =
     outcome_or_fail
-      (Harness.Persist.run_campaign ~scale ~dir:(fresh_dir ()) tool)
+      (Harness.Persist.run_campaign ~engine:(Harness.Engine.create ())
+         ~scale ~dir:(fresh_dir ()) tool)
   in
   Alcotest.(check bool) "extended hit list bit-identical to a fresh run" true
     (o1.Harness.Persist.hits = fresh.Harness.Persist.hits);
@@ -553,7 +564,8 @@ let test_campaign_resume_extends () =
      same scale recomputes nothing and is no longer an extension *)
   let o2 =
     outcome_or_fail
-      (Harness.Persist.run_campaign ~scale ~resume:true ~dir tool)
+      (Harness.Persist.run_campaign ~engine:(Harness.Engine.create ())
+         ~scale ~resume:true ~dir tool)
   in
   Alcotest.(check int) "nothing re-run after the extension" 0
     o2.Harness.Persist.seeds_run;
@@ -570,7 +582,8 @@ exception Hook_blew_up
 let test_campaign_raising_hook_leaves_replayable_journal () =
   let dir = fresh_dir () in
   (match
-     Harness.Persist.run_campaign ~scale ~domains:3
+     Harness.Persist.run_campaign ~engine:(Harness.Engine.create ())
+       ~scale ~domains:3
        ~on_seed:(fun seed _ -> if seed >= 7 then raise Hook_blew_up)
        ~dir tool
    with
@@ -594,7 +607,8 @@ let test_campaign_resume_refuses_other_tool () =
   let dir = fresh_dir () in
   ignore (run_persisted dir);
   match
-    Harness.Persist.run_campaign ~scale ~resume:true ~dir
+    Harness.Persist.run_campaign ~engine:(Harness.Engine.create ())
+      ~scale ~resume:true ~dir
       Harness.Pipeline.Glsl_fuzz_tool
   with
   | Ok _ -> Alcotest.fail "resume with a different tool must be refused"

@@ -407,7 +407,31 @@ let qcheck_tv_sound =
 (* ------------------------------------------------------------------ *)
 (* Carry-forward: run_tv hands an unchanged pass output on as the input
    value itself.  It must change no TV result and no engine counter, so
-   it is compared against the plain fold over run_pass it replaced. *)
+   it is compared against the plain fold over run_pass it replaced.
+
+   The same sweep checks the invariant the engine's pipeline memo rests
+   on: run_tv optimizes exactly as Optimizer.run does, so one stored
+   outcome can serve both Backend.run and the TV blame. *)
+
+(* [Optimizer.run] with a crash as [Error signature], as Backend.run
+   reads it *)
+let plain_run ~flags pipeline m =
+  match Compilers.Optimizer.run ~flags pipeline m with
+  | m' -> Ok m'
+  | exception Compilers.Opt_util.Compiler_crash signature -> Error signature
+
+let check_agrees_with_run label got plain =
+  match (got, plain) with
+  | Ok r, Ok m' ->
+      Alcotest.(check bool)
+        (label ^ ": tv_module equal_exact to Optimizer.run") true
+        (Spirv_ir.Module_ir.equal_exact r.Compilers.Optimizer.tv_module m')
+  | Error s, Error s' ->
+      Alcotest.(check string) (label ^ ": crash signature") s' s
+  | Ok _, Error s' ->
+      Alcotest.failf "%s: run_tv finished, Optimizer.run crashed (%s)" label s'
+  | Error s, Ok _ ->
+      Alcotest.failf "%s: run_tv crashed (%s), Optimizer.run finished" label s
 
 let reference_run_tv ~flags ~check pipeline m =
   match
@@ -509,9 +533,12 @@ let test_carry_forward_changes_nothing () =
               let want =
                 reference_run_tv ~flags ~check:(check reference) pipeline m
               in
-              Alcotest.(check string)
-                (Printf.sprintf "%s on %s" name t.Compilers.Target.name)
-                (report_summary want) (report_summary got);
+              let label =
+                Printf.sprintf "%s on %s" name t.Compilers.Target.name
+              in
+              Alcotest.(check string) label (report_summary want)
+                (report_summary got);
+              check_agrees_with_run label got (plain_run ~flags pipeline m);
               match want with
               | Ok { Compilers.Optimizer.tv_guilty = Some _; _ } -> incr blamed
               | Ok _ -> ()
