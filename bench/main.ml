@@ -1,10 +1,9 @@
-(* Benchmark & experiment harness.
+(* Paper reproduction harness.
 
-   Default mode regenerates every table and figure of the paper's evaluation
-   (section 4) at a configurable scale and prints them in the paper's
-   layout.  `--perf` additionally runs the Bechamel micro-benchmarks (one
-   per pipeline stage), and `--ablate` runs the design-choice ablations
-   called out in DESIGN.md. *)
+   Regenerates every table and figure of the paper's evaluation (section 4)
+   at a configurable scale and prints them in the paper's layout;
+   `--ablate` also runs the design-choice ablations called out in
+   DESIGN.md.  Performance is measured by perfbench/ alone. *)
 
 let line = String.make 78 '-'
 
@@ -259,1066 +258,22 @@ let print_ablations ~scale ~engine ~hits =
     r.Harness.Experiments.t3_vs_simple
 
 (* ------------------------------------------------------------------ *)
-(* Engine: run cache and domain-parallel campaigns                     *)
-
-let engine_perf () =
-  section "Engine: content-addressed run cache & domain-parallel campaigns";
-  let scale =
-    { Harness.Experiments.default_scale with Harness.Experiments.seeds = 80 }
-  in
-  let tool = Harness.Pipeline.Spirv_fuzz_tool in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* cold sequential run *)
-  let cold_engine = Harness.Engine.create () in
-  let seq_hits, seq_time =
-    timed (fun () -> Harness.Experiments.run_campaign ~scale ~engine:cold_engine tool)
-  in
-  let cold = Harness.Engine.stats cold_engine in
-  Printf.printf "sequential campaign (%d seeds): %.2fs, %d detections\n"
-    scale.Harness.Experiments.seeds seq_time (List.length seq_hits);
-  Printf.printf "  %s\n" (Harness.Engine.stats_to_string cold);
-  Printf.printf "  runs executed: %d, runs saved by caching: %d (%.1f%% hit rate)\n"
-    cold.Harness.Engine.runs_executed cold.Harness.Engine.runs_saved
-    (100.0 *. cold.Harness.Engine.hit_rate);
-  (* warm rerun on the same engine: the whole campaign is served from cache *)
-  let warm_hits, warm_time =
-    timed (fun () -> Harness.Experiments.run_campaign ~scale ~engine:cold_engine tool)
-  in
-  let warm = Harness.Engine.stats cold_engine in
-  Printf.printf
-    "warm rerun (same engine): %.2fs (%.1fx speedup), hits identical: %b, \
-     %d additional runs executed\n"
-    warm_time
-    (seq_time /. Float.max 1e-9 warm_time)
-    (warm_hits = seq_hits)
-    (warm.Harness.Engine.runs_executed - cold.Harness.Engine.runs_executed);
-  (* domain-parallel cold runs: bit-identical hit lists, wall-clock speedup *)
-  List.iter
-    (fun domains ->
-      let engine = Harness.Engine.create () in
-      let par_hits, par_time =
-        timed (fun () ->
-            Harness.Experiments.run_campaign ~scale ~domains ~engine tool)
-      in
-      Printf.printf
-        "%d-domain campaign: %.2fs (%.2fx vs sequential), hits identical to \
-         sequential: %b\n"
-        domains par_time
-        (seq_time /. Float.max 1e-9 par_time)
-        (par_hits = seq_hits))
-    [ 2; 4 ];
-  Printf.printf
-    "(campaign speedup is bounded by the cores available to this container: \
-     %d recommended domains)\n"
-    (Domain.recommended_domain_count ())
-
-(* ------------------------------------------------------------------ *)
-(* Pool scaling: campaign + reduction through the work-stealing pool   *)
-
-let pool_perf () =
-  section "Pool scaling: campaign + parallel reduction (work-stealing pool)";
-  let scale =
-    { Harness.Experiments.default_scale with Harness.Experiments.seeds = 80 }
-  in
-  let tool = Harness.Pipeline.Spirv_fuzz_tool in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let study_targets =
-    List.map (fun (t : Compilers.Target.t) -> t.Compilers.Target.name)
-      Compilers.Target.reduction_study
-  in
-  let reducible hits =
-    List.filter
-      (fun (h : Harness.Experiments.hit) ->
-        List.mem h.Harness.Experiments.hit_target study_targets)
-      hits
-    |> Harness.Experiments.cap_hits
-         ~per_signature:scale.Harness.Experiments.max_reductions_per_signature
-  in
-  (* sequential baseline: fresh engine, campaign then per-hit reduction *)
-  let seq_engine = Harness.Engine.create () in
-  let seq_hits, seq_campaign =
-    timed (fun () -> Harness.Experiments.run_campaign ~scale ~engine:seq_engine tool)
-  in
-  let seq_outcomes, seq_reduce =
-    timed (fun () ->
-        Harness.Experiments.reduce_hits seq_engine (reducible seq_hits))
-  in
-  Printf.printf
-    "sequential: campaign %.2fs (%d detections), reduction %.2fs (%d hits reduced)\n"
-    seq_campaign (List.length seq_hits) seq_reduce
-    (List.length (List.filter_map Fun.id seq_outcomes));
-  List.iter
-    (fun workers ->
-      (* fresh engine per worker count so every configuration pays the
-         same cold-cache cost; one pool serves both phases *)
-      let engine = Harness.Engine.create () in
-      Harness.Pool.with_pool ~workers (fun pool ->
-          let hits, campaign_t =
-            timed (fun () ->
-                Harness.Experiments.run_campaign ~scale ~pool ~engine tool)
-          in
-          let outcomes, reduce_t =
-            timed (fun () ->
-                Harness.Experiments.reduce_hits ~pool engine (reducible hits))
-          in
-          Printf.printf
-            "%d worker(s): campaign %.2fs (%.2fx), reduction %.2fs (%.2fx), \
-             campaign+reduction identical to sequential: %b\n"
-            workers campaign_t
-            (seq_campaign /. Float.max 1e-9 campaign_t)
-            reduce_t
-            (seq_reduce /. Float.max 1e-9 reduce_t)
-            (hits = seq_hits && outcomes = seq_outcomes);
-          Printf.printf "  %s\n" (Harness.Pool.stats_to_string pool);
-          let s = Harness.Engine.stats engine in
-          match s.Harness.Engine.per_domain_runs with
-          | [] | [ _ ] -> ()
-          | per_domain ->
-              Printf.printf "  runs per domain:%s\n"
-                (String.concat ""
-                   (List.map (fun (d, n) -> Printf.sprintf " d%d:%d" d n)
-                      per_domain))))
-    [ 1; 2; 4; 8 ];
-  Printf.printf
-    "(speedup is bounded by the cores available to this container: %d \
-     recommended domains)\n"
-    (Domain.recommended_domain_count ())
-
-(* ------------------------------------------------------------------ *)
-(* Persistent store: cold vs warm campaigns through the disk cache     *)
-
-let rec rm_rf path =
-  match (Unix.lstat path).Unix.st_kind with
-  | Unix.S_DIR ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let store_perf () =
-  section "Persistent store: cold vs warm campaigns (disk run cache)";
-  let scale =
-    { Harness.Experiments.default_scale with Harness.Experiments.seeds = 80 }
-  in
-  let tool = Harness.Pipeline.Spirv_fuzz_tool in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tbct-bench-store-%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      (* cold: empty store, every run executed and written through *)
-      let cold_engine =
-        Harness.Engine.create ~store:(Harness.Persist.open_cas ~dir ()) ()
-      in
-      let cold_hits, cold_time =
-        timed (fun () ->
-            Harness.Experiments.run_campaign ~scale ~engine:cold_engine tool)
-      in
-      let cold = Harness.Engine.stats cold_engine in
-      Printf.printf
-        "cold campaign (%d seeds, empty store): %.2fs, %d detections, \
-         %d runs executed, %d objects written\n"
-        scale.Harness.Experiments.seeds cold_time (List.length cold_hits)
-        cold.Harness.Engine.runs_executed cold.Harness.Engine.store_writes;
-      (* warm: a NEW engine (cold memory) against the populated store — the
-         speedup is purely the disk cache *)
-      let warm_engine =
-        Harness.Engine.create ~store:(Harness.Persist.open_cas ~dir ()) ()
-      in
-      let warm_hits, warm_time =
-        timed (fun () ->
-            Harness.Experiments.run_campaign ~scale ~engine:warm_engine tool)
-      in
-      let warm = Harness.Engine.stats warm_engine in
-      Printf.printf
-        "warm campaign (fresh engine, same store): %.2fs (%.1fx speedup), \
-         hits identical: %b\n"
-        warm_time
-        (cold_time /. Float.max 1e-9 warm_time)
-        (warm_hits = cold_hits);
-      Printf.printf
-        "  %d runs executed, %d served from disk, %d from memory \
-         (%.1f%% hit rate)\n"
-        warm.Harness.Engine.runs_executed warm.Harness.Engine.store_hits
-        (warm.Harness.Engine.cache_hits + warm.Harness.Engine.baseline_hits)
-        (100.0 *. warm.Harness.Engine.hit_rate);
-      (match Harness.Engine.cas warm_engine with
-      | Some cas ->
-          let s = Tbct_store.Cas.stats cas in
-          Printf.printf "  cas: %d object(s), %d bytes on disk\n"
-            s.Tbct_store.Cas.objects s.Tbct_store.Cas.bytes
-      | None -> ()))
-
-(* ------------------------------------------------------------------ *)
-(* Static-analysis oracle: lint and contract-check overhead            *)
-
-let oracle_perf () =
-  section "Static-analysis oracle: lint & transformation-contract overhead";
-  let scale =
-    { Harness.Experiments.default_scale with Harness.Experiments.seeds = 80 }
-  in
-  let tool = Harness.Pipeline.Spirv_fuzz_tool in
-  let stage_time stats name =
-    Option.value ~default:0.0 (List.assoc_opt name stats.Harness.Engine.stages)
-  in
-  (* lint sweep over the corpus, billed to its own engine stage *)
-  let engine = Harness.Engine.create () in
-  let modules = Lazy.force Corpus.lowered_references in
-  let findings =
-    Harness.Engine.timed engine ~stage:"lint" (fun () ->
-        List.fold_left
-          (fun acc (_, m) -> acc + List.length (Spirv_ir.Lint.check_module m))
-          0 modules)
-  in
-  let lint_stats = Harness.Engine.stats engine in
-  Printf.printf "lint sweep: %d modules, %d findings in %.3fs\n"
-    (List.length modules) findings
-    (stage_time lint_stats "lint");
-  (* paired campaigns: identical seeds with and without the contract
-     checker; the stage rename keeps the two generation clocks separate *)
-  let plain_engine = Harness.Engine.create () in
-  let plain_hits =
-    Harness.Experiments.run_campaign ~scale ~engine:plain_engine tool
-  in
-  let checked_engine = Harness.Engine.create () in
-  let checked_hits =
-    Harness.Experiments.run_campaign ~scale ~engine:checked_engine
-      ~check_contracts:true tool
-  in
-  let plain_t = stage_time (Harness.Engine.stats plain_engine) "generate" in
-  let checked_t =
-    stage_time (Harness.Engine.stats checked_engine) "generate+contract-check"
-  in
-  Printf.printf
-    "generation (%d seeds): %.3fs plain, %.3fs with contract checks \
-     (%.2fx overhead), hits identical: %b\n"
-    scale.Harness.Experiments.seeds plain_t checked_t
-    (checked_t /. Float.max 1e-9 plain_t)
-    (plain_hits = checked_hits);
-  Printf.printf "  plain   %s\n"
-    (Harness.Engine.stats_to_string (Harness.Engine.stats plain_engine));
-  Printf.printf "  checked %s\n"
-    (Harness.Engine.stats_to_string (Harness.Engine.stats checked_engine))
-
-(* ------------------------------------------------------------------ *)
-(* Translation validation: overhead, memoization, signature granularity *)
-
-let tv_perf () =
-  section "Translation validation: overhead, memoization & blame granularity";
-  let scale =
-    { Harness.Experiments.default_scale with Harness.Experiments.seeds = 60 }
-  in
-  let tool = Harness.Pipeline.Spirv_fuzz_tool in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* overhead: identical seeds with and without the TV oracle *)
-  let plain_engine = Harness.Engine.create () in
-  let _plain_hits, plain_time =
-    timed (fun () ->
-        Harness.Experiments.run_campaign ~scale ~engine:plain_engine tool)
-  in
-  let tv_engine = Harness.Engine.create () in
-  let tv_hits, tv_time =
-    timed (fun () ->
-        Harness.Experiments.run_campaign ~scale ~engine:tv_engine ~tv:true tool)
-  in
-  let tv_stats = Harness.Engine.stats tv_engine in
-  Printf.printf
-    "campaign (%d seeds): %.2fs without TV, %.2fs with (%.2fx overhead)\n"
-    scale.Harness.Experiments.seeds plain_time tv_time
-    (tv_time /. Float.max 1e-9 plain_time);
-  Printf.printf "  %d TV checks, %d memoized (engine digest fast-path + LRU)\n"
-    tv_stats.Harness.Engine.tv_checks tv_stats.Harness.Engine.tv_hits;
-  (* signature granularity: how the single "miscompilation" bucket splits *)
-  let module SS = Set.Make (String) in
-  let miscompile_sigs =
-    List.fold_left
-      (fun acc (h : Harness.Experiments.hit) ->
-        let s = h.Harness.Experiments.hit_detection.Harness.Pipeline.signature in
-        if Harness.Signature.is_miscompilation s then SS.add s acc else acc)
-      SS.empty tv_hits
-  in
-  Printf.printf
-    "  miscompilation signatures with TV blame: %d distinct bucket(s)%s\n"
-    (SS.cardinal miscompile_sigs)
-    (if SS.is_empty miscompile_sigs then ""
-     else " — " ^ String.concat ", " (SS.elements miscompile_sigs));
-  (* memoization through the store: a fresh engine on a populated CAS
-     serves warm TV verdicts from disk *)
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tbct-bench-tv-%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let cold_engine =
-        Harness.Engine.create ~store:(Harness.Persist.open_cas ~dir ()) ()
-      in
-      let cold_hits, cold_time =
-        timed (fun () ->
-            Harness.Experiments.run_campaign ~scale ~engine:cold_engine
-              ~tv:true tool)
-      in
-      let warm_engine =
-        Harness.Engine.create ~store:(Harness.Persist.open_cas ~dir ()) ()
-      in
-      let warm_hits, warm_time =
-        timed (fun () ->
-            Harness.Experiments.run_campaign ~scale ~engine:warm_engine
-              ~tv:true tool)
-      in
-      let warm = Harness.Engine.stats warm_engine in
-      Printf.printf
-        "cold TV campaign (empty store): %.2fs; warm (fresh engine, same \
-         store): %.2fs (%.1fx), hits identical: %b\n"
-        cold_time warm_time
-        (cold_time /. Float.max 1e-9 warm_time)
-        (warm_hits = cold_hits);
-      Printf.printf
-        "  warm engine: %d TV checks, %d served without re-validating \
-         (%.1f%% — digest fast-path, memory LRU or disk CAS)\n"
-        warm.Harness.Engine.tv_checks warm.Harness.Engine.tv_hits
-        (100.0
-        *. float_of_int warm.Harness.Engine.tv_hits
-        /. float_of_int (max 1 warm.Harness.Engine.tv_checks)))
-
-(* ------------------------------------------------------------------ *)
-(* Registry: weighted scheduling and per-type counters                 *)
-
-let registry_perf () =
-  section "Registry: weighted scheduling & per-type counters";
-  let scale =
-    { Harness.Experiments.default_scale with Harness.Experiments.seeds = 30 }
-  in
-  let tool = Harness.Pipeline.Spirv_fuzz_tool in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let measure weights =
-    let engine = Harness.Engine.create () in
-    let hits, wall =
-      timed (fun () ->
-          Harness.Experiments.run_campaign ~scale ~engine ~weights tool)
-    in
-    (hits, wall, (Harness.Engine.stats engine).Harness.Engine.counters)
-  in
-  let prefixed prefix counters =
-    List.filter_map
-      (fun (k, v) ->
-        let n = String.length prefix in
-        if String.length k > n && String.equal (String.sub k 0 n) prefix then
-          Some (String.sub k n (String.length k - n), v)
-        else None)
-      counters
-  in
-  let total counters = List.fold_left (fun acc (_, v) -> acc + v) 0 counters in
-  let report label (hits, wall, counters) =
-    let proposed = prefixed "proposed/" counters in
-    let applied = prefixed "applied/" counters in
-    Printf.printf
-      "%s campaign (%d seeds): %.2fs, %d detections; %d proposed, %d applied \
-       across %d transformation types\n"
-      label scale.Harness.Experiments.seeds wall (List.length hits)
-      (total proposed) (total applied) (List.length proposed);
-    let top =
-      List.sort (fun (_, a) (_, b) -> compare b a) applied |> fun l ->
-      List.filteri (fun i _ -> i < 6) l
-    in
-    List.iter (fun (k, v) -> Printf.printf "  applied %-34s %6d\n" k v) top
-  in
-  let uniform = measure [] in
-  report "uniform" uniform;
-  let weighting =
-    [ (Spirv_fuzz.Registry.Control_flow, 4); (Spirv_fuzz.Registry.Data, 2) ]
-  in
-  let weighted = measure weighting in
-  report "weighted (control_flow=4,data=2)" weighted;
-  (* persist the section machine-readably so CI can smoke-check it *)
-  let json_counters counters =
-    String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "{\"type\":\"%s\",\"n\":%d}" k v)
-         counters)
-  in
-  let json_config name (hits, wall, counters) =
-    Printf.sprintf
-      "\"%s\":{\"wall_s\":%.3f,\"detections\":%d,\"proposed_total\":%d,\
-       \"applied_total\":%d,\"proposed\":[%s],\"applied\":[%s]}"
-      name wall (List.length hits)
-      (total (prefixed "proposed/" counters))
-      (total (prefixed "applied/" counters))
-      (json_counters (prefixed "proposed/" counters))
-      (json_counters (prefixed "applied/" counters))
-  in
-  let oc = open_out "BENCH_PR6.json" in
-  Printf.fprintf oc
-    "{\"seeds\":%d,\"registry_entries\":%d,%s,%s}\n"
-    scale.Harness.Experiments.seeds
-    (List.length Spirv_fuzz.Registry.all)
-    (json_config "uniform" uniform)
-    (json_config "weighted_cf4_data2" weighted);
-  close_out oc;
-  Printf.printf "registry perf section written to BENCH_PR6.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Loop-aware TV: verdicts, abstain reasons, and trip bounds            *)
-
-let loop_tv_perf () =
-  section "Loop-aware TV: looping corpus coverage";
-  let corpus = Lazy.force Corpus.lowered_loop_references in
-  let loop_facts m =
-    let f = List.hd m.Spirv_ir.Module_ir.functions in
-    let av = Spirv_ir.Dataflow.Availability.make m f in
-    let cfg = Spirv_ir.Dataflow.Availability.cfg av in
-    let dom = Spirv_ir.Dataflow.Availability.dominance av in
-    let loops = Spirv_ir.Loops.analyze cfg dom in
-    let r = Spirv_ir.Dataflow.Ranges.compute m f ~cfg ~loops in
-    let proven =
-      List.filter
-        (fun (l : Spirv_ir.Loops.loop) ->
-          Spirv_ir.Dataflow.Ranges.trip_bound r ~header:l.Spirv_ir.Loops.header
-          <> None)
-        loops.Spirv_ir.Loops.loops
-    in
-    (List.length loops.Spirv_ir.Loops.loops, List.length proven)
-  in
-  let classify (report : Compilers.Optimizer.tv_report) =
-    if report.Compilers.Optimizer.tv_guilty <> None then ("mismatch", None)
-    else
-      let abstained =
-        List.find_map
-          (fun (_, v) -> Compilers.Tv.abstain_label v)
-          report.Compilers.Optimizer.tv_steps
-      in
-      match abstained with
-      | Some label -> ("abstained", Some label)
-      | None -> ("equivalent", None)
-  in
-  let rows =
-    List.map
-      (fun (name, m) ->
-        let t0 = Unix.gettimeofday () in
-        let verdict, reason =
-          match Compilers.Optimizer.(run_tv standard) m with
-          | Ok report -> classify report
-          | Error _ -> ("crash", None)
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        let n_loops, n_proven = loop_facts m in
-        (name, verdict, reason, n_loops, n_proven, wall))
-      corpus
-  in
-  List.iter
-    (fun (name, verdict, reason, n_loops, n_proven, wall) ->
-      Printf.printf "  %-24s %-10s %-16s %d/%d loops bounded  %.3fs\n" name
-        verdict
-        (Option.value ~default:"-" reason)
-        n_proven n_loops wall)
-    rows;
-  let reason_tally =
-    List.fold_left
-      (fun acc label ->
-        let n =
-          List.length
-            (List.filter (fun (_, _, r, _, _, _) -> r = Some label) rows)
-        in
-        if n > 0 then (label, n) :: acc else acc)
-      []
-      (List.rev Spirv_ir.Symval.reason_labels)
-  in
-  let counted =
-    List.filter
-      (fun (name, _, _, _, _, _) -> List.mem name Corpus.counted_loop_names)
-      rows
-  in
-  let counted_covered =
-    List.filter (fun (_, v, _, _, _, _) -> v <> "abstained") counted
-  in
-  let rate =
-    float_of_int (List.length counted_covered)
-    /. float_of_int (max 1 (List.length counted))
-  in
-  Printf.printf
-    "counted-loop subset: %d/%d modules decided (%.0f%% non-abstained)\n"
-    (List.length counted_covered) (List.length counted) (100. *. rate);
-  List.iter
-    (fun (label, n) -> Printf.printf "  abstain %-18s %d\n" label n)
-    reason_tally;
-  let oc = open_out "BENCH_PR7.json" in
-  Printf.fprintf oc
-    "{\"modules\":%d,\"counted\":%d,\"counted_decided\":%d,\
-     \"counted_decided_rate\":%.3f,\"abstain_reasons\":{%s},\"per_module\":[%s]}\n"
-    (List.length rows) (List.length counted)
-    (List.length counted_covered)
-    rate
-    (String.concat ","
-       (List.map
-          (fun (label, n) -> Printf.sprintf "\"%s\":%d" label n)
-          reason_tally))
-    (String.concat ","
-       (List.map
-          (fun (name, verdict, reason, n_loops, n_proven, wall) ->
-            Printf.sprintf
-              "{\"name\":\"%s\",\"verdict\":\"%s\",\"reason\":%s,\
-               \"loops\":%d,\"bounded\":%d,\"wall_s\":%.3f}"
-              name verdict
-              (match reason with
-              | Some r -> Printf.sprintf "\"%s\"" r
-              | None -> "null")
-              n_loops n_proven wall)
-          rows));
-  close_out oc;
-  Printf.printf "loop TV section written to BENCH_PR7.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Campaign service: fleet throughput and the shared-engine payoff      *)
-
-let service_perf () =
-  section "Campaign service: fleet throughput & shared-engine payoff";
-  let seeds = 40 in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let spec =
-    {
-      Tbct_service.Protocol.sub_tool = Harness.Pipeline.Spirv_fuzz_tool;
-      sub_seeds = seeds;
-      sub_targets = [ "SwiftShader" ];
-      sub_weights = "";
-      sub_tv = false;
-    }
-  in
-  (* drive [n] identical jobs through one scheduler (one shared engine and
-     pool, as the daemon would) and report fleet-level throughput *)
-  let run_fleet n =
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "tbct-bench-serve-%d-%d" (Unix.getpid ()) n)
-    in
-    rm_rf dir;
-    Fun.protect
-      ~finally:(fun () -> rm_rf dir)
-      (fun () ->
-        Harness.Pool.with_pool ~workers:4 (fun pool ->
-            let sched = Tbct_service.Scheduler.create ~root:dir ~pool () in
-            Fun.protect
-              ~finally:(fun () -> Tbct_service.Scheduler.close sched)
-              (fun () ->
-                for _ = 1 to n do
-                  match Tbct_service.Scheduler.submit sched spec with
-                  | Ok _ -> ()
-                  | Error msg -> failwith ("bench submit: " ^ msg)
-                done;
-                let (), wall =
-                  timed (fun () ->
-                      while Tbct_service.Scheduler.runnable sched do
-                        ignore (Tbct_service.Scheduler.step sched)
-                      done)
-                in
-                let hit_lists =
-                  List.map
-                    (fun j ->
-                      match Tbct_service.Scheduler.hits sched j with
-                      | Ok (hs, true) -> hs
-                      | Ok (_, false) -> failwith "bench: job incomplete"
-                      | Error msg -> failwith ("bench hits: " ^ msg))
-                    (Tbct_service.Scheduler.jobs sched)
-                in
-                let stats =
-                  Harness.Engine.stats (Tbct_service.Scheduler.engine sched)
-                in
-                ( wall,
-                  hit_lists,
-                  stats,
-                  Tbct_service.Scheduler.cross_job_memo_hits sched ))))
-  in
-  let report label n (wall, _, (s : Harness.Engine.stats), cross) =
-    Printf.printf
-      "%s: %.2fs (%.2f jobs/s), %d runs executed, %d saved by the shared \
-       engine (%.1f%% hit rate), %d cross-job memo hits\n"
-      label wall
-      (float_of_int n /. Float.max 1e-9 wall)
-      s.Harness.Engine.runs_executed s.Harness.Engine.runs_saved
-      (100.0 *. s.Harness.Engine.hit_rate)
-      cross
-  in
-  let single = run_fleet 1 in
-  let fleet = run_fleet 4 in
-  report (Printf.sprintf "1 job   (%d seeds)" seeds) 1 single;
-  report (Printf.sprintf "4 jobs  (%d seeds each, one engine)" seeds) 4 fleet;
-  let _, single_hits, _, _ = single in
-  let _, fleet_hits, _, _ = fleet in
-  let reference = List.hd single_hits in
-  let identical = List.for_all (fun hs -> hs = reference) fleet_hits in
-  Printf.printf
-    "all fleet jobs' hit lists identical to the lone job's: %b\n" identical;
-  let fleet_json n (wall, _, (s : Harness.Engine.stats), cross) =
-    Tbct_service.Json.Obj
-      [
-        ("jobs", Tbct_service.Json.Int n);
-        ("wall_s", Tbct_service.Json.Float wall);
-        ("jobs_per_s", Tbct_service.Json.Float (float_of_int n /. Float.max 1e-9 wall));
-        ("runs_executed", Tbct_service.Json.Int s.Harness.Engine.runs_executed);
-        ("runs_saved", Tbct_service.Json.Int s.Harness.Engine.runs_saved);
-        ("hit_rate", Tbct_service.Json.Float s.Harness.Engine.hit_rate);
-        ("cross_job_memo_hits", Tbct_service.Json.Int cross);
-      ]
-  in
-  let doc =
-    Tbct_service.Json.Obj
-      [
-        ("seeds_per_job", Tbct_service.Json.Int seeds);
-        ("single", fleet_json 1 single);
-        ("fleet", fleet_json 4 fleet);
-        ("hits_identical", Tbct_service.Json.Bool identical);
-      ]
-  in
-  let oc = open_out "BENCH_PR8.json" in
-  output_string oc (Tbct_service.Json.to_string doc ^ "\n");
-  close_out oc;
-  Printf.printf "service perf section written to BENCH_PR8.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Memory analysis: per-module overhead, proofs and the abstain shift   *)
-
-let memory_perf () =
-  section "Memory analysis: overhead, proofs and abstain classes";
-  let corpus =
-    Lazy.force Corpus.lowered_references
-    @ Lazy.force Corpus.lowered_loop_references
-    @ Corpus.memory_references
-  in
-  (* (a) Memory.analyze overhead and resolution stats per module.  The
-     availability analysis is shared with the range/loop passes, so the
-     marginal cost of the memory oracle is [analyze] alone. *)
-  let mem_rows =
-    List.map
-      (fun (name, m) ->
-        let f = List.hd m.Spirv_ir.Module_ir.functions in
-        let av = Spirv_ir.Dataflow.Availability.make m f in
-        let t0 = Unix.gettimeofday () in
-        let mem = Spirv_ir.Memory.analyze m f ~avail:av in
-        let wall = Unix.gettimeofday () -. t0 in
-        (name, Spirv_ir.Memory.stats mem, wall))
-      corpus
-  in
-  List.iter
-    (fun (name, (s : Spirv_ir.Memory.stats), wall) ->
-      Printf.printf
-        "  %-24s %2d loads %2d stores  %2d/%2d resolved  %2d in-bounds  \
-         %2d no-alias  %.0fus\n"
-        name s.Spirv_ir.Memory.n_loads s.Spirv_ir.Memory.n_stores
-        s.Spirv_ir.Memory.n_resolved
-        (s.Spirv_ir.Memory.n_loads + s.Spirv_ir.Memory.n_stores)
-        s.Spirv_ir.Memory.n_in_bounds s.Spirv_ir.Memory.n_no_alias
-        (wall *. 1e6))
-    mem_rows;
-  (* (b) the abstain-class shift: TV over the whole corpus, bucketing
-     abstentions by reason — dynamic-index must be zero now that Symval
-     folds proven-in-bounds accesses instead of giving up — plus the
-     mem-proofs count per module from the counted checker. *)
-  let classify (report : Compilers.Optimizer.tv_report) =
-    if report.Compilers.Optimizer.tv_guilty <> None then ("mismatch", None)
-    else
-      match
-        List.find_map
-          (fun (_, v) -> Compilers.Tv.abstain_label v)
-          report.Compilers.Optimizer.tv_steps
-      with
-      | Some label -> ("abstained", Some label)
-      | None -> ("equivalent", None)
-  in
-  let tv_rows =
-    List.map
-      (fun (name, m) ->
-        let t0 = Unix.gettimeofday () in
-        let verdict, reason =
-          match Compilers.Optimizer.(run_tv standard) m with
-          | Ok report -> classify report
-          | Error _ -> ("crash", None)
-        in
-        let proofs =
-          let after = Compilers.Optimizer.(run standard) m in
-          snd (Compilers.Tv.check_pass_counted m after)
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        (name, verdict, reason, proofs, wall))
-      corpus
-  in
-  let reason_tally =
-    List.fold_left
-      (fun acc label ->
-        let n =
-          List.length
-            (List.filter (fun (_, _, r, _, _) -> r = Some label) tv_rows)
-        in
-        if n > 0 then (label, n) :: acc else acc)
-      []
-      (List.rev Spirv_ir.Symval.reason_labels)
-  in
-  let dynamic_index =
-    List.length
-      (List.filter (fun (_, _, r, _, _) -> r = Some "dynamic-index") tv_rows)
-  in
-  let proofs_total =
-    List.fold_left (fun acc (_, _, _, p, _) -> acc + p) 0 tv_rows
-  in
-  List.iter
-    (fun (name, verdict, reason, proofs, wall) ->
-      Printf.printf "  %-24s %-10s %-16s %2d proofs  %.3fs\n" name verdict
-        (Option.value ~default:"-" reason)
-        proofs wall)
-    tv_rows;
-  Printf.printf
-    "corpus of %d modules: %d mem-proofs, %d dynamic-index abstentions\n"
-    (List.length tv_rows) proofs_total dynamic_index;
-  List.iter
-    (fun (label, n) -> Printf.printf "  abstain %-18s %d\n" label n)
-    reason_tally;
-  let oc = open_out "BENCH_PR9.json" in
-  Printf.fprintf oc
-    "{\"modules\":%d,\"memory_modules\":%d,\"mem_proofs_total\":%d,\
-     \"dynamic_index_abstains\":%d,\"abstain_reasons\":{%s},\
-     \"memory\":[%s],\"tv\":[%s]}\n"
-    (List.length corpus)
-    (List.length Corpus.memory_references)
-    proofs_total dynamic_index
-    (String.concat ","
-       (List.map
-          (fun (label, n) -> Printf.sprintf "\"%s\":%d" label n)
-          reason_tally))
-    (String.concat ","
-       (List.map
-          (fun (name, (s : Spirv_ir.Memory.stats), wall) ->
-            Printf.sprintf
-              "{\"name\":\"%s\",\"wall_us\":%.1f,\"loads\":%d,\"stores\":%d,\
-               \"resolved\":%d,\"in_bounds\":%d,\"pairs\":%d,\"no_alias\":%d,\
-               \"may_alias\":%d,\"must_alias\":%d}"
-              name (wall *. 1e6) s.Spirv_ir.Memory.n_loads
-              s.Spirv_ir.Memory.n_stores s.Spirv_ir.Memory.n_resolved
-              s.Spirv_ir.Memory.n_in_bounds s.Spirv_ir.Memory.n_pairs
-              s.Spirv_ir.Memory.n_no_alias s.Spirv_ir.Memory.n_may_alias
-              s.Spirv_ir.Memory.n_must_alias)
-          mem_rows))
-    (String.concat ","
-       (List.map
-          (fun (name, verdict, reason, proofs, wall) ->
-            Printf.sprintf
-              "{\"name\":\"%s\",\"verdict\":\"%s\",\"reason\":%s,\
-               \"mem_proofs\":%d,\"wall_s\":%.3f}"
-              name verdict
-              (match reason with
-              | Some r -> Printf.sprintf "\"%s\"" r
-              | None -> "null")
-              proofs wall)
-          tv_rows));
-  close_out oc;
-  Printf.printf "memory analysis section written to BENCH_PR9.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Compiled execution kernel: throughput vs the reference interpreter   *)
-
-let compile_perf () =
-  section "Compiled execution kernel: throughput and codec bandwidth";
-  let corpus =
-    Lazy.force Corpus.lowered_references
-    @ Lazy.force Corpus.lowered_loop_references
-    @ Corpus.memory_references
-  in
-  let input = Corpus.default_input in
-  (* (a) bit-equality over the corpus first — the speedup below is
-     meaningless if the kernel ever disagrees with the interpreter *)
-  let pixel_eq a b =
-    match (a, b) with
-    | Spirv_ir.Image.Killed, Spirv_ir.Image.Killed -> true
-    | Spirv_ir.Image.Color u, Spirv_ir.Image.Color v -> Spirv_ir.Value.equal u v
-    | _, _ -> false
-  in
-  let render_eq a b =
-    match (a, b) with
-    | Ok (x : Spirv_ir.Image.t), Ok y ->
-        x.Spirv_ir.Image.width = y.Spirv_ir.Image.width
-        && x.Spirv_ir.Image.height = y.Spirv_ir.Image.height
-        && Array.for_all2 pixel_eq x.Spirv_ir.Image.pixels
-             y.Spirv_ir.Image.pixels
-    | Error (s : Spirv_ir.Interp.trap), Error t -> s = t
-    | _, _ -> false
-  in
-  let programs = List.map (fun (n, m) -> (n, m, Spirv_ir.Compile.lower m)) corpus in
-  let bit_equal =
-    List.for_all
-      (fun (_, m, p) ->
-        render_eq (Spirv_ir.Interp.render m input)
-          (Spirv_ir.Compile.render_batch p input))
-      programs
-  in
-  Printf.printf "corpus bit-equality (compiled vs interpreter): %s\n"
-    (if bit_equal then "ok" else "MISMATCH");
-  (* (b) fragment-execution throughput: full-grid renders per second with
-     each kernel.  The compiled numbers amortize the one-time lowering the
-     way the engine does (per-digest program cache). *)
-  let measure budget f =
-    ignore (f ());
-    let t0 = Unix.gettimeofday () in
-    let n = ref 0 in
-    while Unix.gettimeofday () -. t0 < budget do
-      f ();
-      incr n
-    done;
-    float_of_int !n /. (Unix.gettimeofday () -. t0)
-  in
-  let sweeps_interp =
-    measure 0.4 (fun () ->
-        List.iter (fun (_, m, _) -> ignore (Spirv_ir.Interp.render m input))
-          programs)
-  in
-  let sweeps_compiled =
-    measure 0.4 (fun () ->
-        List.iter
-          (fun (_, _, p) -> ignore (Spirv_ir.Compile.render_batch p input))
-          programs)
-  in
-  let frags_per_sweep =
-    float_of_int
-      (List.length programs * input.Spirv_ir.Input.width
-      * input.Spirv_ir.Input.height)
-  in
-  let renders_per_sweep = float_of_int (List.length programs) in
-  let speedup = sweeps_compiled /. sweeps_interp in
-  let speedup_ok = speedup >= 3.0 in
-  Printf.printf
-    "interpreter: %.0f renders/s (%.0f fragments/s)\n\
-     compiled:    %.0f renders/s (%.0f fragments/s)\n\
-     fragment-execution speedup: %.1fx (gate >= 3.0x: %s)\n"
-    (sweeps_interp *. renders_per_sweep)
-    (sweeps_interp *. frags_per_sweep)
-    (sweeps_compiled *. renders_per_sweep)
-    (sweeps_compiled *. frags_per_sweep)
-    speedup
-    (if speedup_ok then "ok" else "FAIL");
-  (* (c) end-to-end Backend.run throughput (optimizer + validation
-     included), with the engine's cached-program render hook vs the
-     default interpreter hook *)
-  let target = Compilers.Target.swiftshader in
-  let cache = Hashtbl.create 64 in
-  let cached_render m i =
-    let d = Spirv_ir.Digest.of_module m in
-    let p =
-      match Hashtbl.find_opt cache d with
-      | Some p -> p
-      | None ->
-          let p = Spirv_ir.Compile.lower m in
-          Hashtbl.replace cache d p;
-          p
-    in
-    Spirv_ir.Compile.render_batch p i
-  in
-  let runs_interp =
-    measure 0.4 (fun () ->
-        List.iter
-          (fun (_, m, _) -> ignore (Compilers.Backend.run target m input))
-          programs)
-  in
-  let runs_compiled =
-    measure 0.4 (fun () ->
-        List.iter
-          (fun (_, m, _) ->
-            ignore (Compilers.Backend.run ~render:cached_render target m input))
-          programs)
-  in
-  Printf.printf
-    "Backend.run: %.0f runs/s interpreter, %.0f runs/s compiled (%.2fx)\n"
-    (runs_interp *. renders_per_sweep)
-    (runs_compiled *. renders_per_sweep)
-    (runs_compiled /. runs_interp);
-  (* (d) store codec bandwidth on a large rendered image (binary vs text) *)
-  let big =
-    let img = Spirv_ir.Image.create ~width:128 ~height:128 in
-    Array.iteri
-      (fun i _ ->
-        img.Spirv_ir.Image.pixels.(i) <-
-          Spirv_ir.Image.Color
-            (Spirv_ir.Value.VComposite
-               [|
-                 Spirv_ir.Value.VFloat (float_of_int i *. 0.125);
-                 Spirv_ir.Value.VFloat (float_of_int i *. -0.25);
-                 Spirv_ir.Value.VFloat 0.5;
-                 Spirv_ir.Value.VFloat 1.0;
-               |]))
-      img.Spirv_ir.Image.pixels;
-    Compilers.Backend.Rendered img
-  in
-  let enc_bin = Tbct_store.Run_codec.encode_run big in
-  let enc_text = Tbct_store.Run_codec.encode_run_text big in
-  let mbs bytes rate = rate *. float_of_int bytes /. 1e6 in
-  let bin_enc_s =
-    measure 0.2 (fun () -> ignore (Tbct_store.Run_codec.encode_run big))
-  in
-  let bin_dec_s =
-    measure 0.2 (fun () -> ignore (Tbct_store.Run_codec.decode_run enc_bin))
-  in
-  let text_enc_s =
-    measure 0.2 (fun () -> ignore (Tbct_store.Run_codec.encode_run_text big))
-  in
-  let text_dec_s =
-    measure 0.2 (fun () ->
-        ignore (Tbct_store.Run_codec.decode_run_text enc_text))
-  in
-  Printf.printf
-    "run codec on a 128x128 render: binary %d bytes (enc %.0f MB/s, dec %.0f \
-     MB/s), text %d bytes (enc %.0f MB/s, dec %.0f MB/s)\n"
-    (String.length enc_bin)
-    (mbs (String.length enc_bin) bin_enc_s)
-    (mbs (String.length enc_bin) bin_dec_s)
-    (String.length enc_text)
-    (mbs (String.length enc_text) text_enc_s)
-    (mbs (String.length enc_text) text_dec_s);
-  let oc = open_out "BENCH_PR10.json" in
-  Printf.fprintf oc
-    "{\"modules\":%d,\"bit_equal\":%b,\
-     \"interp_renders_s\":%.1f,\"compiled_renders_s\":%.1f,\
-     \"interp_fragments_s\":%.0f,\"compiled_fragments_s\":%.0f,\
-     \"fragment_speedup\":%.2f,\"speedup_ok\":%b,\
-     \"interp_runs_s\":%.1f,\"compiled_runs_s\":%.1f,\"run_speedup\":%.2f,\
-     \"codec\":{\"binary_bytes\":%d,\"text_bytes\":%d,\
-     \"binary_encode_mb_s\":%.1f,\"binary_decode_mb_s\":%.1f,\
-     \"text_encode_mb_s\":%.1f,\"text_decode_mb_s\":%.1f}}\n"
-    (List.length programs) bit_equal
-    (sweeps_interp *. renders_per_sweep)
-    (sweeps_compiled *. renders_per_sweep)
-    (sweeps_interp *. frags_per_sweep)
-    (sweeps_compiled *. frags_per_sweep)
-    speedup speedup_ok
-    (runs_interp *. renders_per_sweep)
-    (runs_compiled *. renders_per_sweep)
-    (runs_compiled /. runs_interp)
-    (String.length enc_bin) (String.length enc_text)
-    (mbs (String.length enc_bin) bin_enc_s)
-    (mbs (String.length enc_bin) bin_dec_s)
-    (mbs (String.length enc_text) text_enc_s)
-    (mbs (String.length enc_text) text_dec_s);
-  close_out oc;
-  Printf.printf "compiled kernel section written to BENCH_PR10.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-
-let perf_suite () =
-  section "Bechamel micro-benchmarks";
-  let open Bechamel in
-  let ref_module = snd (List.hd (Lazy.force Corpus.lowered_references)) in
-  let ctx = Spirv_fuzz.Context.make ref_module Corpus.default_input in
-  let fuzz_result = lazy (Spirv_fuzz.Fuzzer.run ~seed:1 ctx) in
-  let tests =
-    [
-      Test.make ~name:"interp: render 8x8 frame" (Staged.stage (fun () ->
-          ignore (Spirv_ir.Interp.render ref_module Corpus.default_input)));
-      Test.make ~name:"optimizer: -O pipeline" (Staged.stage (fun () ->
-          ignore (Compilers.Optimizer.run Compilers.Optimizer.standard ref_module)));
-      Test.make ~name:"validator: full check" (Staged.stage (fun () ->
-          ignore (Spirv_ir.Validate.is_valid ref_module)));
-      Test.make ~name:"lint: full module" (Staged.stage (fun () ->
-          ignore (Spirv_ir.Lint.check_module ref_module)));
-      Test.make ~name:"fuzzer: one campaign seed" (Staged.stage (fun () ->
-          ignore (Spirv_fuzz.Fuzzer.run ~seed:1 ctx)));
-      Test.make ~name:"fuzzer: weighted pass draw" (Staged.stage (fun () ->
-          let config =
-            {
-              Spirv_fuzz.Fuzzer.default_config with
-              Spirv_fuzz.Fuzzer.weights =
-                [ (Spirv_fuzz.Registry.Control_flow, 4);
-                  (Spirv_fuzz.Registry.Data, 2) ];
-            }
-          in
-          ignore (Spirv_fuzz.Fuzzer.run ~config ~seed:1 ctx)));
-      Test.make ~name:"replay: recorded sequence" (Staged.stage (fun () ->
-          let r = Lazy.force fuzz_result in
-          ignore (Spirv_fuzz.Lang.replay ctx r.Spirv_fuzz.Fuzzer.transformations)));
-      Test.make ~name:"disasm: module listing" (Staged.stage (fun () ->
-          ignore (Spirv_ir.Disasm.to_string ref_module)));
-      Test.make ~name:"glsl: lower reference" (Staged.stage (fun () ->
-          ignore (Glsl_like.Lower.lower (snd (List.hd Corpus.references)))));
-    ]
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
-    let raw = Benchmark.all cfg instances test in
-    let results =
-      Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-        Toolkit.Instance.monotonic_clock raw
-    in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.printf "  %-32s %12.1f ns/run\n" name est
-        | _ -> Printf.printf "  %-32s (no estimate)\n" name)
-      results
-  in
-  List.iter (fun t -> benchmark (Test.make_grouped ~name:"g" [ t ])) tests
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let seeds = ref Harness.Experiments.default_scale.Harness.Experiments.seeds in
-  let perf = ref false in
-  let perf_smoke = ref false in
   let ablate = ref false in
   let skip_campaign = ref false in
   Arg.parse
     [
-      ("--seeds", Arg.Set_int seeds, "tests per tool configuration (default 150)");
-      ("--perf", Arg.Set perf, "also run the Bechamel micro-benchmarks");
-      ( "--perf-smoke",
-        Arg.Set perf_smoke,
-        "only the quick registry, loop-TV, service, memory and compiled-kernel \
-         perf sections (writes BENCH_PR6.json through BENCH_PR10.json)" );
+      ( "--seeds",
+        Arg.Set_int seeds,
+        Printf.sprintf "tests per tool configuration (default %d)" !seeds );
       ("--ablate", Arg.Set ablate, "also run the design ablations");
       ("--quick", Arg.Unit (fun () -> seeds := 60), "small quick run");
       ("--no-campaign", Arg.Set skip_campaign, "only the deterministic figures");
     ]
     (fun _ -> ())
     "bench: regenerate the paper's tables and figures";
-  if !perf_smoke then begin
-    registry_perf ();
-    print_newline ();
-    loop_tv_perf ();
-    print_newline ();
-    service_perf ();
-    print_newline ();
-    memory_perf ();
-    print_newline ();
-    compile_perf ();
-    print_newline ();
-    exit 0
-  end;
   let scale = { Harness.Experiments.default_scale with Harness.Experiments.seeds = !seeds } in
   print_table2 ();
   print_figures_4_5 ();
@@ -1335,18 +290,5 @@ let () =
     if !ablate then print_ablations ~scale ~engine ~hits;
     Printf.printf "\n%s\n"
       (Harness.Engine.stats_to_string (Harness.Engine.stats engine))
-  end;
-  if !perf then begin
-    engine_perf ();
-    pool_perf ();
-    store_perf ();
-    oracle_perf ();
-    tv_perf ();
-    registry_perf ();
-    loop_tv_perf ();
-    service_perf ();
-    memory_perf ();
-    compile_perf ();
-    perf_suite ()
   end;
   print_newline ()

@@ -49,7 +49,8 @@ val check_pass_counted : Module_ir.t -> Module_ir.t -> verdict * int
 val abstain_label : verdict -> string option
 (** The structured reason label of an abstention (the payload up to the
     first [':']), [None] for the other verdicts — the bucketing key for
-    {!Harness.Engine} stats and [bench --perf]. *)
+    {!Harness.Engine}'s [tv-abstain:<reason>] counters ([campaign --stats])
+    and perfbench's [tv.abstains]. *)
 
 val verdict_to_string : verdict -> string
 (** One-line rendering: ["equivalent"], ["mismatch at <slot>: ..."] or

@@ -113,8 +113,6 @@ let create ?store ?(memo_capacity = default_memo_capacity) ?(compiled = true)
     compile_hits = 0;
   }
 
-let cas e = e.store
-
 let bump_counter_locked e name n =
   Hashtbl.replace e.named_counters name
     (n + Option.value ~default:0 (Hashtbl.find_opt e.named_counters name))

@@ -106,9 +106,6 @@ val create :
     byte-equality gates run campaigns under (the differential oracle for
     the kernel and the pipeline memo). *)
 
-val cas : t -> Tbct_store.Cas.t option
-(** The disk store this engine is backed by, if any. *)
-
 val run : t -> Compilers.Target.t -> Module_ir.t -> Input.t ->
   Compilers.Backend.run_result
 (** Content-addressed [Backend.run]: memory memo, then the disk store,

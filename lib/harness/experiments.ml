@@ -95,8 +95,8 @@ let run_campaign ?(scale = default_scale) ?(targets = Compilers.Target.all)
   let hits_for_seed seed =
     let ref_name, ref_source, ref_module = refs.(seed mod Array.length refs) in
     (* contract checking is billed as its own stage: generation runs under
-       "generate" as always, and the checker's extra work is the delta the
-       bench's oracle section reports *)
+       "generate" as always, and the checker's extra work is the delta
+       [campaign --stats] shows against a campaign without contracts *)
     let stage = if check_contracts then "generate+contract-check" else "generate" in
     let generated =
       Engine.timed engine ~stage (fun () ->
@@ -327,20 +327,20 @@ type reduction_outcome = {
   red_initial : int;
 }
 
-(* regenerate the variant for a hit and reduce it against its target; the
-   engine memoizes the repeated prefix replays of ddmin's interestingness
-   queries, so reduction no longer pays one full compile-and-execute per
-   query *)
-let reduce_hit (engine : Engine.t) (h : hit) : reduction_outcome option =
-  match Compilers.Target.find h.hit_target with
+(* regenerate the variant for a hit and reduce it against its target: the
+   shared body of [reduce_hit] and [reduce_crash_hit].  [None] when the hit's
+   reference is not in the corpus (a journal written against a different
+   corpus) or its recorded detection no longer reproduces; otherwise the
+   reference module, the regenerated variant and ddmin's result.  The engine
+   memoizes the repeated prefix replays of ddmin's interestingness queries,
+   so reduction no longer pays one full compile-and-execute per query *)
+let regenerate_and_reduce (engine : Engine.t) (t : Compilers.Target.t) (h : hit) =
+  match
+    List.find_opt (fun (n, _, _) -> String.equal n h.hit_ref)
+      (references_for h.hit_tool)
+  with
   | None -> None
-  | Some t ->
-      let refs = references_for h.hit_tool in
-      let ref_name, ref_source, ref_module =
-        match List.find_opt (fun (n, _, _) -> String.equal n h.hit_ref) refs with
-        | Some r -> r
-        | None -> List.hd refs
-      in
+  | Some (ref_name, ref_source, ref_module) ->
       let generated =
         Engine.timed engine ~stage:"generate" (fun () ->
             Pipeline.generate h.hit_tool ~ref_source ~ref_module ~seed:h.hit_seed
@@ -353,35 +353,33 @@ let reduce_hit (engine : Engine.t) (h : hit) : reduction_outcome option =
       (* the recorded detection must reproduce (it does, deterministically) *)
       if not (is_interesting generated.Pipeline.gen_variant generated.Pipeline.gen_input)
       then None
-      else
-        let original_size = Module_ir.instruction_count ref_module in
-        match generated.Pipeline.gen_reduce ~is_interesting with
-        | `Spirv (kept, reduced_ctx) ->
-            let reduced_size =
-              Module_ir.instruction_count reduced_ctx.Spirv_fuzz.Context.m
-            in
-            Some
-              {
-                red_tool = h.hit_tool;
-                red_target = h.hit_target;
-                red_signature = h.hit_detection.Pipeline.signature;
-                red_delta = abs (reduced_size - original_size);
-                red_kept = List.length kept;
-                red_initial = generated.Pipeline.gen_transformation_count;
-              }
-        | `Glsl reduced_program ->
-            let reduced_size =
-              Module_ir.instruction_count (Glsl_like.Lower.lower reduced_program)
-            in
-            Some
-              {
-                red_tool = h.hit_tool;
-                red_target = h.hit_target;
-                red_signature = h.hit_detection.Pipeline.signature;
-                red_delta = abs (reduced_size - original_size);
-                red_kept = List.length (Glsl_like.Ast.program_markers reduced_program);
-                red_initial = generated.Pipeline.gen_transformation_count;
-              }
+      else Some (ref_module, generated, generated.Pipeline.gen_reduce ~is_interesting)
+
+let reduce_hit (engine : Engine.t) (h : hit) : reduction_outcome option =
+  match Compilers.Target.find h.hit_target with
+  | None -> None
+  | Some t ->
+      Option.map
+        (fun (ref_module, generated, reduced) ->
+          let original_size = Module_ir.instruction_count ref_module in
+          let reduced_size, kept =
+            match reduced with
+            | `Spirv (kept, reduced_ctx) ->
+                ( Module_ir.instruction_count reduced_ctx.Spirv_fuzz.Context.m,
+                  List.length kept )
+            | `Glsl reduced_program ->
+                ( Module_ir.instruction_count (Glsl_like.Lower.lower reduced_program),
+                  List.length (Glsl_like.Ast.program_markers reduced_program) )
+          in
+          {
+            red_tool = h.hit_tool;
+            red_target = h.hit_target;
+            red_signature = h.hit_detection.Pipeline.signature;
+            red_delta = abs (reduced_size - original_size);
+            red_kept = kept;
+            red_initial = generated.Pipeline.gen_transformation_count;
+          })
+        (regenerate_and_reduce engine t h)
 
 (* cap hits per (target, signature) before reducing, as the paper does *)
 let cap_hits ~per_signature hits =
@@ -481,36 +479,16 @@ let reduce_crash_hit ?(known = fun ~target:_ ~bug_id:_ -> None)
       match known ~target:h.hit_target ~bug_id with
       | Some (d : dedup_test) -> Some (h.hit_target, d)
       | None -> (
-          let refs = references_for h.hit_tool in
-          let ref_name, ref_source, ref_module =
-            match List.find_opt (fun (n, _, _) -> String.equal n h.hit_ref) refs with
-            | Some r -> r
-            | None -> List.hd refs
-          in
-          let generated =
-            Engine.timed engine ~stage:"generate" (fun () ->
-                Pipeline.generate h.hit_tool ~ref_source ~ref_module
-                  ~seed:h.hit_seed ~input:Corpus.default_input)
-          in
-          let is_interesting =
-            Pipeline.interestingness engine t ~ref_name ~original:ref_module
-              ~detection:h.hit_detection Corpus.default_input
-          in
-          if
-            not (is_interesting generated.Pipeline.gen_variant generated.Pipeline.gen_input)
-          then None
-          else
-            match generated.Pipeline.gen_reduce ~is_interesting with
-            | `Spirv (kept, reduced_ctx) ->
-                Some
-                  ( h.hit_target,
-                    {
-                      dd_bug_id = bug_id;
-                      dd_types =
-                        List.map Spirv_fuzz.Transformation.type_id kept;
-                      dd_module = reduced_ctx.Spirv_fuzz.Context.m;
-                    } )
-            | `Glsl _ -> None))
+          match regenerate_and_reduce engine t h with
+          | Some (_, _, `Spirv (kept, reduced_ctx)) ->
+              Some
+                ( h.hit_target,
+                  {
+                    dd_bug_id = bug_id;
+                    dd_types = List.map Spirv_fuzz.Transformation.type_id kept;
+                    dd_module = reduced_ctx.Spirv_fuzz.Context.m;
+                  } )
+          | Some (_, _, `Glsl _) | None -> None))
 
 (** Reduce every capped crash hit of the dedup study down to its minimized
     transformation sequence — the input of Table 4, [tbct dedup] and the

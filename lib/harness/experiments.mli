@@ -126,8 +126,9 @@ type reduction_outcome = {
 
 val reduce_hit : Engine.t -> hit -> reduction_outcome option
 (** Regenerate the hit's variant deterministically and reduce it against its
-    target; [None] when the detection does not reproduce (does not happen
-    for campaign hits).  The engine's content-addressed cache absorbs the
+    target; [None] when its target or reference is unknown (a hit decoded
+    from a journal written against a different corpus) or the detection
+    does not reproduce (does not happen for campaign hits).  The engine's content-addressed cache absorbs the
     repeated prefix replays of the ddmin interestingness queries. *)
 
 val cap_hits : per_signature:int -> hit list -> hit list
@@ -177,7 +178,8 @@ val reduced_crash_tests :
     merged in hit order (same list as sequential).  [?known] is the
     bug-bank shortcut: a hit whose (target, bug id) it recalls reuses the
     banked reduced test verbatim instead of regenerating and re-reducing
-    (thread-safe if a pool is supplied).  This is the input of {!table4}
+    (thread-safe if a pool is supplied).  Hits that {!reduce_hit} would
+    map to [None] are dropped.  This is the input of {!table4}
     and of the cross-campaign bug bank ([tbct dedup --bank]). *)
 
 type table4_row = {

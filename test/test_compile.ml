@@ -119,6 +119,45 @@ let test_corpus_run_fragment () =
     (all_corpus ())
 
 (* ------------------------------------------------------------------ *)
+(* Fragment throughput: the compiled kernel earns its place only if it is
+   much faster than the interpreter it must match bit for bit.  Both sides
+   render the full default grid of every corpus module (each program
+   lowered once, outside the clock, as the engine's program cache does)
+   for the same number of sweeps, timed in process CPU time so a loaded
+   machine does not skew the ratio; the best of three trials counts. *)
+
+let test_kernel_speedup () =
+  let corpus = all_corpus () in
+  let programs = List.map (fun (_, m) -> Compile.lower m) corpus in
+  let input = Corpus.default_input in
+  let sweeps = 5 in
+  let cpu_time f =
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      let t0 = Sys.time () in
+      for _ = 1 to sweeps do
+        f ()
+      done;
+      best := Float.min !best (Sys.time () -. t0)
+    done;
+    !best
+  in
+  let interp =
+    cpu_time (fun () ->
+        List.iter (fun (_, m) -> ignore (Interp.render m input)) corpus)
+  in
+  let compiled =
+    cpu_time (fun () ->
+        List.iter (fun p -> ignore (Compile.render_batch p input)) programs)
+  in
+  let speedup = interp /. Float.max compiled 1e-6 in
+  if speedup < 3.0 then
+    Alcotest.failf
+      "compiled kernel is %.2fx the interpreter's fragment throughput \
+       (interpreter %.3fs, compiled %.3fs CPU for %d sweeps); the gate is 3.0x"
+      speedup interp compiled sweeps
+
+(* ------------------------------------------------------------------ *)
 (* Step-limit parity: the tick accounting must match exactly, so a sweep
    of tight limits over a loopy module must trap at the same budgets. *)
 
@@ -519,6 +558,9 @@ let () =
           QCheck_alcotest.to_alcotest test_generated_bit_equality;
           QCheck_alcotest.to_alcotest test_corrupted_bit_equality;
         ] );
+      ( "throughput",
+        [ Alcotest.test_case "kernel >= 3x interpreter" `Slow test_kernel_speedup ]
+      );
       ( "trap-ordering",
         [
           Alcotest.test_case "trap at fragment k" `Quick test_trap_at_fragment_k;

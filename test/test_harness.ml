@@ -212,6 +212,60 @@ let test_reduce_hit_reproduces () =
           Alcotest.(check bool) "delta nonnegative" true
             (outcome.Harness.Experiments.red_delta >= 0))
 
+(* a crash hit of the dedup study on the tool's first reference, found by
+   the campaign's own generate-and-run over successive seeds *)
+let head_ref_crash_hit engine =
+  let tool = Harness.Pipeline.Spirv_fuzz_tool in
+  let ref_name, ref_source, ref_module =
+    List.hd (Harness.Experiments.references_for tool)
+  in
+  let hit_on seed =
+    let g =
+      Harness.Pipeline.generate tool ~ref_source ~ref_module ~seed
+        ~input:Corpus.default_input
+    in
+    List.find_map
+      (fun (t : Compilers.Target.t) ->
+        match
+          Harness.Pipeline.run_variant engine t ~ref_name ~original:ref_module
+            ~variant_input:g.Harness.Pipeline.gen_input
+            ~variant:g.Harness.Pipeline.gen_variant Corpus.default_input
+        with
+        | Some d
+          when not (Harness.Signature.is_miscompilation d.Harness.Pipeline.signature)
+          ->
+            Some
+              {
+                Harness.Experiments.hit_tool = tool;
+                Harness.Experiments.hit_seed = seed;
+                Harness.Experiments.hit_ref = ref_name;
+                Harness.Experiments.hit_target = t.Compilers.Target.name;
+                Harness.Experiments.hit_detection = d;
+              }
+        | _ -> None)
+      Compilers.Target.dedup_study
+  in
+  let rec search seed =
+    if seed >= 200 then Alcotest.fail "no crash hit on the first reference"
+    else match hit_on seed with Some h -> h | None -> search (seed + 1)
+  in
+  search 0
+
+let test_unknown_ref_is_not_reduced () =
+  (* a hit decoded from a journal written against a different corpus names
+     a reference this corpus lacks; it must not be reduced against another
+     shader, such as the first reference *)
+  let engine = Harness.Engine.create () in
+  let h = head_ref_crash_hit engine in
+  Alcotest.(check bool) "the real hit reduces" true
+    (Harness.Experiments.reduce_hit engine h <> None);
+  let renamed = { h with Harness.Experiments.hit_ref = "no-such-ref" } in
+  Alcotest.(check bool) "reduce_hit gives None" true
+    (Harness.Experiments.reduce_hit engine renamed = None);
+  Alcotest.(check int) "reduced_crash_tests drops it" 0
+    (List.length
+       (Harness.Experiments.reduced_crash_tests ~engine ~hits:[ renamed ] ()))
+
 let test_table3_structure () =
   let hits = [| Lazy.force campaign; []; [] |] in
   let t3 = Harness.Experiments.table3 ~scale:small_scale ~hits () in
@@ -297,5 +351,7 @@ let () =
           Alcotest.test_case "cap_hits" `Quick test_cap_hits;
           Alcotest.test_case "figure 3 reproduces" `Slow test_figure3;
           Alcotest.test_case "figure 8 reproduces" `Slow test_figure8;
+          Alcotest.test_case "unknown hit_ref is not reduced" `Slow
+            test_unknown_ref_is_not_reduced;
         ] );
     ]
