@@ -99,25 +99,10 @@ let find_target name =
   | Some t -> Ok t
   | None -> Error ("unknown target " ^ name)
 
-(* minimal JSON string quoting for the --json output modes (no JSON library
-   in the build): escapes the two JSON metacharacters and control bytes *)
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+(* every --json output mode prints one JSON object per line *)
+module Json = Tbct_service.Json
+
+let print_json fields = print_endline (Json.to_string (Json.Obj fields))
 
 let json_arg =
   Arg.(value & flag
@@ -186,11 +171,13 @@ let lint_cmd =
                   "warning"
             in
             if json then
-              Printf.printf
-                "{\"module\":%s,\"severity\":%s,\"rule\":%s,\"finding\":%s}\n"
-                (json_string name) (json_string severity)
-                (json_string f.Spirv_ir.Lint.rule)
-                (json_string (Spirv_ir.Lint.to_string f))
+              print_json
+                Json.
+                  [
+                    ("module", Str name); ("severity", Str severity);
+                    ("rule", Str f.Spirv_ir.Lint.rule);
+                    ("finding", Str (Spirv_ir.Lint.to_string f));
+                  ]
             else Printf.printf "%s: %s\n" name (Spirv_ir.Lint.to_string f))
           (Spirv_ir.Lint.check_module m))
       mods;
@@ -232,26 +219,20 @@ let tv_cmd =
     let report name (p : Compilers.Optimizer.pass_name)
         (v : Compilers.Tv.verdict) =
       let pass = Compilers.Optimizer.show_pass_name p in
-      if json then begin
-        let base =
-          Printf.sprintf "{\"module\":%s,\"target\":%s,\"pass\":%s"
-            (json_string name) (json_string t.Compilers.Target.name)
-            (json_string pass)
-        in
-        match v with
-        | Compilers.Tv.Equivalent ->
-            Printf.printf "%s,\"verdict\":\"equivalent\"}\n" base
-        | Compilers.Tv.Mismatch w ->
-            Printf.printf
-              "%s,\"verdict\":\"mismatch\",\"slot\":%s,\"before\":%s,\"after\":%s}\n"
-              base
-              (json_string w.Compilers.Tv.w_slot)
-              (json_string w.Compilers.Tv.w_before)
-              (json_string w.Compilers.Tv.w_after)
-        | Compilers.Tv.Abstained reason ->
-            Printf.printf "%s,\"verdict\":\"abstained\",\"reason\":%s}\n" base
-              (json_string reason)
-      end
+      if json then
+        print_json
+          Json.(
+            [ ("module", Str name); ("target", Str t.Compilers.Target.name);
+              ("pass", Str pass) ]
+            @
+            match v with
+            | Compilers.Tv.Equivalent -> [ ("verdict", Str "equivalent") ]
+            | Compilers.Tv.Mismatch w ->
+                [ ("verdict", Str "mismatch"); ("slot", Str w.Compilers.Tv.w_slot);
+                  ("before", Str w.Compilers.Tv.w_before);
+                  ("after", Str w.Compilers.Tv.w_after) ]
+            | Compilers.Tv.Abstained reason ->
+                [ ("verdict", Str "abstained"); ("reason", Str reason) ])
       else
         match v with
         | Compilers.Tv.Equivalent -> ()
@@ -270,10 +251,12 @@ let tv_cmd =
         with
         | Error signature ->
             if json then
-              Printf.printf
-                "{\"module\":%s,\"target\":%s,\"verdict\":\"crash\",\"signature\":%s}\n"
-                (json_string name) (json_string t.Compilers.Target.name)
-                (json_string signature)
+              print_json
+                Json.
+                  [
+                    ("module", Str name); ("target", Str t.Compilers.Target.name);
+                    ("verdict", Str "crash"); ("signature", Str signature);
+                  ]
             else Printf.printf "%s: optimizer crashed: %s\n" name signature
         | Ok report_ ->
             List.iter
@@ -337,7 +320,7 @@ let analyze_cmd =
     let ids l = String.concat " " (List.map id l) in
     (* JSON interval corners: null stands for the infinite sentinel *)
     let corner n =
-      if n = min_int || n = max_int then "null" else string_of_int n
+      if n = min_int || n = max_int then Json.Null else Json.Int n
     in
     List.iter
       (fun (f : Spirv_ir.Func.t) ->
@@ -356,79 +339,84 @@ let analyze_cmd =
           else None
         in
         if json then begin
-          let loop_objs =
-            List.map
-              (fun (l : Spirv_ir.Loops.loop) ->
-                Printf.sprintf
-                  "{\"header\":%s,\"depth\":%d,\"blocks\":%d,\"latches\":[%s],\
-                   \"exits\":%d,\"trip_bound\":%s}"
-                  (json_string (id l.Spirv_ir.Loops.header))
-                  l.Spirv_ir.Loops.depth
-                  (Spirv_ir.Id.Set.cardinal l.Spirv_ir.Loops.blocks)
-                  (String.concat ","
-                     (List.map (fun b -> json_string (id b))
-                        l.Spirv_ir.Loops.latches))
-                  (List.length l.Spirv_ir.Loops.exits)
-                  (match bound_of l with
-                  | Some n -> string_of_int n
-                  | None -> "null"))
-              forest.Spirv_ir.Loops.loops
+          let open Json in
+          let loop_obj (l : Spirv_ir.Loops.loop) =
+            Obj
+              [
+                ("header", Str (id l.Spirv_ir.Loops.header));
+                ("depth", Int l.Spirv_ir.Loops.depth);
+                ("blocks", Int (Spirv_ir.Id.Set.cardinal l.Spirv_ir.Loops.blocks));
+                ( "latches",
+                  List (List.map (fun b -> Str (id b)) l.Spirv_ir.Loops.latches) );
+                ("exits", Int (List.length l.Spirv_ir.Loops.exits));
+                ( "trip_bound",
+                  match bound_of l with Some n -> Int n | None -> Null );
+              ]
           in
-          let range_objs =
-            List.map
-              (fun (r, (itv : Spirv_ir.Dataflow.Itv.t)) ->
-                Printf.sprintf "{\"id\":%s,\"lo\":%s,\"hi\":%s}"
-                  (json_string (id r))
-                  (corner itv.Spirv_ir.Dataflow.Itv.lo)
-                  (corner itv.Spirv_ir.Dataflow.Itv.hi))
-              (Spirv_ir.Dataflow.Ranges.known ranges)
+          let range_obj (r, (itv : Spirv_ir.Dataflow.Itv.t)) =
+            Obj
+              [
+                ("id", Str (id r)); ("lo", corner itv.Spirv_ir.Dataflow.Itv.lo);
+                ("hi", corner itv.Spirv_ir.Dataflow.Itv.hi);
+              ]
           in
-          let memory_obj =
+          let access_obj (a : Spirv_ir.Memory.access) =
+            Obj
+              [
+                ( "kind",
+                  Str
+                    (match a.Spirv_ir.Memory.a_kind with
+                    | Spirv_ir.Memory.ALoad -> "load"
+                    | Spirv_ir.Memory.AStore -> "store") );
+                ("block", Str (id a.Spirv_ir.Memory.a_block));
+                ("ptr", Str (id a.Spirv_ir.Memory.a_ptr));
+                ( "path",
+                  match a.Spirv_ir.Memory.a_path with
+                  | Some p -> Str (Spirv_ir.Memory.path_to_string p)
+                  | None -> Null );
+                ("in_bounds", Bool a.Spirv_ir.Memory.in_bounds);
+              ]
+          in
+          let memory_field =
             match mem with
-            | None -> ""
+            | None -> []
             | Some mem ->
                 let s = Spirv_ir.Memory.stats mem in
-                let access_objs =
-                  List.map
-                    (fun (a : Spirv_ir.Memory.access) ->
-                      Printf.sprintf
-                        "{\"kind\":%s,\"block\":%s,\"ptr\":%s,\"path\":%s,\
-                         \"in_bounds\":%b}"
-                        (json_string
-                           (match a.Spirv_ir.Memory.a_kind with
-                           | Spirv_ir.Memory.ALoad -> "load"
-                           | Spirv_ir.Memory.AStore -> "store"))
-                        (json_string (id a.Spirv_ir.Memory.a_block))
-                        (json_string (id a.Spirv_ir.Memory.a_ptr))
-                        (match a.Spirv_ir.Memory.a_path with
-                        | Some p ->
-                            json_string (Spirv_ir.Memory.path_to_string p)
-                        | None -> "null")
-                        a.Spirv_ir.Memory.in_bounds)
-                    (Spirv_ir.Memory.accesses mem)
-                in
-                Printf.sprintf
-                  ",\"memory\":{\"loads\":%d,\"stores\":%d,\"resolved\":%d,\
-                   \"in_bounds\":%d,\"pairs\":%d,\"no_alias\":%d,\
-                   \"may_alias\":%d,\"must_alias\":%d,\"uninitialized\":%d,\
-                   \"dead_stores\":%d,\"redundant_loads\":%d,\
-                   \"accesses\":[%s]}"
-                  s.Spirv_ir.Memory.n_loads s.Spirv_ir.Memory.n_stores
-                  s.Spirv_ir.Memory.n_resolved s.Spirv_ir.Memory.n_in_bounds
-                  s.Spirv_ir.Memory.n_pairs s.Spirv_ir.Memory.n_no_alias
-                  s.Spirv_ir.Memory.n_may_alias s.Spirv_ir.Memory.n_must_alias
-                  s.Spirv_ir.Memory.n_uninitialized
-                  s.Spirv_ir.Memory.n_dead_stores
-                  s.Spirv_ir.Memory.n_redundant_loads
-                  (String.concat "," access_objs)
+                [
+                  ( "memory",
+                    Obj
+                      [
+                        ("loads", Int s.Spirv_ir.Memory.n_loads);
+                        ("stores", Int s.Spirv_ir.Memory.n_stores);
+                        ("resolved", Int s.Spirv_ir.Memory.n_resolved);
+                        ("in_bounds", Int s.Spirv_ir.Memory.n_in_bounds);
+                        ("pairs", Int s.Spirv_ir.Memory.n_pairs);
+                        ("no_alias", Int s.Spirv_ir.Memory.n_no_alias);
+                        ("may_alias", Int s.Spirv_ir.Memory.n_may_alias);
+                        ("must_alias", Int s.Spirv_ir.Memory.n_must_alias);
+                        ("uninitialized", Int s.Spirv_ir.Memory.n_uninitialized);
+                        ("dead_stores", Int s.Spirv_ir.Memory.n_dead_stores);
+                        ("redundant_loads", Int s.Spirv_ir.Memory.n_redundant_loads);
+                        ( "accesses",
+                          List (List.map access_obj (Spirv_ir.Memory.accesses mem)) );
+                      ] );
+                ]
           in
-          Printf.printf
-            "{\"fn\":%s,\"loops\":[%s],\"irreducible\":%d,\"ranges\":[%s]%s}\n"
-            (json_string (id f.Spirv_ir.Func.id))
-            (String.concat "," (if show_loops then loop_objs else []))
-            (List.length forest.Spirv_ir.Loops.irreducible)
-            (String.concat "," (if show_ranges then range_objs else []))
-            memory_obj
+          print_json
+            ([
+               ("fn", Str (id f.Spirv_ir.Func.id));
+               ( "loops",
+                 List
+                   (if show_loops then List.map loop_obj forest.Spirv_ir.Loops.loops
+                    else []) );
+               ("irreducible", Int (List.length forest.Spirv_ir.Loops.irreducible));
+               ( "ranges",
+                 List
+                   (if show_ranges then
+                      List.map range_obj (Spirv_ir.Dataflow.Ranges.known ranges)
+                    else []) );
+             ]
+            @ memory_field)
         end
         else begin
           Printf.printf "fn %s:\n" (id f.Spirv_ir.Func.id);
@@ -665,21 +653,26 @@ let transformations_cmd =
         List.iter
           (fun (e : Spirv_fuzz.Registry.entry) ->
             let proposed, applied = tally e.Spirv_fuzz.Registry.type_id in
-            Printf.printf
-              "{\"type_id\":%s,\"family\":%s,\"pass\":%s,\
-               \"image_preserving\":%b,\"dedup_relevant\":%b,\"weight\":%d%s}\n"
-              (json_string e.Spirv_fuzz.Registry.type_id)
-              (json_string
-                 (Spirv_fuzz.Registry.family_to_string e.Spirv_fuzz.Registry.family))
-              (match e.Spirv_fuzz.Registry.pass with
-              | Some p -> json_string p
-              | None -> "null")
-              e.Spirv_fuzz.Registry.image_preserving
-              e.Spirv_fuzz.Registry.dedup_relevant
-              e.Spirv_fuzz.Registry.weight
-              (if seeds > 0 then
-                 Printf.sprintf ",\"proposed\":%d,\"applied\":%d" proposed applied
-               else ""))
+            print_json
+              Json.(
+                [
+                  ("type_id", Str e.Spirv_fuzz.Registry.type_id);
+                  ( "family",
+                    Str
+                      (Spirv_fuzz.Registry.family_to_string
+                         e.Spirv_fuzz.Registry.family) );
+                  ( "pass",
+                    match e.Spirv_fuzz.Registry.pass with
+                    | Some p -> Str p
+                    | None -> Null );
+                  ("image_preserving", Bool e.Spirv_fuzz.Registry.image_preserving);
+                  ("dedup_relevant", Bool e.Spirv_fuzz.Registry.dedup_relevant);
+                  ("weight", Int e.Spirv_fuzz.Registry.weight);
+                ]
+                @
+                if seeds > 0 then
+                  [ ("proposed", Int proposed); ("applied", Int applied) ]
+                else []))
           Spirv_fuzz.Registry.all
       else begin
         Printf.printf "%-34s %-12s %-28s %-6s %-6s %6s%s\n" "Type" "Family"
@@ -1089,30 +1082,31 @@ let store_cmd =
         end
         else []
       in
-      if json then begin
-        let jobs_json =
-          String.concat ", "
-            (List.map
-               (fun (id, kvs) ->
-                 Printf.sprintf "%s: {%s}" (json_string id)
-                   (String.concat ", "
-                      (List.map
-                         (fun (k, v) ->
-                           Printf.sprintf "%s: %d" (json_string k) v)
-                         kvs)))
-               job_counters)
-        in
-        Printf.printf
-          "{\"cas\": {\"objects\": %d, \"bytes\": %d, \"root\": %s}, \
-           \"journal\": {\"records\": %d, \"torn_tail\": %b}, \
-           \"bugbank\": {\"signatures\": %d}, \"jobs\": {%s}}\n"
-          s.Tbct_store.Cas.objects s.Tbct_store.Cas.bytes
-          (json_string (Tbct_store.Cas.root cas))
-          (List.length replay.Tbct_store.Journal.records)
-          replay.Tbct_store.Journal.dropped
-          (Tbct_store.Bugbank.size bank)
-          jobs_json
-      end
+      if json then
+        print_json
+          Json.
+            [
+              ( "cas",
+                Obj
+                  [
+                    ("objects", Int s.Tbct_store.Cas.objects);
+                    ("bytes", Int s.Tbct_store.Cas.bytes);
+                    ("root", Str (Tbct_store.Cas.root cas));
+                  ] );
+              ( "journal",
+                Obj
+                  [
+                    ("records", Int (List.length replay.Tbct_store.Journal.records));
+                    ("torn_tail", Bool replay.Tbct_store.Journal.dropped);
+                  ] );
+              ("bugbank", Obj [ ("signatures", Int (Tbct_store.Bugbank.size bank)) ]);
+              ( "jobs",
+                Obj
+                  (List.map
+                     (fun (id, kvs) ->
+                       (id, Obj (List.map (fun (k, v) -> (k, Int v)) kvs)))
+                     job_counters) );
+            ]
       else begin
         Printf.printf "cas: %d object(s), %d bytes in %s\n"
           s.Tbct_store.Cas.objects s.Tbct_store.Cas.bytes
@@ -1311,12 +1305,13 @@ let dedup_cmd =
     let known =
       Option.map
         (fun cas ~target ~bug_id ->
-          match Tbct_store.Cas.get cas ~key:(banked_key ~target ~bug_id) with
-          | None -> None
-          | Some blob ->
-              let d = decode_banked ~bug_id blob in
-              if Option.is_some d then Atomic.incr recalled;
-              d)
+          (* an undecodable record is dropped, so it is re-spilled below *)
+          let d =
+            Tbct_store.Cas.get cas ~key:(banked_key ~target ~bug_id)
+              ~decode:(decode_banked ~bug_id)
+          in
+          if Option.is_some d then Atomic.incr recalled;
+          d)
         bank_cas
     in
     (* reduce each capped crash hit once; table4 and the bug bank share it *)
@@ -1386,31 +1381,38 @@ let dedup_cmd =
         (Harness.Engine.stats_to_string (Harness.Engine.stats engine))
     end;
     let row_json (r : Harness.Experiments.table4_row) =
-      Printf.sprintf
-        "{\"target\": %s, \"tests\": %d, \"sigs\": %d, \"reports\": %d, \
-         \"distinct\": %d, \"dups\": %d}"
-        (json_string r.Harness.Experiments.t4_target)
-        r.Harness.Experiments.t4_tests r.Harness.Experiments.t4_sigs
-        r.Harness.Experiments.t4_reports r.Harness.Experiments.t4_distinct
-        r.Harness.Experiments.t4_dups
+      Json.(
+        Obj
+          [
+            ("target", Str r.Harness.Experiments.t4_target);
+            ("tests", Int r.Harness.Experiments.t4_tests);
+            ("sigs", Int r.Harness.Experiments.t4_sigs);
+            ("reports", Int r.Harness.Experiments.t4_reports);
+            ("distinct", Int r.Harness.Experiments.t4_distinct);
+            ("dups", Int r.Harness.Experiments.t4_dups);
+          ])
     in
     let emit_json ~bank_json =
       if json then
-        Printf.printf
-          "{\"seeds\": %d, \"detections\": %d, \"crashes\": %d, \"rows\": \
-           [%s], \"total\": %s%s}\n"
-          seeds (List.length hits) (List.length crashes)
-          (String.concat ", "
-             (List.filter_map
-                (fun (r : Harness.Experiments.table4_row) ->
-                  if r.Harness.Experiments.t4_tests > 0 then Some (row_json r)
-                  else None)
-                rows))
-          (row_json total) bank_json
+        print_json
+          Json.(
+            [
+              ("seeds", Int seeds); ("detections", Int (List.length hits));
+              ("crashes", Int (List.length crashes));
+              ( "rows",
+                List
+                  (List.filter_map
+                     (fun (r : Harness.Experiments.table4_row) ->
+                       if r.Harness.Experiments.t4_tests > 0 then Some (row_json r)
+                       else None)
+                     rows) );
+              ("total", row_json total);
+            ]
+            @ bank_json)
     in
     match (bank, bank_cas) with
     | None, _ | _, None ->
-        emit_json ~bank_json:"";
+        emit_json ~bank_json:[];
         0
     | Some dir, Some cas ->
         let bank =
@@ -1452,11 +1454,16 @@ let dedup_cmd =
           dir !fresh !known !spilled (Tbct_store.Bugbank.size bank);
         emit_json
           ~bank_json:
-            (Printf.sprintf
-               ", \"bank\": {\"dir\": %s, \"new\": %d, \"known\": %d, \
-                \"spilled\": %d, \"size\": %d}"
-               (json_string dir) !fresh !known !spilled
-               (Tbct_store.Bugbank.size bank));
+            Json.
+              [
+                ( "bank",
+                  Obj
+                    [
+                      ("dir", Str dir); ("new", Int !fresh); ("known", Int !known);
+                      ("spilled", Int !spilled);
+                      ("size", Int (Tbct_store.Bugbank.size bank));
+                    ] );
+              ];
         if !fresh > 0 then 0 else 3
   in
   Cmd.v

@@ -4,7 +4,12 @@ type stats = { queries : int; kept : int; initial : int }
 let remove_range xs start stop =
   List.filteri (fun i _ -> i < start || i >= stop) xs
 
-let reduce_generic ~test xs =
+let reduce ~is_interesting xs =
+  let queries = ref 0 in
+  let test ys =
+    incr queries;
+    is_interesting ys
+  in
   if not (test xs) then
     invalid_arg "Reducer.reduce: input sequence is not interesting";
   let n0 = List.length xs in
@@ -32,7 +37,7 @@ let reduce_generic ~test xs =
     else at_size (max 1 (c / 2)) xs
   in
   let result = if n0 = 0 then [] else at_size (max 1 (n0 / 2)) xs in
-  (result, n0)
+  (result, { queries = !queries; kept = List.length result; initial = n0 })
 
 let reduce_linear ~is_interesting xs =
   let queries = ref 0 in
@@ -63,28 +68,3 @@ let reduce_linear ~is_interesting xs =
   in
   let kept, result = sweep n0 xs in
   (result, { queries = !queries; kept; initial = n0 })
-
-let reduce ~is_interesting xs =
-  let queries = ref 0 in
-  let test ys =
-    incr queries;
-    is_interesting ys
-  in
-  let result, initial = reduce_generic ~test xs in
-  (result, { queries = !queries; kept = List.length result; initial })
-
-let reduce_with_cache ~key ~is_interesting xs =
-  let queries = ref 0 in
-  let cache : (string, bool) Hashtbl.t = Hashtbl.create 64 in
-  let test ys =
-    let k = key ys in
-    match Hashtbl.find_opt cache k with
-    | Some r -> r
-    | None ->
-        incr queries;
-        let r = is_interesting ys in
-        Hashtbl.add cache k r;
-        r
-  in
-  let result, initial = reduce_generic ~test xs in
-  (result, { queries = !queries; kept = List.length result; initial })

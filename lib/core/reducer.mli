@@ -35,13 +35,3 @@ val reduce_linear :
     same 1-minimal guarantee as {!reduce} but needs many more
     interestingness queries on long sequences (the bench's reducer ablation
     quantifies the gap). *)
-
-val reduce_with_cache :
-  key:('a list -> string) ->
-  is_interesting:('a list -> bool) ->
-  'a list ->
-  'a list * stats
-(** Like {!reduce} but memoises interestingness results by [key], so that
-    candidate subsequences arising repeatedly (common once the sequence is
-    nearly minimal) are only evaluated once.  [stats.queries] counts only the
-    uncached evaluations. *)

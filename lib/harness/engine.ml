@@ -204,58 +204,74 @@ let memo_optimize e (t : Compilers.Target.t) (m : Module_ir.t) :
       record_pipeline e key { outcome; blame = None };
       outcome
 
-(* The mutex is released while the backend runs: two domains missing on the
-   same key may both execute, but [Backend.run] is deterministic, so the
-   duplicate insertion is harmless and the table stays consistent.  With a
-   disk store the lookup order is memory -> disk -> execute; results read
-   from or computed past the disk layer are promoted into memory, and fresh
-   executions are written through (decode failures on corrupt objects are
-   treated as misses and overwritten). *)
-let run e (t : Compilers.Target.t) (m : Module_ir.t) (input : Input.t) :
-    Compilers.Backend.run_result =
-  let key = (t.Compilers.Target.name, Digest.of_module m, Digest.of_input input) in
-  let cached = locked e (fun () -> Lru.find e.memo key) in
-  match cached with
-  | Some r ->
-      locked e (fun () -> e.cache_hits <- e.cache_hits + 1);
-      r
+(* The one read-through body behind [run], [optimize] and [tv_check]: the
+   in-memory LRU [memo], then the disk store under [store_key] (which drops
+   an object [decode] rejects, so the write-through below replaces it),
+   then [compute], billed to [stage].  [hit] counts a memory or disk hit
+   and [computed] a computation, both under the lock.  [keep] picks what
+   of a fresh result is cached — [None] is neither recorded nor written —
+   and [cached] turns a cached value back into a result.  The mutex is
+   released while decoding and computing: two domains missing on one key
+   may both compute, but every [compute] is deterministic, so the duplicate
+   insertion is harmless and the table stays consistent. *)
+let read_through e ~memo ~store_key ~decode ~encode ~hit ~computed ~stage
+    ~keep ~cached key compute =
+  let in_memory =
+    locked e (fun () ->
+        let v = Lru.find (memo e) key in
+        if Option.is_some v then hit `Memory;
+        v)
+  in
+  match in_memory with
+  | Some v -> cached v
   | None -> (
       let from_disk =
-        match e.store with
-        | None -> None
-        | Some cas ->
-            Option.bind
-              (Cas.get cas ~key:(run_store_key key))
-              Run_codec.decode_run
+        Option.bind e.store (fun cas ->
+            Cas.get cas ~key:(store_key key) ~decode)
       in
       match from_disk with
-      | Some r ->
+      | Some v ->
           locked e (fun () ->
-              Lru.set e.memo key r;
-              e.store_hits <- e.store_hits + 1);
-          r
+              Lru.set (memo e) key v;
+              hit `Disk);
+          cached v
       | None ->
           let t0 = Unix.gettimeofday () in
-          let r =
-            if e.use_compiled then
-              Compilers.Backend.run ~render:(compiled_render e)
-                ~optimize:(memo_optimize e t) t m input
-            else Compilers.Backend.run t m input
-          in
+          let r = compute () in
           let dt = Unix.gettimeofday () -. t0 in
-          let did = (Domain.self () :> int) in
+          let kept = keep r in
           locked e (fun () ->
-              Lru.set e.memo key r;
-              e.runs_executed <- e.runs_executed + 1;
-              Hashtbl.replace e.domain_runs did
-                (1 + Option.value ~default:0 (Hashtbl.find_opt e.domain_runs did));
-              add_stage_locked e execute_stage dt);
-          (match e.store with
-          | None -> ()
-          | Some cas ->
-              Cas.put cas ~key:(run_store_key key) (Run_codec.encode_run r);
-              locked e (fun () -> e.store_writes <- e.store_writes + 1));
+              Option.iter (Lru.set (memo e) key) kept;
+              computed ();
+              add_stage_locked e stage dt);
+          (match (e.store, kept) with
+          | Some cas, Some v ->
+              Cas.put cas ~key:(store_key key) (encode v);
+              locked e (fun () -> e.store_writes <- e.store_writes + 1)
+          | _ -> ());
           r)
+
+let run e (t : Compilers.Target.t) (m : Module_ir.t) (input : Input.t) :
+    Compilers.Backend.run_result =
+  read_through e
+    ~memo:(fun e -> e.memo)
+    ~store_key:run_store_key ~decode:Run_codec.decode_run
+    ~encode:Run_codec.encode_run
+    ~hit:(function
+      | `Memory -> e.cache_hits <- e.cache_hits + 1
+      | `Disk -> e.store_hits <- e.store_hits + 1)
+    ~computed:(fun () ->
+      let did = (Domain.self () :> int) in
+      e.runs_executed <- e.runs_executed + 1;
+      Hashtbl.replace e.domain_runs did
+        (1 + Option.value ~default:0 (Hashtbl.find_opt e.domain_runs did)))
+    ~stage:execute_stage ~keep:Option.some ~cached:Fun.id
+    (t.Compilers.Target.name, Digest.of_module m, Digest.of_input input)
+    (fun () ->
+      if e.use_compiled then
+        Compilers.Backend.run ~render:(compiled_render e)
+          ~optimize:(memo_optimize e t) t m input
+      else Compilers.Backend.run t m input)
 
 let baseline e (t : Compilers.Target.t) ~ref_name (m : Module_ir.t)
     (input : Input.t) : Compilers.Backend.run_result =
@@ -271,51 +287,22 @@ let baseline e (t : Compilers.Target.t) ~ref_name (m : Module_ir.t)
       r
 
 (** The memoized clean [-O] step (a ROADMAP item): digest -> optimized
-    module, through memory and then the disk store.  Only the actual
-    optimizer work is billed to the ["optimize"] stage, so the stage clock
-    keeps measuring real optimization time.  Errors are not cached (the
-    clean pipeline never fails in this build). *)
+    module.  Memory and disk hits both count as [opt_hits] — [store_hits]
+    tracks run results only, so [runs_saved]/[hit_rate] keep meaning
+    backend executions.  Only the actual optimizer work is billed to the
+    ["optimize"] stage, so the stage clock keeps measuring real
+    optimization time.  Errors are not cached (the clean pipeline never
+    fails in this build). *)
 let optimize e (m : Module_ir.t) : (Module_ir.t, string) result =
-  let d = Digest.of_module m in
-  let cached = locked e (fun () -> Lru.find e.opt_memo d) in
-  match cached with
-  | Some m' ->
-      locked e (fun () -> e.opt_hits <- e.opt_hits + 1);
-      Ok m'
-  | None -> (
-      let from_disk =
-        match e.store with
-        | None -> None
-        | Some cas ->
-            Option.bind
-              (Cas.get cas ~key:(opt_store_key d))
-              Run_codec.decode_module
-      in
-      match from_disk with
-      | Some m' ->
-          (* counted under [opt_hits]: [store_hits] tracks run results only,
-             so [runs_saved]/[hit_rate] keep meaning backend executions *)
-          locked e (fun () ->
-              Lru.set e.opt_memo d m';
-              e.opt_hits <- e.opt_hits + 1);
-          Ok m'
-      | None -> (
-          let t0 = Unix.gettimeofday () in
-          let r = Compilers.Optimizer.optimize m in
-          let dt = Unix.gettimeofday () -. t0 in
-          locked e (fun () ->
-              e.opt_runs <- e.opt_runs + 1;
-              add_stage_locked e optimize_stage dt);
-          match r with
-          | Ok m' ->
-              locked e (fun () -> Lru.set e.opt_memo d m');
-              (match e.store with
-              | None -> ()
-              | Some cas ->
-                  Cas.put cas ~key:(opt_store_key d) (Run_codec.encode_module m');
-                  locked e (fun () -> e.store_writes <- e.store_writes + 1));
-              Ok m'
-          | Error _ as err -> err))
+  read_through e
+    ~memo:(fun e -> e.opt_memo)
+    ~store_key:opt_store_key ~decode:Run_codec.decode_module
+    ~encode:Run_codec.encode_module
+    ~hit:(fun _ -> e.opt_hits <- e.opt_hits + 1)
+    ~computed:(fun () -> e.opt_runs <- e.opt_runs + 1)
+    ~stage:optimize_stage ~keep:Result.to_option ~cached:Result.ok
+    (Digest.of_module m)
+    (fun () -> Compilers.Optimizer.optimize m)
 
 (** Memoized translation validation, keyed by the (before, after) module
     digest pair through memory and then the disk store.  Verdict soundness
@@ -334,42 +321,20 @@ let tv_check_uncounted e ~(before : Module_ir.t) ~(after : Module_ir.t) :
     Compilers.Tv.Equivalent
   end
   else
-    let key = (d1, d2) in
-    let cached = locked e (fun () -> Lru.find e.tv_memo key) in
-    match cached with
-    | Some v ->
-        locked e (fun () -> e.tv_hits <- e.tv_hits + 1);
-        v
-    | None -> (
-        let from_disk =
-          match e.store with
-          | None -> None
-          | Some cas ->
-              Option.bind
-                (Cas.get cas ~key:(tv_store_key key))
-                Run_codec.decode_verdict
-        in
-        match from_disk with
-        | Some v ->
-            locked e (fun () ->
-                Lru.set e.tv_memo key v;
-                e.tv_hits <- e.tv_hits + 1);
-            v
-        | None ->
-            let t0 = Unix.gettimeofday () in
-            let v, proofs = Compilers.Tv.check_pass_counted before after in
-            let dt = Unix.gettimeofday () -. t0 in
-            (* fresh computes only: a memoized verdict re-proves nothing *)
-            if proofs > 0 then bump_counter e "mem-proofs" proofs;
-            locked e (fun () ->
-                Lru.set e.tv_memo key v;
-                add_stage_locked e tv_stage dt);
-            (match e.store with
-            | None -> ()
-            | Some cas ->
-                Cas.put cas ~key:(tv_store_key key) (Run_codec.encode_verdict v);
-                locked e (fun () -> e.store_writes <- e.store_writes + 1));
-            v)
+    let proofs = ref 0 in
+    read_through e
+      ~memo:(fun e -> e.tv_memo)
+      ~store_key:tv_store_key ~decode:Run_codec.decode_verdict
+      ~encode:Run_codec.encode_verdict
+      ~hit:(fun _ -> e.tv_hits <- e.tv_hits + 1)
+      ~computed:(fun () ->
+        (* fresh computes only: a memoized verdict re-proves nothing *)
+        if !proofs > 0 then bump_counter_locked e "mem-proofs" !proofs)
+      ~stage:tv_stage ~keep:Option.some ~cached:Fun.id (d1, d2)
+      (fun () ->
+        let v, n = Compilers.Tv.check_pass_counted before after in
+        proofs := n;
+        v)
 
 let tv_check e ~(before : Module_ir.t) ~(after : Module_ir.t) :
     Compilers.Tv.verdict =

@@ -97,6 +97,16 @@ let open_ ?(fsync = false) ?max_bytes ~root () =
   locked t (fun () -> rescan_locked t);
   t
 
+(* unlink an object and take it out of the index and the byte count; the
+   caller holds the lock *)
+let remove_locked t key =
+  Fsio.remove_if_exists (path_of t key);
+  match Hashtbl.find_opt t.index key with
+  | Some e ->
+      Hashtbl.remove t.index key;
+      t.bytes <- t.bytes - e.size
+  | None -> ()
+
 (* evict least-recently-used objects until total size fits; the caller
    holds the lock *)
 let evict_until_locked (t : t) ~max_bytes =
@@ -106,11 +116,9 @@ let evict_until_locked (t : t) ~max_bytes =
       |> List.sort (fun (_, a) (_, b) -> Float.compare a.stamp b.stamp)
     in
     List.iter
-      (fun (key, e) ->
+      (fun (key, _) ->
         if t.bytes > max_bytes then begin
-          Fsio.remove_if_exists (path_of t key);
-          Hashtbl.remove t.index key;
-          t.bytes <- t.bytes - e.size;
+          remove_locked t key;
           t.evictions <- t.evictions + 1
         end)
       by_age
@@ -122,7 +130,11 @@ let put t ~key data =
       t.puts <- t.puts + 1;
       (match Hashtbl.find_opt t.index key with
       | Some e when Sys.file_exists path ->
-          (* content-addressed: same key, same bytes — just refresh recency *)
+          (* an object is a deterministic function of its key, so the bytes
+             would be the same — just refresh recency.  Bytes that went bad
+             on disk are not caught here: [get] drops an object its decoder
+             rejects, and the next [put] of the key lands in the branch
+             below *)
           e.stamp <- Unix.gettimeofday ();
           Fsio.touch path
       | _ ->
@@ -138,26 +150,40 @@ let put t ~key data =
       | Some max_bytes -> evict_until_locked t ~max_bytes
       | None -> ())
 
-let get t ~key =
+let get t ~key ~decode =
   let path = path_of t key in
-  locked t (fun () ->
-      t.gets <- t.gets + 1;
-      (* read the file even on an index miss: another process sharing the
-         store may have written it after our last scan *)
-      match Fsio.read_file path with
-      | Some data ->
-          t.hits <- t.hits + 1;
-          (match Hashtbl.find_opt t.index key with
-          | Some e -> e.stamp <- Unix.gettimeofday ()
+  (* read the file even on an index miss: another process sharing the
+     store may have written it after our last scan *)
+  let data =
+    locked t (fun () ->
+        t.gets <- t.gets + 1;
+        let data = Fsio.read_file path in
+        if Option.is_none data then t.misses <- t.misses + 1;
+        data)
+  in
+  match data with
+  | None -> None
+  | Some data ->
+      (* decode outside the lock, so domains sharing the store decode in
+         parallel; a [put] racing between the read and the drop below
+         loses its object, which costs one recomputation, never a wrong
+         result *)
+      let value = decode data in
+      locked t (fun () ->
+          match value with
+          | Some _ ->
+              t.hits <- t.hits + 1;
+              (match Hashtbl.find_opt t.index key with
+              | Some e -> e.stamp <- Unix.gettimeofday ()
+              | None ->
+                  Hashtbl.replace t.index key
+                    { size = String.length data; stamp = Unix.gettimeofday () };
+                  t.bytes <- t.bytes + String.length data);
+              Fsio.touch path
           | None ->
-              Hashtbl.replace t.index key
-                { size = String.length data; stamp = Unix.gettimeofday () };
-              t.bytes <- t.bytes + String.length data);
-          Fsio.touch path;
-          Some data
-      | None ->
-          t.misses <- t.misses + 1;
-          None)
+              t.misses <- t.misses + 1;
+              remove_locked t key);
+      value
 
 let mem t ~key =
   locked t (fun () ->

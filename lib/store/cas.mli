@@ -21,8 +21,8 @@ type stats = {
   bytes : int;      (** their total payload size *)
   puts : int;
   gets : int;
-  hits : int;       (** gets that found the object *)
-  misses : int;
+  hits : int;       (** gets that found and decoded the object *)
+  misses : int;     (** gets that found nothing, or dropped what they found *)
   evictions : int;  (** objects deleted by the size bound *)
 }
 
@@ -37,15 +37,21 @@ val key_of_string : string -> string
     store key (lowercase hex). *)
 
 val put : t -> key:string -> string -> unit
-(** Store an object.  Re-putting an existing key only refreshes its
-    recency — content-addressing guarantees the bytes are identical.
-    Enforces [max_bytes] (when configured) by evicting least-recently-used
-    objects.  @raise Invalid_argument on a malformed (non-hex) key. *)
+(** Store an object.  Re-putting an indexed key only refreshes its recency:
+    an object is a deterministic function of its key, so the bytes would
+    be the same.  Bytes that went bad on disk are replaced only after
+    {!get} has dropped them.  Enforces [max_bytes] (when configured) by
+    evicting least-recently-used objects.  @raise Invalid_argument on a
+    malformed (non-hex) key. *)
 
-val get : t -> key:string -> string option
-(** Fetch an object and mark it recently used.  Falls through to the
-    filesystem on an index miss, so objects written by a concurrent
-    process sharing the store are found. *)
+val get : t -> key:string -> decode:(string -> 'a option) -> 'a option
+(** Fetch an object, decode it and mark it recently used.  Falls through
+    to the filesystem on an index miss, so objects written by a concurrent
+    process sharing the store are found.  An object [decode] rejects
+    (corrupt, truncated, or in a retired format) is dropped: its file is
+    unlinked and it leaves the index and the byte count, so the lookup is
+    a miss and the next {!put} of the key writes fresh bytes.  Callers
+    that want the raw bytes pass [~decode:Option.some]. *)
 
 val mem : t -> key:string -> bool
 

@@ -1,189 +1,30 @@
-(** Textual codecs for the artifacts the store persists: backend run
-    results (images, crash signatures) and optimized modules.
+(** Exact codecs for the artifacts the store persists: backend run results
+    (images, crash signatures), translation-validation verdicts and
+    optimized modules.
 
     The encoding must round-trip {e exactly} — a disk-cached run result is
     substituted for a recomputed one inside §3.4 interestingness tests, so
-    any lossiness would change what ddmin keeps.  Floats are therefore
-    printed in hexadecimal notation ([%h], precisely invertible by
-    [float_of_string]), mirroring what {!Spirv_ir.Disasm} does for module
-    listings; modules themselves reuse the Disasm/Asm pair, whose exact
-    invertibility the digest layer already depends on. *)
+    any lossiness would change what ddmin keeps.  Run results are binary,
+    with floats stored as their IEEE bit patterns; modules reuse the
+    Disasm/Asm pair, whose exact invertibility the digest layer already
+    depends on. *)
 
 open Spirv_ir
 
-(* ------------------------------------------------------------------ *)
-(* Values and pixels *)
-
-let rec encode_value buf (v : Value.t) =
-  match v with
-  | Value.VBool b -> Buffer.add_string buf (if b then "b1" else "b0")
-  | Value.VInt i ->
-      Buffer.add_char buf 'i';
-      Buffer.add_string buf (Int32.to_string i)
-  | Value.VFloat f ->
-      Buffer.add_char buf 'f';
-      (* [%h] round-trips every float except NaNs, whose payload bits
-         [float_of_string] does not restore (every textual NaN parses to
-         the default quiet NaN).  Such values fall back to an explicit
-         bit-pattern escape, [f#<hex bits>], so the codec is exact on all
-         2^64 payloads. *)
-      let hex = Printf.sprintf "%h" f in
-      let bits = Int64.bits_of_float f in
-      let survives =
-        match float_of_string_opt hex with
-        | Some g -> Int64.equal bits (Int64.bits_of_float g)
-        | None -> false
-      in
-      if survives then Buffer.add_string buf hex
-      else Buffer.add_string buf (Printf.sprintf "#%Lx" bits)
-  | Value.VComposite elems ->
-      Buffer.add_char buf '(';
-      Array.iteri
-        (fun i e ->
-          if i > 0 then Buffer.add_char buf ';';
-          encode_value buf e)
-        elems;
-      Buffer.add_char buf ')'
-
 exception Bad of string
 
-(* recursive-descent parser over (string, cursor); scalars end at ';', ')'
-   or end of input *)
-let rec parse_value s pos =
-  let n = String.length s in
-  if !pos >= n then raise (Bad "value: unexpected end");
-  match s.[!pos] with
-  | '(' ->
-      incr pos;
-      let elems = ref [] in
-      if !pos < n && s.[!pos] = ')' then incr pos
-      else begin
-        let continue = ref true in
-        while !continue do
-          elems := parse_value s pos :: !elems;
-          if !pos >= n then raise (Bad "composite: unexpected end")
-          else if s.[!pos] = ';' then incr pos
-          else if s.[!pos] = ')' then begin
-            incr pos;
-            continue := false
-          end
-          else raise (Bad "composite: expected ';' or ')'")
-        done
-      end;
-      Value.VComposite (Array.of_list (List.rev !elems))
-  | ('b' | 'i' | 'f') as tag ->
-      incr pos;
-      let start = !pos in
-      while !pos < n && s.[!pos] <> ';' && s.[!pos] <> ')' do
-        incr pos
-      done;
-      let tok = String.sub s start (!pos - start) in
-      (match tag with
-      | 'b' ->
-          if String.equal tok "1" then Value.VBool true
-          else if String.equal tok "0" then Value.VBool false
-          else raise (Bad ("bool: " ^ tok))
-      | 'i' -> (
-          match Int32.of_string_opt tok with
-          | Some i -> Value.VInt i
-          | None -> raise (Bad ("int: " ^ tok)))
-      | _ ->
-          if String.length tok > 0 && tok.[0] = '#' then
-            match
-              Int64.of_string_opt ("0x" ^ String.sub tok 1 (String.length tok - 1))
-            with
-            | Some bits -> Value.VFloat (Int64.float_of_bits bits)
-            | None -> raise (Bad ("float bits: " ^ tok))
-          else (
-            match float_of_string_opt tok with
-            | Some f -> Value.VFloat f
-            | None -> raise (Bad ("float: " ^ tok))))
-  | c -> raise (Bad (Printf.sprintf "value: unexpected %C" c))
-
-let value_to_string v =
-  let buf = Buffer.create 32 in
-  encode_value buf v;
-  Buffer.contents buf
-
-let value_of_string s =
-  let pos = ref 0 in
-  match parse_value s pos with
-  | v when !pos = String.length s -> Some v
-  | _ -> None
-  | exception Bad _ -> None
-
 (* ------------------------------------------------------------------ *)
-(* Run results: text codec (the legacy store format, still read) *)
+(* Run results
 
-let encode_run_text (r : Compilers.Backend.run_result) : string =
-  match r with
-  | Compilers.Backend.Compiled_ok -> "ok"
-  | Compilers.Backend.Crashed s -> Printf.sprintf "crash %S" s
-  | Compilers.Backend.Rendered img ->
-      let buf = Buffer.create (64 * img.Image.width * img.Image.height) in
-      Buffer.add_string buf
-        (Printf.sprintf "image %d %d\n" img.Image.width img.Image.height);
-      Array.iter
-        (fun (p : Image.pixel) ->
-          (match p with
-          | Image.Killed -> Buffer.add_char buf 'K'
-          | Image.Color v ->
-              Buffer.add_string buf "C ";
-              encode_value buf v);
-          Buffer.add_char buf '\n')
-        img.Image.pixels;
-      Buffer.contents buf
-
-let decode_run_text (s : string) : Compilers.Backend.run_result option =
-  if String.equal s "ok" then Some Compilers.Backend.Compiled_ok
-  else if String.length s >= 6 && String.equal (String.sub s 0 6) "crash " then
-    match Scanf.sscanf (String.sub s 6 (String.length s - 6)) "%S%!" Fun.id with
-    | sig_ -> Some (Compilers.Backend.Crashed sig_)
-    | exception _ -> None
-  else
-    match String.split_on_char '\n' s with
-    | header :: rest -> (
-        match Scanf.sscanf header "image %d %d%!" (fun w h -> (w, h)) with
-        | exception _ -> None
-        | w, h when w > 0 && h > 0 -> (
-            let pixels =
-              List.filter_map
-                (fun line ->
-                  if String.equal line "" then None
-                  else if String.equal line "K" then Some (Some Image.Killed)
-                  else if String.length line > 2 && line.[0] = 'C' && line.[1] = ' '
-                  then
-                    match
-                      value_of_string (String.sub line 2 (String.length line - 2))
-                    with
-                    | Some v -> Some (Some (Image.Color v))
-                    | None -> Some None
-                  else Some None)
-                rest
-            in
-            if List.exists (fun p -> p = None) pixels then None
-            else
-              let pixels =
-                Array.of_list (List.filter_map Fun.id pixels)
-              in
-              if Array.length pixels <> w * h then None
-              else
-                Some
-                  (Compilers.Backend.Rendered
-                     { Image.width = w; Image.height = h; Image.pixels }))
-        | _ -> None)
-    | [] -> None
-
-(* ------------------------------------------------------------------ *)
-(* Run results: binary codec (the current store format)
-
-   Layout: a leading version byte 0x01 (no legacy text object starts with
-   it: they begin with 'o', 'c' or 'i'), then a tag byte — 0 Compiled_ok,
+   Layout: a leading version byte 0x01, then a tag byte — 0 Compiled_ok,
    1 Crashed (u32 length + bytes), 2 Rendered (u32 width, u32 height,
    then width*height pixels: 0 = Killed, 1 = Color + value).  Values are
    tag-prefixed: 0/1 VBool, 2 VInt (int32 LE), 3 VFloat
    (Int64.bits_of_float, LE — exact on every payload by construction),
-   4 VComposite (u32 count + elements).  All integers little-endian. *)
+   4 VComposite (u32 count + elements).  All integers little-endian.  An
+   object that does not parse — truncated, corrupt, or written by the
+   retired text codec, none of whose objects begins with 0x01 — decodes to
+   [None], and the store drops it. *)
 
 let binary_version = '\001'
 
@@ -261,9 +102,10 @@ let encode_run (r : Compilers.Backend.run_result) : string =
         img.Image.pixels);
   Buffer.contents buf
 
-let decode_run_binary (s : string) : Compilers.Backend.run_result option =
-  let pos = ref 1 (* past the version byte *) in
+let decode_run (s : string) : Compilers.Backend.run_result option =
+  let pos = ref 0 in
   match
+    if rd_byte s pos <> binary_version then raise (Bad "version");
     let r =
       match rd_byte s pos with
       | '\000' -> Compilers.Backend.Compiled_ok
@@ -293,12 +135,6 @@ let decode_run_binary (s : string) : Compilers.Backend.run_result option =
   with
   | r -> Some r
   | exception Bad _ -> None
-
-(* Version sniffing keeps existing stores readable: objects written by the
-   text codec never begin with the binary version byte. *)
-let decode_run (s : string) : Compilers.Backend.run_result option =
-  if String.length s > 0 && s.[0] = binary_version then decode_run_binary s
-  else decode_run_text s
 
 (* ------------------------------------------------------------------ *)
 (* Translation-validation verdicts *)

@@ -5,30 +5,19 @@
     substitute disk-cached results inside interestingness tests without
     affecting what ddmin keeps (DESIGN.md §7 and §14).
 
-    Run results use a compact length-prefixed binary format (floats as
-    [Int64.bits_of_float], exact on every NaN payload); a leading version
-    byte distinguishes it from the legacy text format, which {!decode_run}
-    still reads so existing stores stay usable.  The text codec prints
-    floats in [%h] hexadecimal notation with an explicit [#<bits>] escape
-    for the NaN payloads [%h] cannot round-trip.  Modules reuse the
-    invertible Disasm/Asm pair, whose exactness the digest layer already
-    depends on. *)
+    Run results use a compact length-prefixed binary format behind a
+    leading version byte (floats as [Int64.bits_of_float], exact on every
+    NaN payload).  Modules reuse the invertible Disasm/Asm pair, whose
+    exactness the digest layer already depends on. *)
 
 open Spirv_ir
 
 val encode_run : Compilers.Backend.run_result -> string
-(** Binary encoding (version-prefixed). *)
 
 val decode_run : string -> Compilers.Backend.run_result option
-(** Decodes both the binary format and the legacy text format (version
-    sniffing on the first byte).  [None] on a corrupt or truncated
-    object — callers treat that as a cache miss and recompute. *)
-
-val encode_run_text : Compilers.Backend.run_result -> string
-(** The legacy text encoding — kept for old-store read-back tests and
-    cross-format tooling. *)
-
-val decode_run_text : string -> Compilers.Backend.run_result option
+(** [None] on a corrupt or truncated object, and on one in the retired
+    text format — {!Cas.get} drops such an object, and the engine
+    recomputes the run and writes it back in binary. *)
 
 val encode_module : Module_ir.t -> string
 val decode_module : string -> Module_ir.t option
@@ -37,8 +26,3 @@ val encode_verdict : Compilers.Tv.verdict -> string
 val decode_verdict : string -> Compilers.Tv.verdict option
 (** Translation-validation verdicts, persisted by the engine keyed on the
     (before, after) module digest pair. *)
-
-val value_to_string : Value.t -> string
-(** Exposed for property tests. *)
-
-val value_of_string : string -> Value.t option

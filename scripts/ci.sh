@@ -180,6 +180,25 @@ if ! cmp -s "$STORE/hits-full.txt" "$STORE/hits-resumed.txt"; then
   exit 1
 fi
 
+# store repair: overwrite every CAS object with garbage.  The next campaign
+# drops each object it cannot decode and writes the recomputed one back, so
+# the campaign after it is served from disk alone; both keep the hit list
+find "$STORE/cas" -type f | while read -r f; do printf garbage > "$f"; done
+for pass in 1 2; do
+  ./_build/default/bin/tbct_cli.exe campaign --seeds 20 --store "$STORE" \
+      --stats --hits-out "$STORE/hits-repair-$pass.txt" \
+      > "$STORE/stats-repair-$pass.txt"
+  if ! cmp -s "$STORE/hits-full.txt" "$STORE/hits-repair-$pass.txt"; then
+    echo "CI: campaign $pass on a corrupted store changed the hit list" >&2
+    exit 1
+  fi
+done
+if ! grep -q "^engine: 0 runs executed" "$STORE/stats-repair-2.txt"; then
+  echo "CI: the corrupted store was not repaired: the second campaign" \
+       "still executed runs" >&2
+  exit 1
+fi
+
 # store gc: the size bound must hold afterwards (the command self-checks
 # and exits non-zero if the cache still exceeds the bound)
 ./_build/default/bin/tbct_cli.exe store gc "$STORE" --max-bytes 65536 > /dev/null
@@ -426,4 +445,4 @@ if $IN_GIT && [ "$(git status --porcelain)" != "$GIT_STATUS_BEFORE" ]; then
   exit 1
 fi
 
-echo "CI: build + tests + lint + tv + loop-coverage + memory-coverage + contract-smoke + store-smoke + registry-gates + pool-determinism + compiled-kernel-equivalence + tv-campaign + serve-smoke + invariant + clean-tree checks passed"
+echo "CI: build + tests + lint + tv + loop-coverage + memory-coverage + contract-smoke + store-smoke + store-repair + registry-gates + pool-determinism + compiled-kernel-equivalence + tv-campaign + serve-smoke + invariant + clean-tree checks passed"

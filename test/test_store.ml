@@ -37,10 +37,10 @@ let fresh_dir =
 (* ------------------------------------------------------------------ *)
 (* Codecs: exact round trips *)
 
-(* NaN payloads do round-trip (the text codec's #bits escape, the binary
-   codec's Int64 bits) — the hostile-float properties live in
-   test_compile.ml; this generator scrubs NaN only because the run
-   round-trip below compares with structural (=), where nan <> nan *)
+(* NaN payloads do round-trip (the codec stores Int64 bits) — the
+   hostile-float properties live in test_compile.ml; this generator scrubs
+   NaN only because the run round-trip below compares with structural (=),
+   where nan <> nan *)
 let value_gen =
   let open QCheck.Gen in
   let base =
@@ -68,14 +68,21 @@ let value_gen =
               ])
         (min n 8))
 
-let value_arb = QCheck.make ~print:Run_codec.value_to_string value_gen
+let value_arb = QCheck.make ~print:Spirv_ir.Value.show value_gen
 
+(* values are stored inside run results: a one-pixel image carries one *)
 let qcheck_value_roundtrip =
   QCheck.Test.make ~name:"value codec round-trips exactly" ~count:500 value_arb
     (fun v ->
-      match Run_codec.value_of_string (Run_codec.value_to_string v) with
-      | Some v' -> Spirv_ir.Value.equal v v'
-      | None -> false)
+      let img = Spirv_ir.Image.create ~width:1 ~height:1 in
+      img.Spirv_ir.Image.pixels.(0) <- Spirv_ir.Image.Color v;
+      let r = Compilers.Backend.Rendered img in
+      match Run_codec.decode_run (Run_codec.encode_run r) with
+      | Some (Compilers.Backend.Rendered img') -> (
+          match img'.Spirv_ir.Image.pixels with
+          | [| Spirv_ir.Image.Color v' |] -> Spirv_ir.Value.equal v v'
+          | _ -> false)
+      | _ -> false)
 
 let run_result_gen =
   let open QCheck.Gen in
@@ -178,20 +185,21 @@ let qcheck_cas_roundtrip =
       let cas = Cas.open_ ~root:(Lazy.force dir) () in
       let key = Cas.key_of_string data in
       Cas.put cas ~key data;
-      Cas.get cas ~key = Some data)
+      Cas.get cas ~key ~decode:Option.some = Some data)
 
 let test_cas_basics () =
   let root = fresh_dir () in
   let cas = Cas.open_ ~root () in
   let key = Cas.key_of_string "hello" in
-  Alcotest.(check bool) "miss before put" true (Cas.get cas ~key = None);
+  let raw cas = Cas.get cas ~key ~decode:Option.some in
+  Alcotest.(check bool) "miss before put" true (raw cas = None);
   Cas.put cas ~key "payload";
   Alcotest.(check bool) "mem after put" true (Cas.mem cas ~key);
-  Alcotest.(check bool) "hit after put" true (Cas.get cas ~key = Some "payload");
+  Alcotest.(check bool) "hit after put" true (raw cas = Some "payload");
   (* a different handle on the same root sees the object (persistence) *)
   let cas2 = Cas.open_ ~root () in
   Alcotest.(check bool) "visible to a fresh handle" true
-    (Cas.get cas2 ~key = Some "payload");
+    (raw cas2 = Some "payload");
   let s = Cas.stats cas2 in
   Alcotest.(check int) "fresh handle indexed the object" 1 s.Cas.objects;
   Alcotest.(check int) "bytes accounted" (String.length "payload") s.Cas.bytes
@@ -218,8 +226,8 @@ let test_cas_gc_lru_order () =
     Cas.put cas ~key:(key i) (Printf.sprintf "%04d" i)
   done;
   (* touch 0 and 1 so 2 becomes the least recently used *)
-  ignore (Cas.get cas ~key:(key 0));
-  ignore (Cas.get cas ~key:(key 1));
+  ignore (Cas.get cas ~key:(key 0) ~decode:Option.some);
+  ignore (Cas.get cas ~key:(key 1) ~decode:Option.some);
   let evicted = Cas.gc ~max_bytes:16 cas in
   Alcotest.(check int) "gc evicted exactly one object" 1 evicted;
   Alcotest.(check bool) "LRU object evicted" false (Cas.mem cas ~key:(key 2));
@@ -237,7 +245,7 @@ let test_cas_concurrent_domains () =
         else Printf.sprintf "private-%d-%d" d i
       in
       Cas.put cas ~key:(Cas.key_of_string name) name;
-      ignore (Cas.get cas ~key:(Cas.key_of_string name))
+      ignore (Cas.get cas ~key:(Cas.key_of_string name) ~decode:Option.some)
     done
   in
   let domains = List.init 4 (fun d -> Domain.spawn (writer d)) in
@@ -251,9 +259,34 @@ let test_cas_concurrent_domains () =
       Alcotest.(check bool)
         (name ^ " readable after concurrent writes")
         true
-        (Cas.get cas ~key:(Cas.key_of_string name) = Some name)
+        (Cas.get cas ~key:(Cas.key_of_string name) ~decode:Option.some
+        = Some name)
     done
   done
+
+let test_cas_drops_undecodable () =
+  let root = fresh_dir () in
+  let cas = Cas.open_ ~root () in
+  let key = Cas.key_of_string "bad" in
+  Cas.put cas ~key "garbage";
+  let before = Cas.stats cas in
+  Alcotest.(check bool) "a rejected object reads as a miss" true
+    (Cas.get cas ~key ~decode:(fun _ -> None) = None);
+  let after = Cas.stats cas in
+  Alcotest.(check bool) "dropped from the store" false (Cas.mem cas ~key);
+  Alcotest.(check int) "object count drops" (before.Cas.objects - 1)
+    after.Cas.objects;
+  Alcotest.(check int) "byte count drops"
+    (before.Cas.bytes - String.length "garbage")
+    after.Cas.bytes;
+  Alcotest.(check int) "counted as a miss" (before.Cas.misses + 1)
+    after.Cas.misses;
+  Cas.put cas ~key "fresh";
+  Alcotest.(check (option string)) "a later put stores the new bytes"
+    (Some "fresh")
+    (Cas.get cas ~key ~decode:Option.some);
+  Alcotest.(check (option string)) "and so does a fresh handle" (Some "fresh")
+    (Cas.get (Cas.open_ ~root ()) ~key ~decode:Option.some)
 
 (* ------------------------------------------------------------------ *)
 (* Journal *)
@@ -464,6 +497,88 @@ let test_engine_tv_memoized () =
   Alcotest.(check bool) "no symbolic validation billed on the warm engine" true
     (List.assoc_opt "tv" s2.Harness.Engine.stages = None)
 
+(* every object file of a store directory's CAS *)
+let store_objects dir =
+  let rec walk path =
+    if Sys.is_directory path then
+      List.concat_map
+        (fun e -> walk (Filename.concat path e))
+        (Array.to_list (Sys.readdir path))
+    else [ path ]
+  in
+  walk (Harness.Persist.cas_dir dir)
+
+let test_engine_corrupt_store_heals () =
+  let dir = fresh_dir () in
+  let m = Lazy.force gradient in
+  let m' =
+    match Compilers.Optimizer.optimize m with
+    | Ok m' -> m'
+    | Error e -> Alcotest.failf "optimize failed: %s" e
+  in
+  let t = Compilers.Target.swiftshader in
+  let input = Corpus.default_input in
+  let use () =
+    let e = Harness.Engine.create ~store:(Harness.Persist.open_cas ~dir ()) () in
+    let r = Harness.Engine.run e t m input in
+    let o = Harness.Engine.optimize e m in
+    let v = Harness.Engine.tv_check e ~before:m ~after:m' in
+    ((r, o, v), Harness.Engine.stats e)
+  in
+  let first, _ = use () in
+  let objects = store_objects dir in
+  Alcotest.(check int) "run, -O and TV objects written" 3 (List.length objects);
+  List.iter (fun path -> write_file path "garbage") objects;
+  (* the corrupt objects are dropped, recomputed and written back *)
+  let second, s2 = use () in
+  Alcotest.(check bool) "recomputed results identical" true (first = second);
+  Alcotest.(check int) "run recomputed" 1 s2.Harness.Engine.runs_executed;
+  Alcotest.(check int) "-O recomputed" 1 s2.Harness.Engine.opt_runs;
+  Alcotest.(check bool) "verdict recomputed" true
+    (List.mem_assoc "tv" s2.Harness.Engine.stages);
+  (* the rewritten objects serve a third engine from disk *)
+  let third, s3 = use () in
+  Alcotest.(check bool) "disk-served results identical" true (first = third);
+  Alcotest.(check int) "no run executed" 0 s3.Harness.Engine.runs_executed;
+  Alcotest.(check int) "no -O run" 0 s3.Harness.Engine.opt_runs;
+  Alcotest.(check bool) "no verdict recomputed" false
+    (List.mem_assoc "tv" s3.Harness.Engine.stages)
+
+let test_engine_replaces_text_run_objects () =
+  let dir = fresh_dir () in
+  let cas = Harness.Persist.open_cas ~dir () in
+  let input = Corpus.default_input in
+  let m = Lazy.force gradient in
+  (* the retired text codec's three shapes, at the keys of three runs *)
+  let legacy =
+    List.combine
+      Compilers.Target.[ swiftshader; mesa; nvidia ]
+      [ "ok"; "crash \"sig\""; "image 1 1\nC f0x1p-1\n" ]
+  in
+  let run_key (t : Compilers.Target.t) =
+    Cas.key_of_string
+      (Printf.sprintf "run:%s:%s:%s" t.Compilers.Target.name
+         (Spirv_ir.Digest.of_module m)
+         (Spirv_ir.Digest.of_input input))
+  in
+  List.iter (fun (t, text) -> Cas.put cas ~key:(run_key t) text) legacy;
+  let e = Harness.Engine.create ~store:cas () in
+  List.iter
+    (fun (t, _) ->
+      Alcotest.(check bool)
+        (t.Compilers.Target.name ^ ": the recomputed run")
+        true
+        (Harness.Engine.run e t m input = Compilers.Backend.run t m input);
+      match Cas.get cas ~key:(run_key t) ~decode:Option.some with
+      | Some bytes when String.length bytes > 0 && bytes.[0] = '\001' -> ()
+      | _ ->
+          Alcotest.failf "%s: the text object was not rewritten in binary"
+            t.Compilers.Target.name)
+    legacy;
+  let s = Harness.Engine.stats e in
+  Alcotest.(check int) "no text object served" 0 s.Harness.Engine.store_hits;
+  Alcotest.(check int) "every run recomputed" 3 s.Harness.Engine.runs_executed
+
 (* ------------------------------------------------------------------ *)
 (* Campaign persistence: kill and resume *)
 
@@ -651,6 +766,8 @@ let () =
               test_cas_gc_lru_order;
             Alcotest.test_case "concurrent domain writers" `Quick
               test_cas_concurrent_domains;
+            Alcotest.test_case "undecodable object dropped" `Quick
+              test_cas_drops_undecodable;
           ] );
       ( "journal",
         [
@@ -681,6 +798,10 @@ let () =
             test_engine_store_shares_runs_and_opts;
           Alcotest.test_case "tv verdicts memoized (memory + disk)" `Quick
             test_engine_tv_memoized;
+          Alcotest.test_case "corrupt objects recomputed and replaced" `Quick
+            test_engine_corrupt_store_heals;
+          Alcotest.test_case "text run objects rewritten in binary" `Quick
+            test_engine_replaces_text_run_objects;
         ] );
       ( "resume",
         [

@@ -152,14 +152,32 @@ let prop_linear_one_minimal =
            (fun x -> not (is_interesting (List.filter (fun y -> y <> x) reduced)))
            reduced)
 
+(* Replayed reductions are served by the engine's content-addressed memo:
+   reducing the same hit again on the same engine repeats every ddmin
+   query, and none of them reaches the backend. *)
 let test_reducer_cache_counts_fewer_queries () =
-  let xs = List.init 16 Fun.id in
-  let key ys = String.concat "," (List.map string_of_int ys) in
-  let is_interesting ys = List.mem 9 ys in
-  let _, s1 = Tbct.Reducer.reduce ~is_interesting xs in
-  let _, s2 = Tbct.Reducer.reduce_with_cache ~key ~is_interesting xs in
-  Alcotest.(check bool) "cache never evaluates more" true
-    (s2.Tbct.Reducer.queries <= s1.Tbct.Reducer.queries)
+  let scale =
+    { Harness.Experiments.default_scale with Harness.Experiments.seeds = 20 }
+  in
+  let hit =
+    match
+      Harness.Experiments.run_campaign ~engine:(Harness.Engine.create ())
+        ~scale Harness.Pipeline.Spirv_fuzz_tool
+    with
+    | h :: _ -> h
+    | [] -> Alcotest.fail "no hit in the small campaign"
+  in
+  let engine = Harness.Engine.create () in
+  let first = Harness.Experiments.reduce_hit engine hit in
+  let s1 = Harness.Engine.stats engine in
+  let second = Harness.Experiments.reduce_hit engine hit in
+  let s2 = Harness.Engine.stats engine in
+  Alcotest.(check bool) "the hit reduces" true (Option.is_some first);
+  Alcotest.(check bool) "same outcome" true (first = second);
+  Alcotest.(check int) "the replay executes no backend run"
+    s1.Harness.Engine.runs_executed s2.Harness.Engine.runs_executed;
+  Alcotest.(check bool) "the replay is served by the memo" true
+    (s2.Harness.Engine.cache_hits > s1.Harness.Engine.cache_hits)
 
 (* ------------------------------------------------------------------ *)
 (* Dedup *)
