@@ -562,13 +562,6 @@ let targets_cmd =
 (* transformations: the registry as a user-facing catalogue            *)
 
 let transformations_cmd =
-  let check_arg =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Registry completeness gate: verify that every \
-                   transformation type id has exactly one registry entry \
-                   and vice versa; non-zero exit on any mismatch.")
-  in
   let seeds_arg =
     Arg.(value & opt int 0
          & info [ "seeds" ] ~docv:"N"
@@ -582,7 +575,7 @@ let transformations_cmd =
              ~doc:"Per-family sampling-weight multipliers used by \
                    $(b,--seeds) (same syntax as campaign --weights).")
   in
-  let run json check seeds weights =
+  let run json seeds weights =
     let weights =
       match weights with
       | None -> []
@@ -593,118 +586,79 @@ let transformations_cmd =
               prerr_endline ("error: --weights: " ^ msg);
               exit 1)
     in
-    if check then begin
-      let catalogue = Spirv_fuzz.Transformation.catalogue in
-      let entries =
-        List.map
-          (fun (e : Spirv_fuzz.Registry.entry) -> e.Spirv_fuzz.Registry.type_id)
-          Spirv_fuzz.Registry.all
-      in
-      let missing =
-        List.filter (fun id -> not (List.mem id entries)) catalogue
-      in
-      let extra =
-        List.filter (fun id -> not (List.mem id catalogue)) entries
-      in
-      let dupes =
-        List.filter
-          (fun id -> List.length (List.filter (String.equal id) entries) > 1)
-          entries
-      in
-      if missing = [] && extra = [] && dupes = [] then begin
-        Printf.printf "registry complete: %d transformation types, %d entries\n"
-          (List.length catalogue) (List.length entries);
-        0
-      end
-      else begin
-        List.iter (fun id -> Printf.printf "missing registry entry: %s\n" id) missing;
-        List.iter (fun id -> Printf.printf "entry without transformation type: %s\n" id) extra;
-        List.iter (fun id -> Printf.printf "duplicate registry entry: %s\n" id) dupes;
-        1
-      end
-    end
+    let counters = Hashtbl.create 64 in
+    if seeds > 0 then begin
+      let refs = Lazy.force Corpus.lowered_references in
+      let donors = List.map snd (Lazy.force Corpus.lowered_donors) in
+      for seed = 0 to seeds - 1 do
+        let _, m = List.nth refs (seed mod List.length refs) in
+        let ctx = Spirv_fuzz.Context.make m Corpus.default_input in
+        let config =
+          {
+            Spirv_fuzz.Fuzzer.default_config with
+            Spirv_fuzz.Fuzzer.donors = donors;
+            Spirv_fuzz.Fuzzer.weights = weights;
+          }
+        in
+        let result = Spirv_fuzz.Fuzzer.run ~config ~seed ctx in
+        List.iter
+          (fun (ty, proposed, applied) ->
+            let p0, a0 =
+              Option.value ~default:(0, 0) (Hashtbl.find_opt counters ty)
+            in
+            Hashtbl.replace counters ty (p0 + proposed, a0 + applied))
+          result.Spirv_fuzz.Fuzzer.counters
+      done
+    end;
+    let tally ty = Option.value ~default:(0, 0) (Hashtbl.find_opt counters ty) in
+    let pass_name (e : Spirv_fuzz.Registry.entry) =
+      Option.map (fun (p : Spirv_fuzz.Pass.t) -> p.Spirv_fuzz.Pass.name)
+        e.Spirv_fuzz.Registry.pass
+    in
+    if json then
+      List.iter
+        (fun (e : Spirv_fuzz.Registry.entry) ->
+          let proposed, applied = tally e.Spirv_fuzz.Registry.type_id in
+          print_json
+            Json.(
+              [
+                ("type_id", Str e.Spirv_fuzz.Registry.type_id);
+                ( "family",
+                  Str
+                    (Spirv_fuzz.Registry.family_to_string
+                       e.Spirv_fuzz.Registry.family) );
+                ("pass", match pass_name e with Some p -> Str p | None -> Null);
+                ("dedup_relevant", Bool e.Spirv_fuzz.Registry.dedup_relevant);
+              ]
+              @
+              if seeds > 0 then
+                [ ("proposed", Int proposed); ("applied", Int applied) ]
+              else []))
+        Spirv_fuzz.Registry.all
     else begin
-      let counters = Hashtbl.create 64 in
-      if seeds > 0 then begin
-        let refs = Lazy.force Corpus.lowered_references in
-        let donors = List.map snd (Lazy.force Corpus.lowered_donors) in
-        for seed = 0 to seeds - 1 do
-          let _, m = List.nth refs (seed mod List.length refs) in
-          let ctx = Spirv_fuzz.Context.make m Corpus.default_input in
-          let config =
-            {
-              Spirv_fuzz.Fuzzer.default_config with
-              Spirv_fuzz.Fuzzer.donors = donors;
-              Spirv_fuzz.Fuzzer.weights = weights;
-            }
-          in
-          let result = Spirv_fuzz.Fuzzer.run ~config ~seed ctx in
-          List.iter
-            (fun (ty, proposed, applied) ->
-              let p0, a0 =
-                Option.value ~default:(0, 0) (Hashtbl.find_opt counters ty)
-              in
-              Hashtbl.replace counters ty (p0 + proposed, a0 + applied))
-            result.Spirv_fuzz.Fuzzer.counters
-        done
-      end;
-      let tally ty = Option.value ~default:(0, 0) (Hashtbl.find_opt counters ty) in
-      if json then
-        List.iter
-          (fun (e : Spirv_fuzz.Registry.entry) ->
-            let proposed, applied = tally e.Spirv_fuzz.Registry.type_id in
-            print_json
-              Json.(
-                [
-                  ("type_id", Str e.Spirv_fuzz.Registry.type_id);
-                  ( "family",
-                    Str
-                      (Spirv_fuzz.Registry.family_to_string
-                         e.Spirv_fuzz.Registry.family) );
-                  ( "pass",
-                    match e.Spirv_fuzz.Registry.pass with
-                    | Some p -> Str p
-                    | None -> Null );
-                  ("image_preserving", Bool e.Spirv_fuzz.Registry.image_preserving);
-                  ("dedup_relevant", Bool e.Spirv_fuzz.Registry.dedup_relevant);
-                  ("weight", Int e.Spirv_fuzz.Registry.weight);
-                ]
-                @
-                if seeds > 0 then
-                  [ ("proposed", Int proposed); ("applied", Int applied) ]
-                else []))
-          Spirv_fuzz.Registry.all
-      else begin
-        Printf.printf "%-34s %-12s %-28s %-6s %-6s %6s%s\n" "Type" "Family"
-          "Pass" "Image" "Dedup" "Weight"
-          (if seeds > 0 then Printf.sprintf " %9s %9s" "Proposed" "Applied"
-           else "");
-        List.iter
-          (fun (e : Spirv_fuzz.Registry.entry) ->
-            let proposed, applied = tally e.Spirv_fuzz.Registry.type_id in
-            Printf.printf "%-34s %-12s %-28s %-6s %-6s %6d%s\n"
-              e.Spirv_fuzz.Registry.type_id
-              (Spirv_fuzz.Registry.family_to_string e.Spirv_fuzz.Registry.family)
-              (Option.value ~default:"-" e.Spirv_fuzz.Registry.pass)
-              (if e.Spirv_fuzz.Registry.image_preserving then "yes" else "no")
-              (if e.Spirv_fuzz.Registry.dedup_relevant then "yes" else "no")
-              e.Spirv_fuzz.Registry.weight
-              (if seeds > 0 then Printf.sprintf " %9d %9d" proposed applied
-               else ""))
-          Spirv_fuzz.Registry.all
-      end;
-      0
+      Printf.printf "%-34s %-12s %-28s %-6s%s\n" "Type" "Family" "Pass" "Dedup"
+        (if seeds > 0 then Printf.sprintf " %9s %9s" "Proposed" "Applied"
+         else "");
+      List.iter
+        (fun (e : Spirv_fuzz.Registry.entry) ->
+          let proposed, applied = tally e.Spirv_fuzz.Registry.type_id in
+          Printf.printf "%-34s %-12s %-28s %-6s%s\n"
+            e.Spirv_fuzz.Registry.type_id
+            (Spirv_fuzz.Registry.family_to_string e.Spirv_fuzz.Registry.family)
+            (Option.value ~default:"-" (pass_name e))
+            (if e.Spirv_fuzz.Registry.dedup_relevant then "yes" else "no")
+            (if seeds > 0 then Printf.sprintf " %9d %9d" proposed applied
+             else ""))
+        Spirv_fuzz.Registry.all
     end
   in
   Cmd.v
     (Cmd.info "transformations"
        ~doc:
          "List the transformation registry: every transformation type with \
-          its family, proposing pass, contract flags and sampling weight — \
-          the single table that drives the passes, the contract checker, \
+          its family, proposing pass and dedup flag — the table that drives \
           deduplication and campaign scheduling.")
-    Term.(const (fun j c s w -> Stdlib.exit (run j c s w)) $ json_arg
-          $ check_arg $ seeds_arg $ weights_arg)
+    Term.(const run $ json_arg $ seeds_arg $ weights_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)

@@ -718,7 +718,7 @@ let figure8 () : figure8 =
       { fn = main_fn; block = header; fresh_per_pred = List.combine preds fresh }
   in
   let ctx' =
-    if Spirv_fuzz.Registry.precondition ctx t then Spirv_fuzz.Registry.apply ctx t else ctx
+    if Spirv_fuzz.Rules.precondition ctx t then Spirv_fuzz.Rules.apply ctx t else ctx
   in
   let variant_a = ctx'.Spirv_fuzz.Context.m in
   let mesa = Compilers.Target.mesa in
@@ -761,7 +761,7 @@ let figure8 () : figure8 =
   let ctx_b = Spirv_fuzz.Context.make m_b input in
   let t_move = Spirv_fuzz.Transformation.Move_block_down { fn = main; block = lb } in
   let ctx_b' =
-    if Spirv_fuzz.Registry.precondition ctx_b t_move then Spirv_fuzz.Registry.apply ctx_b t_move
+    if Spirv_fuzz.Rules.precondition ctx_b t_move then Spirv_fuzz.Rules.apply ctx_b t_move
     else ctx_b
   in
   let variant_b = ctx_b'.Spirv_fuzz.Context.m in

@@ -3,12 +3,12 @@
     The paper's whole formulation rests on two contracts (Definitions 2.4
     and 3.1): a transformation may only be applied when its {e
     precondition} holds, and applying it must preserve the module's
-    validity and rendered image.  This module turns every fuzzing campaign
-    into a self-test of those contracts: after each applied transformation
-    it re-asserts that the declared precondition held on the
-    pre-application context, that the module still validates, that the
-    {!Spirv_ir.Lint} error rules report nothing new, and that the variant
-    still renders the original image.
+    validity and rendered image.  Every transformation type promises both,
+    so this module turns every fuzzing campaign into a self-test of those
+    contracts: after each applied transformation it re-asserts that
+    {!Rules.precondition} held on the pre-application context, that the
+    module still validates, that the {!Spirv_ir.Lint} error rules report
+    nothing new, and that the variant still renders the original image.
 
     {b The checker consumes no randomness.}  Every check is a pure function
     of the before/after contexts, so a campaign records bit-identical
@@ -59,11 +59,6 @@ let create (ctx : Context.t) =
 
 let checked t = t.checked
 
-(** Whether a transformation promises image preservation, read from its
-    {!Registry} entry (today every catalogued type does; a future
-    non-preserving type would opt out in its registry record). *)
-let image_preserving = Registry.image_preserving
-
 let check t ~(before : Context.t) (tr : Transformation.t)
     ~(after : Context.t) =
   let name = Transformation.type_id tr in
@@ -74,7 +69,7 @@ let check t ~(before : Context.t) (tr : Transformation.t)
      context — [Pass.emit] guarantees this for fuzzer-proposed
      transformations, so a failure here means a precondition that is not a
      pure function of the context, or an apply path that bypassed it *)
-  if not (Registry.precondition before tr) then
+  if not (Rules.precondition before tr) then
     fail "precondition" "the declared precondition does not hold on the \
                          pre-application context";
   (* 2. the transformed module must still validate *)
@@ -88,14 +83,13 @@ let check t ~(before : Context.t) (tr : Transformation.t)
     (lint_fingerprints after.Context.m);
   (* 4. the rendered image must be unchanged from the original — note
      [after]'s own input: AddUniform extends module and input in sync *)
-  (if image_preserving tr then
-     match t.baseline_image with
-     | None -> ()
-     | Some base -> (
-         match Interp.render after.Context.m after.Context.input with
-         | Ok img ->
-             if not (Image.equal base img) then
-               fail "image" "the rendered image differs from the original"
-         | Error trap ->
-             fail "image" ("the variant render trapped: " ^ Interp.trap_to_string trap)));
+  (match t.baseline_image with
+  | None -> ()
+  | Some base -> (
+      match Interp.render after.Context.m after.Context.input with
+      | Ok img ->
+          if not (Image.equal base img) then
+            fail "image" "the rendered image differs from the original"
+      | Error trap ->
+          fail "image" ("the variant render trapped: " ^ Interp.trap_to_string trap)));
   t.checked <- t.checked + 1

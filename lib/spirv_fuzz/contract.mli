@@ -3,10 +3,10 @@
     After every applied transformation, assert the paper's core contract
     (Definitions 2.4 and 3.1): the declared precondition held on the
     pre-application context, the module still validates, the
-    {!Spirv_ir.Lint} error rules report nothing new, and — for
-    semantics-preserving transformation types, i.e. all of them — the
-    module still renders the image of the {e original} context the checker
-    was created from.
+    {!Spirv_ir.Lint} error rules report nothing new, and the module still
+    renders the image of the {e original} context the checker was created
+    from.  Every transformation type is semantics-preserving, so every
+    check runs for every type.
 
     {b RNG discipline.}  The checker consumes no randomness: every check
     is a pure function of the before/after contexts.  Campaigns therefore
@@ -37,7 +37,3 @@ val check : t -> before:Context.t -> Transformation.t -> after:Context.t -> unit
 
 val checked : t -> int
 (** How many transformations have passed the checks so far. *)
-
-val image_preserving : Transformation.t -> bool
-(** Whether the image-preservation check applies to this transformation
-    type — [true] for the whole current catalogue. *)

@@ -49,28 +49,23 @@ let run ?(config = default_config) ~seed (ctx : Context.t) : result =
      seeds produce the same transformation stream with checking on or off *)
   let contracts = if config.check_contracts then Some (Contract.create ctx) else None in
   let em = Pass.make_emitter ~donors:config.donors ?contracts ~rng ctx in
-  (* Weighted sampling over the registry-derived pass list.  With every
-     effective weight equal to 1 the total equals the pass count and the
-     cumulative index is the raw draw — the same single [Rng.int] call and
-     index arithmetic as [Rng.choose Pass.all], so default-weight campaigns
-     reproduce the pre-registry streams exactly. *)
-  let weighted =
-    List.map
-      (fun (p : Pass.t) ->
-        (p, Registry.pass_weight ~weights:config.weights p.Pass.name))
-      Pass.all
+  (* Weighted sampling over the sweep list: the first pass whose cumulative
+     weight exceeds one draw below the total.  With every effective weight
+     equal to 1 the total equals the pass count and the cumulative index is
+     the raw draw — the same single [Rng.int] call and index arithmetic as
+     [Rng.choose Pass.all], so default-weight campaigns reproduce the
+     historical streams exactly. *)
+  let total, bounds =
+    List.fold_left_map
+      (fun acc (p : Pass.t) ->
+        let acc = acc + Registry.pass_weight ~weights:config.weights p.Pass.name in
+        (acc, (p, acc)))
+      0 Pass.all
   in
-  let total = List.fold_left (fun acc (_, w) -> acc + w) 0 weighted in
+  if total <= 0 then invalid_arg "Fuzzer.run: every pass has weight 0";
   let draw_pass () =
-    if total <= 0 then Tbct.Rng.choose rng Pass.all
-    else begin
-      let k = Tbct.Rng.int rng total in
-      let rec pick acc = function
-        | [] -> Tbct.Rng.choose rng Pass.all (* unreachable: k < total *)
-        | (p, w) :: rest -> if k < acc + w then p else pick (acc + w) rest
-      in
-      pick 0 weighted
-    end
+    let k = Tbct.Rng.int rng total in
+    fst (List.find (fun (_, bound) -> k < bound) bounds)
   in
   let queue : string Queue.t = Queue.create () in
   let passes_run = ref [] in

@@ -6,9 +6,9 @@
     After each pass the tool decides probabilistically whether to continue,
     and stops definitely at the transformation cap.
 
-    Passes are sampled by {!Registry} weight: each pass's effective weight
-    is its registry default scaled by the per-family multipliers in
-    {!config.weights}.  With the default (empty) overrides every pass weighs
+    Passes are sampled by weight: each pass's effective weight is the
+    per-family multiplier in {!config.weights} of the {!Registry} entries
+    it proposes ({!Registry.pass_weight}).  With the default (empty) overrides every pass weighs
     1 and the draw degenerates to the historical uniform choice — the
     recorded streams are bit-identical (property-tested).
 
@@ -36,10 +36,11 @@ type config = {
           consumes no randomness (property-tested) — it only turns a
           contract breach into a loud {!Contract.Violation}. *)
   weights : (Registry.family * int) list;
-      (** per-family sampling-weight multipliers applied on top of the
-          registry's per-type defaults; [[]] (the default) keeps the
-          uniform draw.  A family weighted 0 is never drawn (its passes may
-          still run via recommendations). *)
+      (** per-family sampling-weight multipliers; omitted families weigh
+          1, so [[]] (the default) keeps the uniform draw.  A family
+          weighted 0 is never drawn (its passes may still run via
+          recommendations).  At least one pass must keep a positive
+          weight. *)
 }
 
 val default_config : config
@@ -60,4 +61,6 @@ type result = {
 val run : ?config:config -> seed:int -> Context.t -> result
 (** [run ~seed ctx] fuzzes deterministically: equal seeds and contexts give
     equal results.  The variant is guaranteed (and property-tested) to
-    validate and to render the same image as the original. *)
+    validate and to render the same image as the original.
+    @raise Invalid_argument if [config.weights] leaves every pass at
+    weight 0. *)

@@ -6,8 +6,8 @@ module Language = struct
   type transformation = Transformation.t
 
   let type_id = Transformation.type_id
-  let precondition = Registry.precondition
-  let apply = Registry.apply
+  let precondition = Rules.precondition
+  let apply = Rules.apply
 end
 
 module Apply = Tbct.Spec.Apply (Language)

@@ -37,9 +37,9 @@ let counters_list em =
     (Hashtbl.fold (fun id (p, a) acc -> (id, p, a) :: acc) em.counters [])
 
 let emit em t =
-  if Registry.precondition em.ctx t then begin
+  if Rules.precondition em.ctx t then begin
     let before = em.ctx in
-    em.ctx <- Registry.apply em.ctx t;
+    em.ctx <- Rules.apply em.ctx t;
     (match em.contracts with
     | Some checker -> Contract.check checker ~before t ~after:em.ctx
     | None -> ());
@@ -52,9 +52,13 @@ let emit em t =
     false
   end
 
+let fresh_id ctx =
+  let m, id = Module_ir.fresh ctx.Context.m in
+  (Context.with_module ctx m, id)
+
 let fresh em =
-  let m, id = Module_ir.fresh em.ctx.Context.m in
-  em.ctx <- { em.ctx with Context.m = m };
+  let ctx, id = fresh_id em.ctx in
+  em.ctx <- ctx;
   id
 
 let chance em ~num ~den = Tbct.Rng.chance em.rng ~num ~den
@@ -82,8 +86,8 @@ let random_point em (b : Block.t) =
 
 (* ids with their type ids that are plausibly available near [point]; the
    precondition re-checks real availability, so over-approximation is fine *)
-let candidate_values em (f : Func.t) =
-  let m = em.ctx.Context.m in
+let candidate_values ctx (f : Func.t) =
+  let m = ctx.Context.m in
   let consts =
     List.map (fun (d : Module_ir.const_decl) -> (d.Module_ir.cd_id, d.Module_ir.cd_ty)) m.Module_ir.constants
   in
@@ -96,11 +100,11 @@ let candidate_values em (f : Func.t) =
   in
   consts @ params @ results
 
-let candidate_pointers em (f : Func.t) =
-  let m = em.ctx.Context.m in
+let candidate_pointers ctx (f : Func.t) =
+  let m = ctx.Context.m in
   let is_ptr ty = match Module_ir.find_type m ty with Some (Ty.Pointer _) -> true | _ -> false in
   let globals = List.map (fun (g : Module_ir.global_decl) -> (g.Module_ir.gd_id, g.Module_ir.gd_ty)) m.Module_ir.globals in
-  List.filter (fun (_, ty) -> is_ptr ty) (globals @ candidate_values em f)
+  List.filter (fun (_, ty) -> is_ptr ty) (globals @ candidate_values ctx f)
 
 let ensure_bool_constant em value =
   match Edit.find_bool_constant em.ctx.Context.m value with
@@ -174,7 +178,7 @@ let pass_add_loads =
     run =
       (fun em ->
         for_random_blocks em ~num:1 ~den:8 (fun f b ->
-            match Tbct.Rng.choose_opt em.rng (candidate_pointers em f) with
+            match Tbct.Rng.choose_opt em.rng (candidate_pointers em.ctx f) with
             | None -> ()
             | Some (pointer, _) ->
                 ignore
@@ -195,14 +199,14 @@ let pass_add_stores =
     run =
       (fun em ->
         for_random_blocks em ~num:1 ~den:6 (fun f b ->
-            match Tbct.Rng.choose_opt em.rng (candidate_pointers em f) with
+            match Tbct.Rng.choose_opt em.rng (candidate_pointers em.ctx f) with
             | None -> ()
             | Some (pointer, ptr_ty) -> (
                 let m = em.ctx.Context.m in
                 match Module_ir.find_type m ptr_ty with
                 | Some (Ty.Pointer (_, pointee)) -> (
                     let values =
-                      List.filter (fun (_, ty) -> Id.equal ty pointee) (candidate_values em f)
+                      List.filter (fun (_, ty) -> Id.equal ty pointee) (candidate_values em.ctx f)
                     in
                     match Tbct.Rng.choose_opt em.rng values with
                     | None -> ()
@@ -226,7 +230,7 @@ let pass_add_copy_objects =
     run =
       (fun em ->
         for_random_blocks em ~num:1 ~den:8 (fun f b ->
-            match Tbct.Rng.choose_opt em.rng (candidate_values em f) with
+            match Tbct.Rng.choose_opt em.rng (candidate_values em.ctx f) with
             | None -> ()
             | Some (operand, _) ->
                 ignore
@@ -248,7 +252,7 @@ let pass_add_arithmetic_synonyms =
       (fun em ->
         for_random_blocks em ~num:1 ~den:8 (fun f b ->
             let m = em.ctx.Context.m in
-            match Tbct.Rng.choose_opt em.rng (candidate_values em f) with
+            match Tbct.Rng.choose_opt em.rng (candidate_values em.ctx f) with
             | None -> ()
             | Some (operand, ty) -> (
                 let with_kind kind id_ty id_value =
@@ -297,10 +301,10 @@ let pass_add_select_synonyms =
             let bools =
               List.filter
                 (fun (_, ty) -> Module_ir.find_type m ty = Some Ty.Bool)
-                (candidate_values em f)
+                (candidate_values em.ctx f)
             in
             match
-              (Tbct.Rng.choose_opt em.rng bools, Tbct.Rng.choose_opt em.rng (candidate_values em f))
+              (Tbct.Rng.choose_opt em.rng bools, Tbct.Rng.choose_opt em.rng (candidate_values em.ctx f))
             with
             | Some (cond, _), Some (operand, _) ->
                 ignore
@@ -318,7 +322,7 @@ let pass_add_select_synonyms =
   }
 
 (* enumerate use sites of an id in a function *)
-let use_sites_of em (f : Func.t) id =
+let use_sites_of (f : Func.t) id =
   let sites = ref [] in
   List.iter
     (fun (b : Block.t) ->
@@ -355,7 +359,6 @@ let use_sites_of em (f : Func.t) id =
               :: !sites)
         (Block.terminator_used_ids b.Block.terminator))
     f.Func.blocks;
-  ignore em;
   !sites
 
 let pass_apply_synonyms =
@@ -366,7 +369,7 @@ let pass_apply_synonyms =
         let facts = em.ctx.Context.facts in
         List.iter
           (fun (f : Func.t) ->
-            let values = candidate_values em f in
+            let values = candidate_values em.ctx f in
             List.iter
               (fun (id, _) ->
                 match Fact_manager.id_synonyms facts id with
@@ -374,7 +377,7 @@ let pass_apply_synonyms =
                 | syns ->
                     if chance em ~num:1 ~den:3 then begin
                       let synonym = Tbct.Rng.choose em.rng syns in
-                      match Tbct.Rng.choose_opt em.rng (use_sites_of em f id) with
+                      match Tbct.Rng.choose_opt em.rng (use_sites_of f id) with
                       | Some site ->
                           ignore
                             (emit em (Transformation.Replace_id_with_synonym { site; synonym }))
@@ -414,7 +417,7 @@ let pass_obfuscate_constants =
                             (emit em
                                (Transformation.Replace_constant_with_uniform
                                   { site; fresh_load = fresh em; uniform = gid })))
-                      (use_sites_of em f c))
+                      (use_sites_of f c))
                   matching)
               uniforms)
           (functions em));
@@ -427,7 +430,7 @@ let pass_add_composites =
       (fun em ->
         for_random_blocks em ~num:1 ~den:8 (fun f b ->
             let m = em.ctx.Context.m in
-            let values = candidate_values em f in
+            let values = candidate_values em.ctx f in
             (* pick a composite type we can build from available scalars *)
             let composite_tys =
               List.filter_map
@@ -559,7 +562,7 @@ let pass_function_calls =
             | Some g -> (
                 match Module_ir.find_type m g.Func.fn_ty with
                 | Some (Ty.Func (_, param_tys)) -> (
-                    let values = candidate_values em f in
+                    let values = candidate_values em.ctx f in
                     let args =
                       List.map
                         (fun pty ->
@@ -682,7 +685,7 @@ let pass_replace_irrelevant_ids =
                                     let values =
                                       List.filter
                                         (fun (_, t) -> Id.equal t pa.Func.param_ty)
-                                        (candidate_values em f)
+                                        (candidate_values em.ctx f)
                                     in
                                     match Tbct.Rng.choose_opt em.rng values with
                                     | Some (replacement, _) ->
@@ -741,7 +744,7 @@ let pass_obfuscate_bool_constants =
             let ints =
               List.filter
                 (fun (_, ty) -> Module_ir.find_type m ty = Some Ty.Int)
-                (candidate_values em f)
+                (candidate_values em.ctx f)
             in
             List.iter
               (fun c ->
@@ -756,7 +759,7 @@ let pass_obfuscate_bool_constants =
                                   { site; fresh = fresh em; operand }))
                       | None -> ()
                     end)
-                  (use_sites_of em f c))
+                  (use_sites_of f c))
               bool_constants)
           (functions em));
   }
@@ -972,9 +975,11 @@ let pass_add_variables =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The sweep list, derived from the registry                           *)
+(* The sweep list                                                      *)
 
-let implementations : t list =
+(* Order is load-bearing for determinism: the scheduler draws an index into
+   this list, so reordering it changes every campaign's RNG stream. *)
+let all : t list =
   [
     pass_split_blocks;
     pass_add_dead_blocks;
@@ -1003,17 +1008,5 @@ let implementations : t list =
     pass_add_variables;
     pass_add_uniforms;
   ]
-
-(** The sweep order is the registry's: every pass the table names must have
-    an implementation here, and passes the table does not name never run. *)
-let all : t list =
-  List.map
-    (fun name ->
-      match
-        List.find_opt (fun p -> String.equal p.name name) implementations
-      with
-      | Some p -> p
-      | None -> invalid_arg ("Pass.all: registry names unknown pass " ^ name))
-    Registry.pass_names
 
 let find name = List.find_opt (fun p -> String.equal p.name name) all

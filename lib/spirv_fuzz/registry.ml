@@ -1,26 +1,25 @@
-(** The transformation registry: one declarative table, one record per
-    transformation type, driving every consumer.
+(** The transformation registry: the metadata of every transformation
+    type, one record per {!Transformation.kind}.
 
-    Each {!entry} bundles what previously lived in four manually-synced
-    places: the stable [type_id] (deduplication, section 3.5), the family
-    the type belongs to, the sweep pass that proposes it (section 3.2), the
-    precondition/apply hooks of the transformation contract (Definition
-    2.4, implemented per-type in {!Rules}), the contract flags
-    (image-preserving, dedup-relevant), a default sampling weight for the
-    scheduler, and an opportunity generator used by the property suites to
-    manufacture valid instances on demand.
+    An {!entry} holds the stable [type_id] (deduplication, section 3.5),
+    the family the type belongs to, the sweep pass that proposes it
+    (section 3.2), whether it takes part in Figure 6 dedup signatures, and
+    an opportunity generator used by the property suites to manufacture
+    valid instances on demand.  The precondition and effect are not here:
+    {!Rules.precondition} and {!Rules.apply} dispatch on the constructor.
 
-    {!Pass.all} is derived from this table, {!Fuzzer.fuzz} samples passes by
-    the weights recorded here, {!Contract} and {!Dedup} read the flags, and
-    the [tbct transformations] CLI renders the catalogue — so adding a
-    transformation family is a data change in this file.
+    {!entry} is one match over {!Transformation.kind} with no wildcard, and
+    {!all} maps it over {!Transformation.kinds}, so the table is complete
+    by construction.  {!Fuzzer.run} samples passes by {!pass_weight},
+    {!Dedup} reads the flags, and the [tbct transformations] CLI renders
+    the table.
 
-    Determinism: with every weight at its default of [1] the weighted
-    sampler degenerates to a uniform draw over {!pass_names} (one RNG call,
-    same index arithmetic as [Rng.choose]), so default-weight campaigns
-    reproduce the pre-registry streams bit-for-bit.  The opportunity
-    generators below are used only by tests and the CLI, never by the
-    fuzzing loop, so they may consume randomness freely. *)
+    Determinism: with no weight overrides every pass weighs 1 and the
+    weighted sampler degenerates to a uniform draw over {!Pass.all} (one
+    RNG call, same index arithmetic as [Rng.choose]), so default-weight
+    campaigns reproduce the historical streams bit-for-bit.  The
+    opportunity generators below are used only by tests and the CLI, never
+    by the fuzzing loop, so they may consume randomness freely. *)
 
 open Spirv_ir
 
@@ -56,25 +55,17 @@ type gen = Context.t -> Tbct.Rng.t -> (Context.t * Transformation.t) option
 type entry = {
   type_id : string;        (** stable name, equal to {!Transformation.type_id} *)
   family : family;
-  pass : string option;    (** the sweep pass proposing this type, if any *)
-  precondition : Context.t -> Transformation.t -> bool;
-  apply : Context.t -> Transformation.t -> Context.t;
-  image_preserving : bool; (** the Definition 2.4 contract flag *)
+  pass : Pass.t option;    (** the sweep pass proposing this type, if any *)
   dedup_relevant : bool;   (** participates in Figure 6 signature sets *)
-  weight : int;            (** default sampling weight (uniform = 1) *)
   gen : gen;               (** opportunity generator for the property suites *)
 }
 
 (* ------------------------------------------------------------------ *)
 (* Generator helpers                                                   *)
 
-let fresh1 ctx =
-  let m, id = Module_ir.fresh ctx.Context.m in
-  (Context.with_module ctx m, id)
-
 let fresh2 ctx =
-  let ctx, a = fresh1 ctx in
-  let ctx, b = fresh1 ctx in
+  let ctx, a = Pass.fresh_id ctx in
+  let ctx, b = Pass.fresh_id ctx in
   (ctx, a, b)
 
 let freshn ctx n =
@@ -94,84 +85,11 @@ let scalar_type_ids ctx =
       | _ -> None)
     ctx.Context.m.Module_ir.types
 
-(* ids with their type ids plausibly usable inside [f]; generated
-   candidates are re-checked by the precondition, so over-approximation is
-   fine (the same contract as Pass.candidate_values) *)
-let values_in ctx (f : Func.t) =
-  let m = ctx.Context.m in
-  let consts =
-    List.map
-      (fun (d : Module_ir.const_decl) -> (d.Module_ir.cd_id, d.Module_ir.cd_ty))
-      m.Module_ir.constants
-  in
-  let params =
-    List.map (fun (p : Func.param) -> (p.Func.param_id, p.Func.param_ty)) f.Func.params
-  in
-  let results =
-    List.filter_map
-      (fun (i : Instr.t) ->
-        match (i.Instr.result, i.Instr.ty) with Some r, Some t -> Some (r, t) | _ -> None)
-      (Func.all_instrs f)
-  in
-  consts @ params @ results
-
-let pointers_in ctx (f : Func.t) =
-  let m = ctx.Context.m in
-  let is_ptr ty =
-    match Module_ir.find_type m ty with Some (Ty.Pointer _) -> true | _ -> false
-  in
-  let globals =
-    List.map
-      (fun (g : Module_ir.global_decl) -> (g.Module_ir.gd_id, g.Module_ir.gd_ty))
-      m.Module_ir.globals
-  in
-  List.filter (fun (_, ty) -> is_ptr ty) (globals @ values_in ctx f)
-
-(* enumerate the use sites of [id] within [f] *)
-let use_sites_in (f : Func.t) id =
-  let sites = ref [] in
-  List.iter
-    (fun (b : Block.t) ->
-      List.iteri
-        (fun idx (i : Instr.t) ->
-          List.iteri
-            (fun op_idx u ->
-              if Id.equal u id then
-                let anchor =
-                  match i.Instr.result with
-                  | Some r -> Transformation.Result_id r
-                  | None -> Transformation.Nth_instr idx
-                in
-                sites :=
-                  {
-                    Transformation.us_fn = f.Func.id;
-                    us_block = b.Block.label;
-                    us_anchor = anchor;
-                    us_operand = op_idx;
-                  }
-                  :: !sites)
-            (Instr.used_ids i))
-        b.Block.instrs;
-      List.iteri
-        (fun op_idx u ->
-          if Id.equal u id then
-            sites :=
-              {
-                Transformation.us_fn = f.Func.id;
-                us_block = b.Block.label;
-                us_anchor = Transformation.Terminator;
-                us_operand = op_idx;
-              }
-              :: !sites)
-        (Block.terminator_used_ids b.Block.terminator))
-    f.Func.blocks;
-  !sites
-
 let cap n xs = List.filteri (fun i _ -> i < n) xs
 
 (* Try the candidate thunks starting at a random rotation; accept the first
    whose result clears both the fresh-id discipline and the precondition. *)
-let search precondition rng cands =
+let search rng cands =
   let n = List.length cands in
   if n = 0 then None
   else
@@ -180,7 +98,7 @@ let search precondition rng cands =
       if k >= n then None
       else
         match (List.nth cands ((start + k) mod n)) () with
-        | Some (ctx, t) when Rules.all_fresh ctx t && precondition ctx t -> Some (ctx, t)
+        | Some (ctx, t) when Rules.precondition ctx t -> Some (ctx, t)
         | _ -> go (k + 1)
     in
     go 0
@@ -201,11 +119,11 @@ let gen_add_type ctx rng =
   let cands =
     List.map
       (fun ty () ->
-        let ctx, fresh = fresh1 ctx in
+        let ctx, fresh = Pass.fresh_id ctx in
         Some (ctx, Transformation.Add_type { fresh; ty }))
       (missing_scalars @ built)
   in
-  search Rules.pre_add_type rng cands
+  search rng cands
 
 let gen_add_constant ctx rng =
   let m = ctx.Context.m in
@@ -222,12 +140,12 @@ let gen_add_constant ctx rng =
         in
         Option.map
           (fun value () ->
-            let ctx, fresh = fresh1 ctx in
+            let ctx, fresh = Pass.fresh_id ctx in
             Some (ctx, Transformation.Add_constant { fresh; ty = d.Module_ir.td_id; value }))
           value)
       m.Module_ir.types
   in
-  search Rules.pre_add_constant rng cands
+  search rng cands
 
 let gen_add_global_variable ctx rng =
   let cands =
@@ -237,7 +155,7 @@ let gen_add_global_variable ctx rng =
         Some (ctx, Transformation.Add_global_variable { fresh; fresh_ptr_ty; pointee }))
       (scalar_type_ids ctx)
   in
-  search Rules.pre_add_global_variable rng cands
+  search rng cands
 
 let gen_add_uniform ctx rng =
   let m = ctx.Context.m in
@@ -268,7 +186,7 @@ let gen_add_uniform ctx rng =
           value)
       m.Module_ir.types
   in
-  search Rules.pre_add_uniform rng cands
+  search rng cands
 
 let gen_add_local_variable ctx rng =
   let cands =
@@ -284,7 +202,7 @@ let gen_add_local_variable ctx rng =
           (scalar_type_ids ctx))
       ctx.Context.m.Module_ir.functions
   in
-  search Rules.pre_add_local_variable rng cands
+  search rng cands
 
 let gen_add_nop ctx rng =
   let cands =
@@ -296,13 +214,13 @@ let gen_add_nop ctx rng =
               { fn = f.Func.id; block = b.Block.label; point = Transformation.At_end } ))
       (blocks_of ctx)
   in
-  search Rules.pre_add_nop rng cands
+  search rng cands
 
 let gen_split_block ctx rng =
   let cands =
     List.map
       (fun ((f : Func.t), (b : Block.t)) () ->
-        let ctx, fresh = fresh1 ctx in
+        let ctx, fresh = Pass.fresh_id ctx in
         Some
           ( ctx,
             Transformation.Split_block
@@ -310,7 +228,7 @@ let gen_split_block ctx rng =
           ))
       (blocks_of ctx)
   in
-  search Rules.pre_split_block rng cands
+  search rng cands
 
 let gen_add_dead_block ctx rng =
   match Edit.find_true_constant ctx.Context.m with
@@ -319,14 +237,14 @@ let gen_add_dead_block ctx rng =
       let cands =
         List.map
           (fun ((f : Func.t), (b : Block.t)) () ->
-            let ctx, fresh = fresh1 ctx in
+            let ctx, fresh = Pass.fresh_id ctx in
             Some
               ( ctx,
                 Transformation.Add_dead_block
                   { fn = f.Func.id; existing = b.Block.label; fresh; cond } ))
           (blocks_of ctx)
       in
-      search Rules.pre_add_dead_block rng cands
+      search rng cands
 
 let gen_replace_branch_with_kill ctx rng =
   let facts = ctx.Context.facts in
@@ -343,7 +261,7 @@ let gen_replace_branch_with_kill ctx rng =
         else None)
       (blocks_of ctx)
   in
-  search Rules.pre_replace_branch_with_kill rng cands
+  search rng cands
 
 let gen_move_block_down ctx rng =
   let cands =
@@ -352,7 +270,7 @@ let gen_move_block_down ctx rng =
         Some (ctx, Transformation.Move_block_down { fn = f.Func.id; block = b.Block.label }))
       (blocks_of ctx)
   in
-  search Rules.pre_move_block_down rng cands
+  search rng cands
 
 let gen_wrap_region_in_selection ctx rng =
   let m = ctx.Context.m in
@@ -384,20 +302,20 @@ let gen_wrap_region_in_selection ctx rng =
           conds)
       (blocks_of ctx)
   in
-  search Rules.pre_wrap_region_in_selection rng cands
+  search rng cands
 
 let gen_invert_branch_condition ctx rng =
   let cands =
     List.map
       (fun ((f : Func.t), (b : Block.t)) () ->
-        let ctx, fresh = fresh1 ctx in
+        let ctx, fresh = Pass.fresh_id ctx in
         Some
           ( ctx,
             Transformation.Invert_branch_condition
               { fn = f.Func.id; block = b.Block.label; fresh } ))
       (blocks_of ctx)
   in
-  search Rules.pre_invert_branch_condition rng cands
+  search rng cands
 
 let gen_propagate_instruction_up ctx rng =
   let cands =
@@ -418,7 +336,7 @@ let gen_propagate_instruction_up ctx rng =
                   } ))
       (blocks_of ctx)
   in
-  search Rules.pre_propagate_instruction_up rng cands
+  search rng cands
 
 let gen_permute_phi_entries ctx rng =
   let cands =
@@ -438,7 +356,7 @@ let gen_permute_phi_entries ctx rng =
           b.Block.instrs)
       (blocks_of ctx)
   in
-  search Rules.pre_permute_phi_entries rng cands
+  search rng cands
 
 let gen_swap_commutative_operands ctx rng =
   let cands =
@@ -458,7 +376,7 @@ let gen_swap_commutative_operands ctx rng =
           b.Block.instrs)
       (blocks_of ctx)
   in
-  search Rules.pre_swap_commutative_operands rng cands
+  search rng cands
 
 let gen_add_load ctx rng =
   let cands =
@@ -466,7 +384,7 @@ let gen_add_load ctx rng =
       (fun ((f : Func.t), (b : Block.t)) ->
         List.map
           (fun (pointer, _) () ->
-            let ctx, fresh = fresh1 ctx in
+            let ctx, fresh = Pass.fresh_id ctx in
             Some
               ( ctx,
                 Transformation.Add_load
@@ -477,17 +395,17 @@ let gen_add_load ctx rng =
                     fresh;
                     pointer;
                   } ))
-          (pointers_in ctx f))
+          (Pass.candidate_pointers ctx f))
       (blocks_of ctx)
   in
-  search Rules.pre_add_load rng (cap 256 cands)
+  search rng (cap 256 cands)
 
 let gen_add_store ctx rng =
   let m = ctx.Context.m in
   let cands =
     List.concat_map
       (fun ((f : Func.t), (b : Block.t)) ->
-        let values = values_in ctx f in
+        let values = Pass.candidate_values ctx f in
         List.concat_map
           (fun (pointer, ptr_ty) ->
             match Module_ir.find_type m ptr_ty with
@@ -510,10 +428,10 @@ let gen_add_store ctx rng =
                     else None)
                   values
             | _ -> [])
-          (pointers_in ctx f))
+          (Pass.candidate_pointers ctx f))
       (blocks_of ctx)
   in
-  search Rules.pre_add_store rng (cap 256 cands)
+  search rng (cap 256 cands)
 
 let gen_add_copy_object ctx rng =
   let cands =
@@ -521,7 +439,7 @@ let gen_add_copy_object ctx rng =
       (fun ((f : Func.t), (b : Block.t)) ->
         List.map
           (fun (operand, _) () ->
-            let ctx, fresh = fresh1 ctx in
+            let ctx, fresh = Pass.fresh_id ctx in
             Some
               ( ctx,
                 Transformation.Add_copy_object
@@ -532,10 +450,10 @@ let gen_add_copy_object ctx rng =
                     fresh;
                     operand;
                   } ))
-          (values_in ctx f))
+          (Pass.candidate_values ctx f))
       (blocks_of ctx)
   in
-  search Rules.pre_add_copy_object rng (cap 256 cands)
+  search rng (cap 256 cands)
 
 let gen_add_arithmetic_synonym ctx rng =
   let m = ctx.Context.m in
@@ -562,7 +480,7 @@ let gen_add_arithmetic_synonym ctx rng =
                     if Id.equal ty tid then
                       Some
                         (fun () ->
-                          let ctx, fresh = fresh1 ctx in
+                          let ctx, fresh = Pass.fresh_id ctx in
                           Some
                             ( ctx,
                               Transformation.Add_arithmetic_synonym
@@ -576,17 +494,17 @@ let gen_add_arithmetic_synonym ctx rng =
                                   identity;
                                 } ))
                     else None)
-                  (values_in ctx f))
+                  (Pass.candidate_values ctx f))
               (blocks_of ctx)
           in
-          search Rules.pre_add_arithmetic_synonym rng (cap 256 cands))
+          search rng (cap 256 cands))
 
 let gen_add_select_synonym ctx rng =
   let m = ctx.Context.m in
   let cands =
     List.concat_map
       (fun ((f : Func.t), (b : Block.t)) ->
-        let values = values_in ctx f in
+        let values = Pass.candidate_values ctx f in
         let bools =
           List.filter (fun (_, ty) -> Module_ir.find_type m ty = Some Ty.Bool) values
         in
@@ -594,7 +512,7 @@ let gen_add_select_synonym ctx rng =
           (fun (cond, _) ->
             List.map
               (fun (operand, _) () ->
-                let ctx, fresh = fresh1 ctx in
+                let ctx, fresh = Pass.fresh_id ctx in
                 Some
                   ( ctx,
                     Transformation.Add_select_synonym
@@ -610,7 +528,7 @@ let gen_add_select_synonym ctx rng =
           bools)
       (blocks_of ctx)
   in
-  search Rules.pre_add_select_synonym rng (cap 256 cands)
+  search rng (cap 256 cands)
 
 let gen_replace_id_with_synonym ctx rng =
   let facts = ctx.Context.facts in
@@ -628,11 +546,11 @@ let gen_replace_id_with_synonym ctx rng =
                       (fun synonym () ->
                         Some (ctx, Transformation.Replace_id_with_synonym { site; synonym }))
                       syns)
-                  (use_sites_in f id))
-          (values_in ctx f))
+                  (Pass.use_sites_of f id))
+          (Pass.candidate_values ctx f))
       ctx.Context.m.Module_ir.functions
   in
-  search Rules.pre_replace_id_with_synonym rng (cap 256 cands)
+  search rng (cap 256 cands)
 
 let gen_replace_bool_constant_with_binary ctx rng =
   let m = ctx.Context.m in
@@ -650,7 +568,7 @@ let gen_replace_bool_constant_with_binary ctx rng =
         let ints =
           List.filter
             (fun (_, ty) -> Module_ir.find_type m ty = Some Ty.Int)
-            (values_in ctx f)
+            (Pass.candidate_values ctx f)
         in
         List.concat_map
           (fun c ->
@@ -658,24 +576,24 @@ let gen_replace_bool_constant_with_binary ctx rng =
               (fun site ->
                 List.map
                   (fun (operand, _) () ->
-                    let ctx, fresh = fresh1 ctx in
+                    let ctx, fresh = Pass.fresh_id ctx in
                     Some
                       ( ctx,
                         Transformation.Replace_bool_constant_with_binary
                           { site; fresh; operand } ))
                   ints)
-              (use_sites_in f c))
+              (Pass.use_sites_of f c))
           bool_constants)
       m.Module_ir.functions
   in
-  search Rules.pre_replace_bool_constant_with_binary rng (cap 256 cands)
+  search rng (cap 256 cands)
 
 let gen_replace_irrelevant_id ctx rng =
   let facts = ctx.Context.facts in
   let cands =
     List.concat_map
       (fun (f : Func.t) ->
-        let values = values_in ctx f in
+        let values = Pass.candidate_values ctx f in
         List.concat_map
           (fun (id, ty) ->
             if Fact_manager.is_irrelevant facts id then
@@ -692,12 +610,12 @@ let gen_replace_irrelevant_id ctx rng =
                               ))
                       else None)
                     values)
-                (use_sites_in f id)
+                (Pass.use_sites_of f id)
             else [])
           values)
       ctx.Context.m.Module_ir.functions
   in
-  search Rules.pre_replace_irrelevant_id rng (cap 256 cands)
+  search rng (cap 256 cands)
 
 let gen_replace_constant_with_uniform ctx rng =
   let m = ctx.Context.m in
@@ -720,17 +638,17 @@ let gen_replace_constant_with_uniform ctx rng =
               (fun c ->
                 List.map
                   (fun site () ->
-                    let ctx, fresh_load = fresh1 ctx in
+                    let ctx, fresh_load = Pass.fresh_id ctx in
                     Some
                       ( ctx,
                         Transformation.Replace_constant_with_uniform
                           { site; fresh_load; uniform = gid } ))
-                  (use_sites_in f c))
+                  (Pass.use_sites_of f c))
               matching)
           m.Module_ir.functions)
       (Context.known_uniforms ctx)
   in
-  search Rules.pre_replace_constant_with_uniform rng (cap 256 cands)
+  search rng (cap 256 cands)
 
 let gen_composite_construct ctx rng =
   let m = ctx.Context.m in
@@ -745,7 +663,7 @@ let gen_composite_construct ctx rng =
   let cands =
     List.concat_map
       (fun ((f : Func.t), (b : Block.t)) ->
-        let values = values_in ctx f in
+        let values = Pass.candidate_values ctx f in
         List.filter_map
           (fun ty ->
             match Module_ir.composite_arity m ty with
@@ -763,7 +681,7 @@ let gen_composite_construct ctx rng =
                 if List.for_all Option.is_some parts then
                   Some
                     (fun () ->
-                      let ctx, fresh = fresh1 ctx in
+                      let ctx, fresh = Pass.fresh_id ctx in
                       Some
                         ( ctx,
                           Transformation.Composite_construct
@@ -779,7 +697,7 @@ let gen_composite_construct ctx rng =
           composite_tys)
       (blocks_of ctx)
   in
-  search Rules.pre_composite_construct rng (cap 256 cands)
+  search rng (cap 256 cands)
 
 let gen_composite_extract ctx rng =
   let m = ctx.Context.m in
@@ -791,7 +709,7 @@ let gen_composite_extract ctx rng =
             if Module_ir.ty_at_path m ty [ 0 ] <> None then
               Some
                 (fun () ->
-                  let ctx, fresh = fresh1 ctx in
+                  let ctx, fresh = Pass.fresh_id ctx in
                   Some
                     ( ctx,
                       Transformation.Composite_extract
@@ -804,10 +722,10 @@ let gen_composite_extract ctx rng =
                           path = [ 0 ];
                         } ))
             else None)
-          (values_in ctx f))
+          (Pass.candidate_values ctx f))
       (blocks_of ctx)
   in
-  search Rules.pre_composite_extract rng (cap 256 cands)
+  search rng (cap 256 cands)
 
 let gen_set_function_control ctx rng =
   let cands =
@@ -823,14 +741,14 @@ let gen_set_function_control ctx rng =
           [ Func.CNone; Func.DontInline; Func.AlwaysInline ])
       ctx.Context.m.Module_ir.functions
   in
-  search Rules.pre_set_function_control rng cands
+  search rng cands
 
 let gen_function_call ctx rng =
   let m = ctx.Context.m in
   let cands =
     List.concat_map
       (fun ((f : Func.t), (b : Block.t)) ->
-        let values = values_in ctx f in
+        let values = Pass.candidate_values ctx f in
         List.filter_map
           (fun (g : Func.t) ->
             if Id.equal g.Func.id f.Func.id then None
@@ -848,7 +766,7 @@ let gen_function_call ctx rng =
                   if List.for_all Option.is_some args then
                     Some
                       (fun () ->
-                        let ctx, fresh = fresh1 ctx in
+                        let ctx, fresh = Pass.fresh_id ctx in
                         Some
                           ( ctx,
                             Transformation.Function_call
@@ -865,7 +783,7 @@ let gen_function_call ctx rng =
           m.Module_ir.functions)
       (blocks_of ctx)
   in
-  search Rules.pre_function_call rng (cap 256 cands)
+  search rng (cap 256 cands)
 
 let gen_add_parameter ctx rng =
   let m = ctx.Context.m in
@@ -883,7 +801,7 @@ let gen_add_parameter ctx rng =
           m.Module_ir.constants)
       m.Module_ir.functions
   in
-  search Rules.pre_add_parameter rng (cap 128 cands)
+  search rng (cap 128 cands)
 
 (* a minimal donor-free payload: a one-block function returning an int
    constant; all declarations carry fresh ids and are interned on apply *)
@@ -918,7 +836,7 @@ let gen_add_function ctx rng =
               } )
     | _ -> None
   in
-  search Rules.pre_add_function rng [ cand ]
+  search rng [ cand ]
 
 let gen_inline_function ctx rng =
   let m = ctx.Context.m in
@@ -951,146 +869,87 @@ let gen_inline_function ctx rng =
           b.Block.instrs)
       (blocks_of ctx)
   in
-  search Rules.pre_inline_function rng cands
+  search rng cands
 
 (* ------------------------------------------------------------------ *)
 (* The table                                                           *)
 
-(* Entry order is load-bearing for determinism: the first occurrence of
-   each pass name, walking this list, must reproduce the historical pass
-   sweep order — {!pass_names} (and hence [Pass.all] and the scheduler's
-   uniform draw) is derived from it. *)
-let all : entry list =
-  let e type_id family pass ~dedup precondition apply gen =
-    {
-      type_id;
-      family;
-      pass;
-      precondition;
-      apply;
-      image_preserving = true;
-      dedup_relevant = dedup;
-      weight = 1;
-      gen;
-    }
+let entry (k : Transformation.kind) =
+  let e family pass ~dedup gen =
+    { type_id = Transformation.kind_id k; family; pass; dedup_relevant = dedup; gen }
   in
-  [
-    e "AddType" Supporting None ~dedup:false Rules.pre_add_type Rules.apply_add_type
-      gen_add_type;
-    e "AddConstant" Supporting None ~dedup:false Rules.pre_add_constant
-      Rules.apply_add_constant gen_add_constant;
-    e "AddNop" Supporting None ~dedup:false Rules.pre_add_nop Rules.apply_add_nop
-      gen_add_nop;
-    e "SplitBlock" Control_flow (Some "split_blocks") ~dedup:false Rules.pre_split_block
-      Rules.apply_split_block gen_split_block;
-    e "AddDeadBlock" Control_flow (Some "add_dead_blocks") ~dedup:true
-      Rules.pre_add_dead_block Rules.apply_add_dead_block gen_add_dead_block;
-    e "AddLoad" Data (Some "add_loads") ~dedup:true Rules.pre_add_load Rules.apply_add_load
-      gen_add_load;
-    e "AddStore" Data (Some "add_stores") ~dedup:true Rules.pre_add_store
-      Rules.apply_add_store gen_add_store;
-    e "AddCopyObject" Data (Some "add_copy_objects") ~dedup:true Rules.pre_add_copy_object
-      Rules.apply_add_copy_object gen_add_copy_object;
-    e "AddArithmeticSynonym" Data (Some "add_arithmetic_synonyms") ~dedup:true
-      Rules.pre_add_arithmetic_synonym Rules.apply_add_arithmetic_synonym
-      gen_add_arithmetic_synonym;
-    e "AddSelectSynonym" Data (Some "add_select_synonyms") ~dedup:true
-      Rules.pre_add_select_synonym Rules.apply_add_select_synonym gen_add_select_synonym;
-    e "ReplaceIdWithSynonym" Data (Some "apply_synonyms") ~dedup:false
-      Rules.pre_replace_id_with_synonym Rules.apply_replace_id_with_synonym
-      gen_replace_id_with_synonym;
-    e "ReplaceConstantWithUniform" Obfuscation (Some "obfuscate_constants") ~dedup:true
-      Rules.pre_replace_constant_with_uniform Rules.apply_replace_constant_with_uniform
-      gen_replace_constant_with_uniform;
-    e "CompositeConstruct" Data (Some "add_composites") ~dedup:true
-      Rules.pre_composite_construct Rules.apply_composite_construct gen_composite_construct;
-    e "CompositeExtract" Data (Some "add_composites") ~dedup:true
-      Rules.pre_composite_extract Rules.apply_composite_extract gen_composite_extract;
-    e "AddFunction" Function_ops (Some "add_functions") ~dedup:false Rules.pre_add_function
-      Rules.apply_add_function gen_add_function;
-    e "FunctionCall" Function_ops (Some "function_calls") ~dedup:true
-      Rules.pre_function_call Rules.apply_function_call gen_function_call;
-    e "InlineFunction" Function_ops (Some "inline_functions") ~dedup:true
-      Rules.pre_inline_function Rules.apply_inline_function gen_inline_function;
-    e "AddParameter" Function_ops (Some "add_parameters") ~dedup:true
-      Rules.pre_add_parameter Rules.apply_add_parameter gen_add_parameter;
-    e "ReplaceIrrelevantId" Obfuscation (Some "replace_irrelevant_ids") ~dedup:true
-      Rules.pre_replace_irrelevant_id Rules.apply_replace_irrelevant_id
-      gen_replace_irrelevant_id;
-    e "SwapCommutativeOperands" Data (Some "swap_commutative_operands") ~dedup:true
-      Rules.pre_swap_commutative_operands Rules.apply_swap_commutative_operands
-      gen_swap_commutative_operands;
-    e "ReplaceBooleanConstantWithBinary" Obfuscation (Some "obfuscate_bool_constants")
-      ~dedup:true Rules.pre_replace_bool_constant_with_binary
-      Rules.apply_replace_bool_constant_with_binary gen_replace_bool_constant_with_binary;
-    e "MoveBlockDown" Control_flow (Some "move_blocks_down") ~dedup:true
-      Rules.pre_move_block_down Rules.apply_move_block_down gen_move_block_down;
-    e "WrapRegionInSelection" Control_flow (Some "wrap_regions") ~dedup:true
-      Rules.pre_wrap_region_in_selection Rules.apply_wrap_region_in_selection
-      gen_wrap_region_in_selection;
-    e "InvertBranchCondition" Control_flow (Some "invert_conditions") ~dedup:true
-      Rules.pre_invert_branch_condition Rules.apply_invert_branch_condition
-      gen_invert_branch_condition;
-    e "PropagateInstructionUp" Control_flow (Some "propagate_instructions_up") ~dedup:true
-      Rules.pre_propagate_instruction_up Rules.apply_propagate_instruction_up
-      gen_propagate_instruction_up;
-    e "ReplaceBranchWithKill" Control_flow (Some "replace_branches_with_kill") ~dedup:true
-      Rules.pre_replace_branch_with_kill Rules.apply_replace_branch_with_kill
-      gen_replace_branch_with_kill;
-    e "SetFunctionControl" Function_ops (Some "set_function_controls") ~dedup:true
-      Rules.pre_set_function_control Rules.apply_set_function_control
-      gen_set_function_control;
-    e "PermutePhiEntries" Control_flow (Some "permute_phis") ~dedup:true
-      Rules.pre_permute_phi_entries Rules.apply_permute_phi_entries gen_permute_phi_entries;
-    e "AddGlobalVariable" Supporting (Some "add_variables") ~dedup:false
-      Rules.pre_add_global_variable Rules.apply_add_global_variable gen_add_global_variable;
-    e "AddLocalVariable" Supporting (Some "add_variables") ~dedup:false
-      Rules.pre_add_local_variable Rules.apply_add_local_variable gen_add_local_variable;
-    e "AddUniform" Supporting (Some "add_uniforms") ~dedup:false Rules.pre_add_uniform
-      Rules.apply_add_uniform gen_add_uniform;
-  ]
+  match k with
+  | AddType -> e Supporting None ~dedup:false gen_add_type
+  | AddConstant -> e Supporting None ~dedup:false gen_add_constant
+  | AddNop -> e Supporting None ~dedup:false gen_add_nop
+  | SplitBlock ->
+      e Control_flow (Some Pass.pass_split_blocks) ~dedup:false gen_split_block
+  | AddDeadBlock ->
+      e Control_flow (Some Pass.pass_add_dead_blocks) ~dedup:true gen_add_dead_block
+  | AddLoad -> e Data (Some Pass.pass_add_loads) ~dedup:true gen_add_load
+  | AddStore -> e Data (Some Pass.pass_add_stores) ~dedup:true gen_add_store
+  | AddCopyObject ->
+      e Data (Some Pass.pass_add_copy_objects) ~dedup:true gen_add_copy_object
+  | AddArithmeticSynonym ->
+      e Data (Some Pass.pass_add_arithmetic_synonyms) ~dedup:true gen_add_arithmetic_synonym
+  | AddSelectSynonym ->
+      e Data (Some Pass.pass_add_select_synonyms) ~dedup:true gen_add_select_synonym
+  | ReplaceIdWithSynonym ->
+      e Data (Some Pass.pass_apply_synonyms) ~dedup:false gen_replace_id_with_synonym
+  | ReplaceConstantWithUniform ->
+      e Obfuscation (Some Pass.pass_obfuscate_constants) ~dedup:true
+        gen_replace_constant_with_uniform
+  | CompositeConstruct ->
+      e Data (Some Pass.pass_add_composites) ~dedup:true gen_composite_construct
+  | CompositeExtract ->
+      e Data (Some Pass.pass_add_composites) ~dedup:true gen_composite_extract
+  | AddFunction ->
+      e Function_ops (Some Pass.pass_add_functions) ~dedup:false gen_add_function
+  | FunctionCall ->
+      e Function_ops (Some Pass.pass_function_calls) ~dedup:true gen_function_call
+  | InlineFunction ->
+      e Function_ops (Some Pass.pass_inline_functions) ~dedup:true gen_inline_function
+  | AddParameter ->
+      e Function_ops (Some Pass.pass_add_parameters) ~dedup:true gen_add_parameter
+  | ReplaceIrrelevantId ->
+      e Obfuscation (Some Pass.pass_replace_irrelevant_ids) ~dedup:true
+        gen_replace_irrelevant_id
+  | SwapCommutativeOperands ->
+      e Data (Some Pass.pass_swap_commutative_operands) ~dedup:true
+        gen_swap_commutative_operands
+  | ReplaceBooleanConstantWithBinary ->
+      e Obfuscation (Some Pass.pass_obfuscate_bool_constants) ~dedup:true
+        gen_replace_bool_constant_with_binary
+  | MoveBlockDown ->
+      e Control_flow (Some Pass.pass_move_blocks_down) ~dedup:true gen_move_block_down
+  | WrapRegionInSelection ->
+      e Control_flow (Some Pass.pass_wrap_regions) ~dedup:true gen_wrap_region_in_selection
+  | InvertBranchCondition ->
+      e Control_flow (Some Pass.pass_invert_conditions) ~dedup:true gen_invert_branch_condition
+  | PropagateInstructionUp ->
+      e Control_flow (Some Pass.pass_propagate_instructions_up) ~dedup:true
+        gen_propagate_instruction_up
+  | ReplaceBranchWithKill ->
+      e Control_flow (Some Pass.pass_replace_branches_with_kill) ~dedup:true
+        gen_replace_branch_with_kill
+  | SetFunctionControl ->
+      e Function_ops (Some Pass.pass_set_function_controls) ~dedup:true gen_set_function_control
+  | PermutePhiEntries ->
+      e Control_flow (Some Pass.pass_permute_phis) ~dedup:true gen_permute_phi_entries
+  | AddGlobalVariable ->
+      e Supporting (Some Pass.pass_add_variables) ~dedup:false gen_add_global_variable
+  | AddLocalVariable ->
+      e Supporting (Some Pass.pass_add_variables) ~dedup:false gen_add_local_variable
+  | AddUniform -> e Supporting (Some Pass.pass_add_uniforms) ~dedup:false gen_add_uniform
 
-(* ------------------------------------------------------------------ *)
-(* Lookups and derived views                                           *)
-
-let by_id : (string, entry) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun e -> Hashtbl.replace tbl e.type_id e) all;
-  tbl
-
-let find type_id = Hashtbl.find_opt by_id type_id
-
-let entry_of t =
-  match find (Transformation.type_id t) with
-  | Some e -> e
-  | None ->
-      invalid_arg ("Registry.entry_of: no entry for " ^ Transformation.type_id t)
-
-(** The full transformation precondition: the fresh-id discipline plus the
-    per-type check from the entry. *)
-let precondition ctx t = Rules.all_fresh ctx t && (entry_of t).precondition ctx t
-
-(** Apply a transformation whose precondition holds: claim its fresh ids,
-    then run the per-type effect. *)
-let apply ctx t =
-  (entry_of t).apply (Context.claim ctx (Transformation.fresh_ids t)) t
-
-let image_preserving t = (entry_of t).image_preserving
+(** Every entry, in {!Transformation.kinds} order. *)
+let all : entry list = List.map entry Transformation.kinds
 
 (** Types excluded from Figure 6 dedup signatures, derived from the
     [dedup_relevant] flags. *)
 let dedup_ignored =
   Tbct.Dedup.String_set.of_list
     (List.filter_map (fun e -> if e.dedup_relevant then None else Some e.type_id) all)
-
-(** Pass names in sweep order: first occurrence walking the table. *)
-let pass_names =
-  List.fold_left
-    (fun acc e ->
-      match e.pass with
-      | Some p when not (List.mem p acc) -> acc @ [ p ]
-      | _ -> acc)
-    [] all
 
 (** Follow-on recommendations (section 3.2): after running a pass, a random
     subset of these is pushed onto the recommendation queue. *)
@@ -1139,9 +998,9 @@ let injected_pass_bugs =
 (* ------------------------------------------------------------------ *)
 (* Weights                                                             *)
 
-(** The effective sampling weight of a pass: the maximum over its member
-    entries of [entry weight × family multiplier].  With no overrides every
-    pass weighs 1 and the scheduler's draw is uniform. *)
+(** The effective sampling weight of a pass: the largest family multiplier
+    among its member entries, [0] for a pass no entry names.  With no
+    overrides every pass weighs 1 and the scheduler's draw is uniform. *)
 let pass_weight ?(weights = []) name =
   let mult fam =
     match List.assoc_opt fam weights with Some n -> n | None -> 1
@@ -1149,34 +1008,41 @@ let pass_weight ?(weights = []) name =
   List.fold_left
     (fun acc e ->
       match e.pass with
-      | Some p when String.equal p name -> max acc (e.weight * mult e.family)
+      | Some p when String.equal p.Pass.name name -> max acc (mult e.family)
       | _ -> acc)
     0 all
 
 (** Parse a ["FAMILY=N,FAMILY=N"] weight override list (the [--weights]
     CLI syntax).  Weights must be non-negative; a weight of 0 disables the
-    family's passes entirely. *)
+    family's passes entirely, and at least one pass must keep a positive
+    weight. *)
 let parse_weights s =
   let items =
     List.filter
       (fun item -> String.trim item <> "")
       (String.split_on_char ',' s)
   in
-  List.fold_left
-    (fun acc item ->
-      Result.bind acc (fun ws ->
-          match String.index_opt item '=' with
-          | None -> Error (Printf.sprintf "expected FAMILY=N, got %S" item)
-          | Some i -> (
-              let fam_s = String.trim (String.sub item 0 i) in
-              let n_s =
-                String.trim (String.sub item (i + 1) (String.length item - i - 1))
-              in
-              match (family_of_string fam_s, int_of_string_opt n_s) with
-              | Some fam, Some n when n >= 0 -> Ok (ws @ [ (fam, n) ])
-              | None, _ ->
-                  Error
-                    (Printf.sprintf "unknown family %S (expected %s)" fam_s
-                       (String.concat "|" (List.map family_to_string families)))
-              | Some _, _ -> Error (Printf.sprintf "bad weight %S" n_s))))
-    (Ok []) items
+  let parsed =
+    List.fold_left
+      (fun acc item ->
+        Result.bind acc (fun ws ->
+            match String.index_opt item '=' with
+            | None -> Error (Printf.sprintf "expected FAMILY=N, got %S" item)
+            | Some i -> (
+                let fam_s = String.trim (String.sub item 0 i) in
+                let n_s =
+                  String.trim (String.sub item (i + 1) (String.length item - i - 1))
+                in
+                match (family_of_string fam_s, int_of_string_opt n_s) with
+                | Some fam, Some n when n >= 0 -> Ok (ws @ [ (fam, n) ])
+                | None, _ ->
+                    Error
+                      (Printf.sprintf "unknown family %S (expected %s)" fam_s
+                         (String.concat "|" (List.map family_to_string families)))
+                | Some _, _ -> Error (Printf.sprintf "bad weight %S" n_s))))
+      (Ok []) items
+  in
+  Result.bind parsed (fun weights ->
+      if List.exists (fun (p : Pass.t) -> pass_weight ~weights p.Pass.name > 0) Pass.all
+      then Ok weights
+      else Error "every pass has weight 0; at least one family needs a positive weight")

@@ -1,20 +1,15 @@
-(** Per-type preconditions and effects for every transformation in the
-    catalogue.
+(** The precondition and the effect of every transformation type
+    (Definition 2.4).
 
-    Each transformation type contributes one [pre_*] function deciding
-    applicability (Definition 2.4) and one [apply_*] function performing the
-    effect; {!Registry} binds them together into the catalogue table and is
-    the only dispatcher — this module deliberately contains no match over
-    the whole {!Transformation.t} type.  A handful of CFG transformations
-    (MoveBlockDown, ReplaceBranchWithKill) fold "the result still respects
-    the dominance ordering rules" into the precondition by validating the
-    candidate module, exactly as spirv-fuzz's IsApplicable checks do.
-
-    Every [pre_*]/[apply_*] function handles exactly one constructor and
-    treats any other transformation as inapplicable ([false] / identity);
-    {!Registry} guarantees they are only ever called with their own type.
-    The [apply_*] functions expect the transformation's fresh ids to have
-    been claimed already ({!Registry.apply} does it). *)
+    {!precondition} and {!apply} are each one match over
+    {!Transformation.t} with an arm per constructor and no wildcard, so a
+    constructor added to the type does not compile until both of its arms
+    exist.  Every consumer (the fuzzer passes, replay, the contract checker,
+    the registry's opportunity generators) calls these two functions; there
+    is no other dispatch.  A handful of CFG transformations (MoveBlockDown,
+    ReplaceBranchWithKill) fold "the result still respects the dominance
+    ordering rules" into the precondition by validating the candidate
+    module, exactly as spirv-fuzz's IsApplicable checks do. *)
 
 open Spirv_ir
 open Transformation
@@ -263,9 +258,14 @@ let move_block_down_m ctx ~fn ~block =
       { f with Func.blocks = swap f.Func.blocks })
 
 (* ------------------------------------------------------------------ *)
-(* Preconditions, one function per transformation type                 *)
+(* Preconditions                                                       *)
 
-let pre_add_type ctx = function
+(** Whether [t] applies to [ctx]: every id it introduces is fresh, and its
+    type's own condition holds. *)
+let precondition ctx t =
+  all_fresh ctx t
+  &&
+  match t with
   | Add_type { ty; fresh = _ } -> (
       let m = module_of ctx in
       Module_ir.find_type_id m ty = None
@@ -281,9 +281,6 @@ let pre_add_type ctx = function
       | Ty.Func (r, ps) ->
           Module_ir.find_type m r <> None
           && List.for_all (fun c -> Module_ir.find_type m c <> None) ps)
-  | _ -> false
-
-let pre_add_constant ctx = function
   | Add_constant { ty; value; fresh = _ } -> (
       let m = module_of ctx in
       Module_ir.find_constant_id m ~ty ~value = None
@@ -305,16 +302,10 @@ let pre_add_constant ctx = function
                 (List.mapi (fun idx p -> (idx, p)) parts)
           | Some _ | None -> false)
       | _ -> false)
-  | _ -> false
-
-let pre_add_global_variable ctx = function
   | Add_global_variable { pointee; _ } -> (
       match Module_ir.find_type (module_of ctx) pointee with
       | Some (Ty.Void | Ty.Func _ | Ty.Pointer _) | None -> false
       | Some _ -> true)
-  | _ -> false
-
-let pre_add_uniform ctx = function
   | Add_uniform { pointee; name; value; _ } -> (
       let m = module_of ctx in
       (* the name must be unused in both the module and the input, and the
@@ -330,9 +321,6 @@ let pre_add_uniform ctx = function
       | Some Ty.Int, Value.VInt _ -> true
       | Some Ty.Float, Value.VFloat _ -> true
       | _ -> false)
-  | _ -> false
-
-let pre_add_local_variable ctx = function
   | Add_local_variable { fn; pointee; _ } -> (
       let m = module_of ctx in
       Module_ir.find_function m fn <> None
@@ -340,13 +328,7 @@ let pre_add_local_variable ctx = function
       match Module_ir.find_type m pointee with
       | Some (Ty.Void | Ty.Func _ | Ty.Pointer _) | None -> false
       | Some _ -> true)
-  | _ -> false
-
-let pre_add_nop ctx = function
   | Add_nop { fn; block; point } -> point_offset ctx ~fn ~block point <> None
-  | _ -> false
-
-let pre_split_block ctx = function
   | Split_block { fn; block; point; fresh = _ } -> (
       match lookup_block ctx ~fn ~block with
       | None -> false
@@ -362,9 +344,6 @@ let pre_split_block ctx = function
                       (fun (i : Instr.t) ->
                         match i.Instr.op with Instr.Variable _ -> false | _ -> true)
                       (List.filteri (fun idx _ -> idx >= o) b.Block.instrs))))
-  | _ -> false
-
-let pre_add_dead_block ctx = function
   | Add_dead_block { fn; existing; fresh = _; cond } -> (
       is_bool_constant ctx cond true
       &&
@@ -377,18 +356,12 @@ let pre_add_dead_block ctx = function
               | Some s -> Edit.phi_count s = 0
               | None -> false)
           | _ -> false))
-  | _ -> false
-
-let pre_replace_branch_with_kill ctx = function
   | Replace_branch_with_kill { fn; block } ->
       Fact_manager.is_dead_block ctx.Context.facts block
       && (match lookup_block ctx ~fn ~block with
          | Some (_, b) -> Block.successors b <> []
          | None -> false)
       && validates (replace_branch_with_kill_m ctx ~fn ~block)
-  | _ -> false
-
-let pre_move_block_down ctx = function
   | Move_block_down { fn; block } -> (
       match Module_ir.find_function (module_of ctx) fn with
       | None -> false
@@ -399,9 +372,6 @@ let pre_move_block_down ctx = function
               (not (Id.equal entry.Block.label block))
               && has_syntactic_successor f block
               && validates (move_block_down_m ctx ~fn ~block)))
-  | _ -> false
-
-let pre_wrap_region_in_selection ctx = function
   | Wrap_region_in_selection { fn; block; cond; branch_on_true; _ } -> (
       is_bool_constant ctx cond branch_on_true
       &&
@@ -439,9 +409,6 @@ let pre_wrap_region_in_selection ctx = function
                (fun (i : Instr.t) ->
                  match i.Instr.op with Instr.Variable _ -> false | _ -> true)
                b.Block.instrs)
-  | _ -> false
-
-let pre_invert_branch_condition ctx = function
   | Invert_branch_condition { fn; block; fresh = _ } -> (
       match lookup_block ctx ~fn ~block with
       | Some (_, b) -> (
@@ -449,9 +416,6 @@ let pre_invert_branch_condition ctx = function
           | Block.BranchConditional _ -> true
           | _ -> false)
       | None -> false)
-  | _ -> false
-
-let pre_propagate_instruction_up ctx = function
   | Propagate_instruction_up { fn; block; fresh_per_pred } -> (
       let m = module_of ctx in
       match lookup_block ctx ~fn ~block with
@@ -501,9 +465,6 @@ let pre_propagate_instruction_up ctx = function
                       Analysis.available_at_end analysis ~block:pred op')
                     (Instr.used_ids i))
                 preds)))
-  | _ -> false
-
-let pre_permute_phi_entries ctx = function
   | Permute_phi_entries { fn; block; phi; rotation } -> (
       rotation >= 0
       &&
@@ -515,9 +476,6 @@ let pre_permute_phi_entries ctx = function
               i.Instr.result = Some phi
               && (match i.Instr.op with Instr.Phi inc -> List.length inc >= 2 | _ -> false))
             b.Block.instrs)
-  | _ -> false
-
-let pre_swap_commutative_operands ctx = function
   | Swap_commutative_operands { fn; block; instr } -> (
       match lookup_block ctx ~fn ~block with
       | None -> false
@@ -539,18 +497,12 @@ let pre_swap_commutative_operands ctx = function
                   true
               | _ -> false)
             b.Block.instrs)
-  | _ -> false
-
-let pre_add_load ctx = function
   | Add_load { fn; block; point; fresh = _; pointer } -> (
       match point_offset ctx ~fn ~block point with
       | None -> false
       | Some o -> (
           available ctx ~fn ~block ~offset:o pointer
           && match type_struct ctx pointer with Some (Ty.Pointer _) -> true | _ -> false))
-  | _ -> false
-
-let pre_add_store ctx = function
   | Add_store { fn; block; point; pointer; value } -> (
       match point_offset ctx ~fn ~block point with
       | None -> false
@@ -565,17 +517,11 @@ let pre_add_store ctx = function
           | Some (Ty.Pointer ((Ty.Function | Ty.Private | Ty.Output), pointee)) ->
               type_of_id ctx value = Some pointee
           | _ -> false))
-  | _ -> false
-
-let pre_add_copy_object ctx = function
   | Add_copy_object { fn; block; point; fresh = _; operand } -> (
       match point_offset ctx ~fn ~block point with
       | None -> false
       | Some o ->
           available ctx ~fn ~block ~offset:o operand && type_of_id ctx operand <> None)
-  | _ -> false
-
-let pre_add_arithmetic_synonym ctx = function
   | Add_arithmetic_synonym { fn; block; point; fresh = _; operand; kind; identity } -> (
       match point_offset ctx ~fn ~block point with
       | None -> false
@@ -596,9 +542,6 @@ let pre_add_arithmetic_synonym ctx = function
           | Sub_zero_float -> operand_is Ty.Float && identity_is (Constant.Float 0.0)
           | Or_false -> operand_is Ty.Bool && identity_is (Constant.Bool false)
           | And_true -> operand_is Ty.Bool && identity_is (Constant.Bool true)))
-  | _ -> false
-
-let pre_add_select_synonym ctx = function
   | Add_select_synonym { fn; block; point; fresh = _; cond; operand } -> (
       match point_offset ctx ~fn ~block point with
       | None -> false
@@ -610,9 +553,6 @@ let pre_add_select_synonym ctx = function
           match type_struct ctx operand with
           | Some (Ty.Pointer _) | None -> false
           | Some _ -> true))
-  | _ -> false
-
-let pre_replace_id_with_synonym ctx = function
   | Replace_id_with_synonym { site; synonym } -> (
       use_site_replaceable ctx site
       &&
@@ -623,9 +563,6 @@ let pre_replace_id_with_synonym ctx = function
           && type_of_id ctx current <> None
           && available ctx ~fn:site.us_fn ~block:check_block ~offset:check_idx synonym
       | _ -> false)
-  | _ -> false
-
-let pre_replace_bool_constant_with_binary ctx = function
   | Replace_bool_constant_with_binary { site; fresh = _; operand } -> (
       use_site_replaceable ctx site
       &&
@@ -645,9 +582,6 @@ let pre_replace_bool_constant_with_binary ctx = function
           && available ctx ~fn:site.us_fn ~block:check_block ~offset:check_idx operand
           && type_struct ctx operand = Some Ty.Int)
       | _ -> false)
-  | _ -> false
-
-let pre_replace_irrelevant_id ctx = function
   | Replace_irrelevant_id { site; replacement } -> (
       let m = module_of ctx in
       let facts = ctx.Context.facts in
@@ -681,9 +615,6 @@ let pre_replace_irrelevant_id ctx = function
           | Some _ -> true
           | None -> false)
       | _ -> false)
-  | _ -> false
-
-let pre_replace_constant_with_uniform ctx = function
   | Replace_constant_with_uniform { site; fresh_load = _; uniform } -> (
       use_site_replaceable ctx site
       &&
@@ -707,9 +638,6 @@ let pre_replace_constant_with_uniform ctx = function
                       Value.equal cv uv
                       && type_of_id ctx current = Some pointee
                   | None -> false))))
-  | _ -> false
-
-let pre_composite_construct ctx = function
   | Composite_construct { fn; block; point; fresh = _; ty; parts } -> (
       let m = module_of ctx in
       match point_offset ctx ~fn ~block point with
@@ -723,9 +651,6 @@ let pre_composite_construct ctx = function
                   && type_of_id ctx part = Module_ir.component_ty m ty idx)
                 (List.mapi (fun idx p -> (idx, p)) parts)
           | Some _ | None -> false))
-  | _ -> false
-
-let pre_composite_extract ctx = function
   | Composite_extract { fn; block; point; fresh = _; composite; path } -> (
       match point_offset ctx ~fn ~block point with
       | None -> false
@@ -736,16 +661,10 @@ let pre_composite_extract ctx = function
           match type_of_id ctx composite with
           | Some cty -> Module_ir.ty_at_path (module_of ctx) cty path <> None
           | None -> false))
-  | _ -> false
-
-let pre_set_function_control ctx = function
   | Set_function_control { fn; control } -> (
       match Module_ir.find_function (module_of ctx) fn with
       | Some f -> not (Func.equal_control f.Func.control control)
       | None -> false)
-  | _ -> false
-
-let pre_function_call ctx = function
   | Function_call { fn; block; point; fresh = _; callee; args } -> (
       let m = module_of ctx in
       match point_offset ctx ~fn ~block point with
@@ -787,9 +706,6 @@ let pre_function_call ctx = function
                    && pointer_args_irrelevant)
                   || Fact_manager.is_dead_block ctx.Context.facts block)
               | Some _ | None -> false)))
-  | _ -> false
-
-let pre_add_parameter ctx = function
   | Add_parameter { fn; fresh_param = _; fresh_fn_ty = _; default } -> (
       let m = module_of ctx in
       match Module_ir.find_function m fn with
@@ -797,9 +713,6 @@ let pre_add_parameter ctx = function
       | Some _ ->
           (not (Id.equal fn m.Module_ir.entry))
           && Module_ir.find_constant m default <> None)
-  | _ -> false
-
-let pre_add_function ctx = function
   | Add_function p ->
       let m = module_of ctx in
       (* the donor must be self-contained and manifestly safe: no calls, no
@@ -830,9 +743,6 @@ let pre_add_function ctx = function
           f.Func.blocks
       in
       structurally_safe && f.Func.blocks <> [] && Module_ir.find_function m f.Func.id = None
-  | _ -> false
-
-let pre_inline_function ctx = function
   | Inline_function { fn; block; call_id; id_map } -> (
       let m = module_of ctx in
       match lookup_block ctx ~fn ~block with
@@ -870,12 +780,15 @@ let pre_inline_function ctx = function
                       | _ -> false)
                   | _ -> false))
           | Some _ | None -> false))
-  | _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* Effects, one function per transformation type                       *)
+(* Effects                                                             *)
 
-let apply_add_type ctx = function
+(** Apply a transformation whose precondition holds: claim its fresh ids,
+    then perform its type's effect. *)
+let apply ctx t =
+  let ctx = Context.claim ctx (fresh_ids t) in
+  match t with
   | Add_type { fresh; ty } ->
       let m = module_of ctx in
       {
@@ -883,9 +796,6 @@ let apply_add_type ctx = function
         Context.m =
           { m with Module_ir.types = m.Module_ir.types @ [ { Module_ir.td_id = fresh; td_ty = ty } ] };
       }
-  | _ -> ctx
-
-let apply_add_constant ctx = function
   | Add_constant { fresh; ty; value } ->
       let m = module_of ctx in
       {
@@ -897,9 +807,6 @@ let apply_add_constant ctx = function
               m.Module_ir.constants @ [ { Module_ir.cd_id = fresh; cd_ty = ty; cd_value = value } ];
           };
       }
-  | _ -> ctx
-
-let apply_add_global_variable ctx = function
   | Add_global_variable { fresh; fresh_ptr_ty; pointee } ->
       let m = module_of ctx in
       let m, ptr_ty = Edit.intern_type_with m ~fresh:fresh_ptr_ty (Ty.Pointer (Ty.Private, pointee)) in
@@ -917,9 +824,6 @@ let apply_add_global_variable ctx = function
         Context.m = m;
         Context.facts = Fact_manager.add_irrelevant_pointee ctx.Context.facts fresh;
       }
-  | _ -> ctx
-
-let apply_add_uniform ctx = function
   | Add_uniform { fresh; fresh_ptr_ty; pointee; name; value } ->
       let m = module_of ctx in
       let m, ptr_ty = Edit.intern_type_with m ~fresh:fresh_ptr_ty (Ty.Pointer (Ty.Uniform, pointee)) in
@@ -938,9 +842,6 @@ let apply_add_uniform ctx = function
         }
       in
       { ctx with Context.m = m; Context.input = input }
-  | _ -> ctx
-
-let apply_add_local_variable ctx = function
   | Add_local_variable { fresh; fresh_ptr_ty; fn; pointee } ->
       let m = module_of ctx in
       let m, ptr_ty = Edit.intern_type_with m ~fresh:fresh_ptr_ty (Ty.Pointer (Ty.Function, pointee)) in
@@ -957,18 +858,12 @@ let apply_add_local_variable ctx = function
         Context.m = m;
         Context.facts = Fact_manager.add_irrelevant_pointee ctx.Context.facts fresh;
       }
-  | _ -> ctx
-
-let apply_add_nop ctx = function
   | Add_nop { fn; block; point } -> (
       match point_offset ctx ~fn ~block point with
       | None -> ctx
       | Some o ->
           Context.with_module ctx
             (Edit.insert_instr (module_of ctx) ~fn ~block ~offset:o (Instr.make_void Instr.Nop)))
-  | _ -> ctx
-
-let apply_split_block ctx = function
   | Split_block { fn; block; point; fresh } -> (
       let m = module_of ctx in
       let facts = ctx.Context.facts in
@@ -1022,9 +917,6 @@ let apply_split_block ctx = function
                 else facts
               in
               { ctx with Context.m = Module_ir.replace_function m f; Context.facts = facts }))
-  | _ -> ctx
-
-let apply_add_dead_block ctx = function
   | Add_dead_block { fn; existing; fresh; cond } -> (
       let m = module_of ctx in
       match lookup_block ctx ~fn ~block:existing with
@@ -1044,19 +936,10 @@ let apply_add_dead_block ctx = function
                 Context.facts = Fact_manager.add_dead_block ctx.Context.facts fresh;
               }
           | _ -> ctx))
-  | _ -> ctx
-
-let apply_replace_branch_with_kill ctx = function
   | Replace_branch_with_kill { fn; block } ->
       Context.with_module ctx (replace_branch_with_kill_m ctx ~fn ~block)
-  | _ -> ctx
-
-let apply_move_block_down ctx = function
   | Move_block_down { fn; block } ->
       Context.with_module ctx (move_block_down_m ctx ~fn ~block)
-  | _ -> ctx
-
-let apply_wrap_region_in_selection ctx = function
   | Wrap_region_in_selection { fn; block; fresh_header; fresh_merge; cond; branch_on_true } -> (
       let m = module_of ctx in
       match lookup_block ctx ~fn ~block with
@@ -1124,9 +1007,6 @@ let apply_wrap_region_in_selection ctx = function
               f (Block.successors merge)
           in
           Context.with_module ctx (Module_ir.replace_function m f))
-  | _ -> ctx
-
-let apply_invert_branch_condition ctx = function
   | Invert_branch_condition { fn; block; fresh } -> (
       let m = module_of ctx in
       match lookup_block ctx ~fn ~block with
@@ -1147,9 +1027,6 @@ let apply_invert_branch_condition ctx = function
               in
               Context.with_module ctx (Module_ir.replace_function m (Func.replace_block f b))
           | _ -> ctx))
-  | _ -> ctx
-
-let apply_propagate_instruction_up ctx = function
   | Propagate_instruction_up { fn; block; fresh_per_pred } -> (
       let m = module_of ctx in
       match lookup_block ctx ~fn ~block with
@@ -1207,9 +1084,6 @@ let apply_propagate_instruction_up ctx = function
                     })
               in
               Context.with_module ctx (Module_ir.replace_function m f)))
-  | _ -> ctx
-
-let apply_swap_commutative_operands ctx = function
   | Swap_commutative_operands { fn; block; instr } ->
       Context.with_module ctx
         (Edit.update_block (module_of ctx) ~fn ~block ~f:(fun b ->
@@ -1249,9 +1123,6 @@ let apply_swap_commutative_operands ctx = function
                        | _ -> i)
                    b.Block.instrs;
              }))
-  | _ -> ctx
-
-let apply_permute_phi_entries ctx = function
   | Permute_phi_entries { fn; block; phi; rotation } ->
       let rotate n xs =
         let len = List.length xs in
@@ -1274,9 +1145,6 @@ let apply_permute_phi_entries ctx = function
                      else i)
                    b.Block.instrs;
              }))
-  | _ -> ctx
-
-let apply_add_load ctx = function
   | Add_load { fn; block; point; fresh; pointer } -> (
       match point_offset ctx ~fn ~block point with
       | None -> ctx
@@ -1289,9 +1157,6 @@ let apply_add_load ctx = function
           Context.with_module ctx
             (Edit.insert_instr (module_of ctx) ~fn ~block ~offset:o
                (Instr.make ~result:fresh ~ty:pointee (Instr.Load pointer))))
-  | _ -> ctx
-
-let apply_add_store ctx = function
   | Add_store { fn; block; point; pointer; value } -> (
       match point_offset ctx ~fn ~block point with
       | None -> ctx
@@ -1299,9 +1164,6 @@ let apply_add_store ctx = function
           Context.with_module ctx
             (Edit.insert_instr (module_of ctx) ~fn ~block ~offset:o
                (Instr.make_void (Instr.Store (pointer, value)))))
-  | _ -> ctx
-
-let apply_add_copy_object ctx = function
   | Add_copy_object { fn; block; point; fresh; operand } -> (
       match point_offset ctx ~fn ~block point with
       | None -> ctx
@@ -1316,9 +1178,6 @@ let apply_add_copy_object ctx = function
             Context.m = m;
             Context.facts = Fact_manager.add_id_synonym ctx.Context.facts fresh operand;
           })
-  | _ -> ctx
-
-let apply_add_arithmetic_synonym ctx = function
   | Add_arithmetic_synonym { fn; block; point; fresh; operand; kind; identity } -> (
       match point_offset ctx ~fn ~block point with
       | None -> ctx
@@ -1341,9 +1200,6 @@ let apply_add_arithmetic_synonym ctx = function
             Context.m = m;
             Context.facts = Fact_manager.add_id_synonym ctx.Context.facts fresh operand;
           })
-  | _ -> ctx
-
-let apply_add_select_synonym ctx = function
   | Add_select_synonym { fn; block; point; fresh; cond; operand } -> (
       match point_offset ctx ~fn ~block point with
       | None -> ctx
@@ -1358,14 +1214,8 @@ let apply_add_select_synonym ctx = function
             Context.m = m;
             Context.facts = Fact_manager.add_id_synonym ctx.Context.facts fresh operand;
           })
-  | _ -> ctx
-
-let apply_replace_id_with_synonym ctx = function
   | Replace_id_with_synonym { site; synonym } ->
       Context.with_module ctx (substitute_use_site ctx site synonym)
-  | _ -> ctx
-
-let apply_replace_bool_constant_with_binary ctx = function
   | Replace_bool_constant_with_binary { site; fresh; operand } -> (
       let m = module_of ctx in
       match resolve_use_site ctx site with
@@ -1401,14 +1251,8 @@ let apply_replace_bool_constant_with_binary ctx = function
           in
           let ctx = Context.with_module ctx m in
           Context.with_module ctx (substitute_use_site ctx site' fresh))
-  | _ -> ctx
-
-let apply_replace_irrelevant_id ctx = function
   | Replace_irrelevant_id { site; replacement } ->
       Context.with_module ctx (substitute_use_site ctx site replacement)
-  | _ -> ctx
-
-let apply_replace_constant_with_uniform ctx = function
   | Replace_constant_with_uniform { site; fresh_load; uniform } -> (
       match resolve_use_site ctx site with
       | None -> ctx
@@ -1436,9 +1280,6 @@ let apply_replace_constant_with_uniform ctx = function
           in
           let ctx = Context.with_module ctx m in
           Context.with_module ctx (substitute_use_site ctx site' fresh_load))
-  | _ -> ctx
-
-let apply_composite_construct ctx = function
   | Composite_construct { fn; block; point; fresh; ty; parts } -> (
       match point_offset ctx ~fn ~block point with
       | None -> ctx
@@ -1455,9 +1296,6 @@ let apply_composite_construct ctx = function
               (List.mapi (fun idx p -> (idx, p)) parts)
           in
           { ctx with Context.m = m; Context.facts = facts })
-  | _ -> ctx
-
-let apply_composite_extract ctx = function
   | Composite_extract { fn; block; point; fresh; composite; path } -> (
       let m = module_of ctx in
       match point_offset ctx ~fn ~block point with
@@ -1481,15 +1319,9 @@ let apply_composite_extract ctx = function
               (Fact_manager.component_synonyms facts ~composite ~path)
           in
           { ctx with Context.m = m; Context.facts = facts })
-  | _ -> ctx
-
-let apply_set_function_control ctx = function
   | Set_function_control { fn; control } ->
       Context.with_module ctx
         (Edit.update_function (module_of ctx) ~fn ~f:(fun f -> { f with Func.control }))
-  | _ -> ctx
-
-let apply_function_call ctx = function
   | Function_call { fn; block; point; fresh; callee; args } -> (
       let m = module_of ctx in
       match point_offset ctx ~fn ~block point with
@@ -1506,9 +1338,6 @@ let apply_function_call ctx = function
           Context.with_module ctx
             (Edit.insert_instr m ~fn ~block ~offset:o
                (Instr.make ~result:fresh ~ty:ret_ty (Instr.FunctionCall (callee, args)))))
-  | _ -> ctx
-
-let apply_add_parameter ctx = function
   | Add_parameter { fn; fresh_param; fresh_fn_ty; default } -> (
       let m = module_of ctx in
       match Module_ir.find_function m fn with
@@ -1562,9 +1391,6 @@ let apply_add_parameter ctx = function
                 Context.facts = Fact_manager.add_irrelevant ctx.Context.facts fresh_param;
               }
           | Some _ | None -> ctx))
-  | _ -> ctx
-
-let apply_add_function ctx = function
   | Add_function p ->
       let m = module_of ctx in
       (* intern donated types with structural dedupe, building a remap *)
@@ -1617,9 +1443,6 @@ let apply_add_function ctx = function
         else ctx.Context.facts
       in
       { ctx with Context.m = m; Context.facts = facts }
-  | _ -> ctx
-
-let apply_inline_function ctx = function
   | Inline_function { fn; block; call_id; id_map } -> (
       let m = module_of ctx in
       match lookup_block ctx ~fn ~block with
@@ -1663,4 +1486,3 @@ let apply_inline_function ctx = function
                   | _ -> ctx)
               | Some _ | None -> ctx)
           | Some _ | None -> ctx))
-  | _ -> ctx

@@ -10,9 +10,10 @@
     prescribes for SplitBlock.
 
     Each transformation has a [type_id] (used by deduplication), a
-    [precondition] over contexts and an [apply] function that must preserve
-    the module's rendered image when the precondition holds — the contract
-    of Definition 2.4, tested exhaustively by the property suites. *)
+    precondition over contexts and an effect that must preserve the
+    module's rendered image when the precondition holds — the contract of
+    Definition 2.4 ({!Rules.precondition}, {!Rules.apply}), tested
+    exhaustively by the property suites. *)
 
 open Spirv_ir
 
@@ -172,75 +173,87 @@ type t =
   | Add_function of add_function_payload
   | Inline_function of { fn : Id.t; block : Id.t; call_id : Id.t; id_map : (Id.t * Id.t) list }
 
-let type_id = function
-  | Add_type _ -> "AddType"
-  | Add_constant _ -> "AddConstant"
-  | Add_global_variable _ -> "AddGlobalVariable"
-  | Add_uniform _ -> "AddUniform"
-  | Add_local_variable _ -> "AddLocalVariable"
-  | Add_nop _ -> "AddNop"
-  | Split_block _ -> "SplitBlock"
-  | Add_dead_block _ -> "AddDeadBlock"
-  | Replace_branch_with_kill _ -> "ReplaceBranchWithKill"
-  | Move_block_down _ -> "MoveBlockDown"
-  | Wrap_region_in_selection _ -> "WrapRegionInSelection"
-  | Invert_branch_condition _ -> "InvertBranchCondition"
-  | Propagate_instruction_up _ -> "PropagateInstructionUp"
-  | Permute_phi_entries _ -> "PermutePhiEntries"
-  | Swap_commutative_operands _ -> "SwapCommutativeOperands"
-  | Add_load _ -> "AddLoad"
-  | Add_store _ -> "AddStore"
-  | Add_copy_object _ -> "AddCopyObject"
-  | Add_arithmetic_synonym _ -> "AddArithmeticSynonym"
-  | Add_select_synonym _ -> "AddSelectSynonym"
-  | Replace_id_with_synonym _ -> "ReplaceIdWithSynonym"
-  | Replace_bool_constant_with_binary _ -> "ReplaceBooleanConstantWithBinary"
-  | Replace_irrelevant_id _ -> "ReplaceIrrelevantId"
-  | Replace_constant_with_uniform _ -> "ReplaceConstantWithUniform"
-  | Composite_construct _ -> "CompositeConstruct"
-  | Composite_extract _ -> "CompositeExtract"
-  | Set_function_control _ -> "SetFunctionControl"
-  | Function_call _ -> "FunctionCall"
-  | Add_parameter _ -> "AddParameter"
-  | Add_function _ -> "AddFunction"
-  | Inline_function _ -> "InlineFunction"
+(** A transformation's type: its constructor without the parameters
+    (Definition 2.4), named exactly as its [type_id].  Declared in the order
+    the [tbct transformations] listing shows the registry. *)
+type kind =
+  | AddType
+  | AddConstant
+  | AddNop
+  | SplitBlock
+  | AddDeadBlock
+  | AddLoad
+  | AddStore
+  | AddCopyObject
+  | AddArithmeticSynonym
+  | AddSelectSynonym
+  | ReplaceIdWithSynonym
+  | ReplaceConstantWithUniform
+  | CompositeConstruct
+  | CompositeExtract
+  | AddFunction
+  | FunctionCall
+  | InlineFunction
+  | AddParameter
+  | ReplaceIrrelevantId
+  | SwapCommutativeOperands
+  | ReplaceBooleanConstantWithBinary
+  | MoveBlockDown
+  | WrapRegionInSelection
+  | InvertBranchCondition
+  | PropagateInstructionUp
+  | ReplaceBranchWithKill
+  | SetFunctionControl
+  | PermutePhiEntries
+  | AddGlobalVariable
+  | AddLocalVariable
+  | AddUniform
+[@@deriving show { with_path = false }, enum]
 
-(** Every [type_id] in the catalogue, in variant-declaration order — the
-    ground truth the registry completeness check compares against. *)
-let catalogue =
-  [
-    "AddType";
-    "AddConstant";
-    "AddGlobalVariable";
-    "AddUniform";
-    "AddLocalVariable";
-    "AddNop";
-    "SplitBlock";
-    "AddDeadBlock";
-    "ReplaceBranchWithKill";
-    "MoveBlockDown";
-    "WrapRegionInSelection";
-    "InvertBranchCondition";
-    "PropagateInstructionUp";
-    "PermutePhiEntries";
-    "SwapCommutativeOperands";
-    "AddLoad";
-    "AddStore";
-    "AddCopyObject";
-    "AddArithmeticSynonym";
-    "AddSelectSynonym";
-    "ReplaceIdWithSynonym";
-    "ReplaceBooleanConstantWithBinary";
-    "ReplaceIrrelevantId";
-    "ReplaceConstantWithUniform";
-    "CompositeConstruct";
-    "CompositeExtract";
-    "SetFunctionControl";
-    "FunctionCall";
-    "AddParameter";
-    "AddFunction";
-    "InlineFunction";
-  ]
+(** Every kind, in declaration order. *)
+let kinds =
+  List.init (max_kind - min_kind + 1) (fun i -> Option.get (kind_of_enum (min_kind + i)))
+
+let kind = function
+  | Add_type _ -> AddType
+  | Add_constant _ -> AddConstant
+  | Add_global_variable _ -> AddGlobalVariable
+  | Add_uniform _ -> AddUniform
+  | Add_local_variable _ -> AddLocalVariable
+  | Add_nop _ -> AddNop
+  | Split_block _ -> SplitBlock
+  | Add_dead_block _ -> AddDeadBlock
+  | Replace_branch_with_kill _ -> ReplaceBranchWithKill
+  | Move_block_down _ -> MoveBlockDown
+  | Wrap_region_in_selection _ -> WrapRegionInSelection
+  | Invert_branch_condition _ -> InvertBranchCondition
+  | Propagate_instruction_up _ -> PropagateInstructionUp
+  | Permute_phi_entries _ -> PermutePhiEntries
+  | Swap_commutative_operands _ -> SwapCommutativeOperands
+  | Add_load _ -> AddLoad
+  | Add_store _ -> AddStore
+  | Add_copy_object _ -> AddCopyObject
+  | Add_arithmetic_synonym _ -> AddArithmeticSynonym
+  | Add_select_synonym _ -> AddSelectSynonym
+  | Replace_id_with_synonym _ -> ReplaceIdWithSynonym
+  | Replace_bool_constant_with_binary _ -> ReplaceBooleanConstantWithBinary
+  | Replace_irrelevant_id _ -> ReplaceIrrelevantId
+  | Replace_constant_with_uniform _ -> ReplaceConstantWithUniform
+  | Composite_construct _ -> CompositeConstruct
+  | Composite_extract _ -> CompositeExtract
+  | Set_function_control _ -> SetFunctionControl
+  | Function_call _ -> FunctionCall
+  | Add_parameter _ -> AddParameter
+  | Add_function _ -> AddFunction
+  | Inline_function _ -> InlineFunction
+
+(* one string per kind, built once: [type_id] runs on every emit *)
+let kind_ids = Array.of_list (List.map show_kind kinds)
+
+(** The stable name of a kind, used by deduplication (section 3.5). *)
+let kind_id k = kind_ids.(kind_to_enum k - min_kind)
+
+let type_id t = kind_id (kind t)
 
 (** All the fresh ids a transformation introduces (for tests and audits). *)
 let fresh_ids = function

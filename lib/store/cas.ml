@@ -58,7 +58,10 @@ let key_of_path ~shard file = shard ^ file
 let key_of_string s = Stdlib.Digest.to_hex (Stdlib.Digest.string s)
 
 (* scan the object tree into the index; also used by [gc] to resynchronize
-   with writers in other processes *)
+   with writers in other processes.  Only names that form a valid key are
+   objects: a [<key>.tmp.<pid>.<n>] file is a write in progress, or one
+   whose writer died before its rename, and is left on disk because a live
+   writer in another process may still rename it. *)
 let rescan_locked t =
   Hashtbl.reset t.index;
   t.bytes <- 0;
@@ -68,10 +71,11 @@ let rescan_locked t =
         let dir = Filename.concat (objects_dir t.root) shard in
         List.iter
           (fun file ->
+            let key = key_of_path ~shard file in
             let path = Filename.concat dir file in
             match (Fsio.file_size path, Fsio.mtime path) with
-            | Some size, Some stamp ->
-                Hashtbl.replace t.index (key_of_path ~shard file) { size; stamp };
+            | Some size, Some stamp when valid_key key ->
+                Hashtbl.replace t.index key { size; stamp };
                 t.bytes <- t.bytes + size
             | _ -> ())
           (Fsio.list_dir dir))

@@ -1,63 +1,83 @@
-(* Registry-derived properties: the one table in Spirv_fuzz.Registry must
-   stay a bijection with the transformation catalogue, derive the same
-   pass list / dedup ignore set the consumers used to hard-code, and its
-   per-entry hooks must respect the paper's contract — generated
-   opportunities satisfy their precondition and apply preserves
-   validity, lint cleanliness and the rendered image.  Also pins the
+(* Registry properties: the table in Spirv_fuzz.Registry holds one
+   distinct entry per transformation kind, the sweep list keeps its
+   historical order, the dedup ignore set matches the one the consumers
+   used to hard-code, and every entry's generator respects the paper's
+   contract — generated opportunities satisfy their precondition and
+   apply preserves validity, lint cleanliness and the rendered image.  Also pins the
    zero-drift guarantee: uniform weights reproduce the historical RNG
    stream bit for bit, and non-uniform weights really shift sampling. *)
 
 open Spirv_ir
 module Registry = Spirv_fuzz.Registry
 
-let catalogue = Spirv_fuzz.Transformation.catalogue
+module Transformation = Spirv_fuzz.Transformation
+
+let kinds = Transformation.kinds
 let entry_ids = List.map (fun (e : Registry.entry) -> e.Registry.type_id) Registry.all
+let pass_names = List.map (fun (p : Spirv_fuzz.Pass.t) -> p.Spirv_fuzz.Pass.name) Spirv_fuzz.Pass.all
 
 (* ------------------------------------------------------------------ *)
-(* completeness: table <-> catalogue bijection                         *)
+(* completeness: one distinct entry per kind                           *)
 
 let test_completeness () =
+  Alcotest.(check int) "31 transformation kinds" 31 (List.length kinds);
   Alcotest.(check int)
-    "one entry per transformation type" (List.length catalogue)
+    "one entry per transformation kind" (List.length kinds)
     (List.length entry_ids);
-  List.iter
-    (fun id ->
-      Alcotest.(check bool) ("registry covers " ^ id) true (List.mem id entry_ids))
-    catalogue;
-  List.iter
-    (fun id ->
-      Alcotest.(check bool) ("catalogue covers " ^ id) true (List.mem id catalogue))
-    entry_ids;
+  List.iter2
+    (fun k (e : Registry.entry) ->
+      Alcotest.(check string)
+        ("entry of " ^ Transformation.kind_id k)
+        (Transformation.kind_id k) e.Registry.type_id;
+      Alcotest.(check string)
+        ("Registry.entry agrees with Registry.all for " ^ e.Registry.type_id)
+        e.Registry.type_id (Registry.entry k).Registry.type_id)
+    kinds Registry.all;
   let sorted = List.sort_uniq String.compare entry_ids in
   Alcotest.(check int) "no duplicate entries" (List.length entry_ids)
     (List.length sorted)
 
-let test_find () =
-  List.iter
-    (fun id ->
-      match Registry.find id with
-      | Some e -> Alcotest.(check string) "find returns the entry" id e.Registry.type_id
-      | None -> Alcotest.failf "Registry.find %s returned None" id)
-    catalogue;
-  Alcotest.(check bool) "unknown id is None" true
-    (Option.is_none (Registry.find "NoSuchTransformation"))
-
 (* ------------------------------------------------------------------ *)
 (* derived consumers: pass list and dedup ignore set                   *)
 
+(* the historical sweep order: the scheduler draws an index into Pass.all,
+   so any reordering changes every campaign's RNG stream *)
+let historical_sweep =
+  [
+    "split_blocks"; "add_dead_blocks"; "add_loads"; "add_stores";
+    "add_copy_objects"; "add_arithmetic_synonyms"; "add_select_synonyms";
+    "apply_synonyms"; "obfuscate_constants"; "add_composites";
+    "add_functions"; "function_calls"; "inline_functions"; "add_parameters";
+    "replace_irrelevant_ids"; "swap_commutative_operands";
+    "obfuscate_bool_constants"; "move_blocks_down"; "wrap_regions";
+    "invert_conditions"; "propagate_instructions_up";
+    "replace_branches_with_kill"; "set_function_controls"; "permute_phis";
+    "add_variables"; "add_uniforms";
+  ]
+
 let test_pass_names () =
-  let pass_names = Registry.pass_names in
-  let all_names = List.map (fun (p : Spirv_fuzz.Pass.t) -> p.Spirv_fuzz.Pass.name) Spirv_fuzz.Pass.all in
-  Alcotest.(check (list string)) "Pass.all is ordered by the registry"
-    pass_names all_names;
-  (* every named pass is the proposer of at least one entry *)
+  Alcotest.(check (list string)) "Pass.all keeps the historical sweep order"
+    historical_sweep pass_names;
+  (* every pass proposes at least one entry, and every entry's pass is
+     swept *)
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " proposes an entry") true
         (List.exists
-           (fun (e : Registry.entry) -> e.Registry.pass = Some name)
+           (fun (e : Registry.entry) ->
+             match e.Registry.pass with
+             | Some p -> String.equal p.Spirv_fuzz.Pass.name name
+             | None -> false)
            Registry.all))
-    pass_names
+    pass_names;
+  List.iter
+    (fun (e : Registry.entry) ->
+      match e.Registry.pass with
+      | Some p ->
+          Alcotest.(check bool) (e.Registry.type_id ^ "'s pass is swept") true
+            (List.memq p Spirv_fuzz.Pass.all)
+      | None -> ())
+    Registry.all
 
 let test_dedup_ignored () =
   (* the section 3.5 ignore list the consumers used to hard-code *)
@@ -99,12 +119,31 @@ let test_parse_weights () =
   Alcotest.(check bool) "malformed pair rejected" true
     (Result.is_error (Registry.parse_weights "data"))
 
+let all_zero = "supporting=0,control_flow=0,data=0,function=0,obfuscation=0"
+
+let test_all_zero_weights () =
+  Alcotest.(check bool) "all-zero weights rejected" true
+    (Result.is_error (Registry.parse_weights all_zero));
+  Alcotest.(check bool) "one positive family suffices" true
+    (Result.is_ok (Registry.parse_weights "supporting=0,control_flow=0,data=0,function=0"));
+  let _, m = List.hd (Lazy.force Corpus.lowered_references) in
+  let ctx = Spirv_fuzz.Context.make m Corpus.default_input in
+  let config =
+    {
+      Spirv_fuzz.Fuzzer.default_config with
+      Spirv_fuzz.Fuzzer.weights = List.map (fun f -> (f, 0)) Registry.families;
+    }
+  in
+  match Spirv_fuzz.Fuzzer.run ~config ~seed:1 ctx with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Fuzzer.run drew a pass with every weight at 0"
+
 let test_pass_weight () =
   List.iter
     (fun name ->
       Alcotest.(check int) ("uniform weight of " ^ name) 1
         (Registry.pass_weight name))
-    Registry.pass_names;
+    pass_names;
   Alcotest.(check int) "unknown pass weighs 0" 0
     (Registry.pass_weight "no_such_pass");
   let w = [ (Registry.Control_flow, 7) ] in
@@ -158,12 +197,12 @@ let check_one (e : Registry.entry) (ctx : Spirv_fuzz.Context.t) salt =
       Alcotest.(check bool)
         ("generated opportunity satisfies precondition: " ^ e.Registry.type_id)
         true
-        (Registry.precondition ctx' t);
+        (Spirv_fuzz.Rules.precondition ctx' t);
       let before_img = render_exn (e.Registry.type_id ^ " before") ctx' in
       let before_lint =
         Lint.error_count (Lint.check_module ctx'.Spirv_fuzz.Context.m)
       in
-      let after = Registry.apply ctx' t in
+      let after = Spirv_fuzz.Rules.apply ctx' t in
       (match Validate.check after.Spirv_fuzz.Context.m with
       | Ok () -> ()
       | Error (err :: _) ->
@@ -181,6 +220,23 @@ let check_one (e : Registry.entry) (ctx : Spirv_fuzz.Context.t) salt =
         true
         (Image.equal before_img after_img);
       true
+
+(* every gen's output dispatches, by its constructor, to its own entry *)
+let test_find () =
+  let ctxs = Lazy.force enriched in
+  List.iter
+    (fun (e : Registry.entry) ->
+      List.iter
+        (fun ctx ->
+          match e.Registry.gen ctx (Tbct.Rng.make 11) with
+          | None -> ()
+          | Some (_, t) ->
+              Alcotest.(check string)
+                ("gen output maps to its entry: " ^ e.Registry.type_id)
+                e.Registry.type_id
+                (Registry.entry (Transformation.kind t)).Registry.type_id)
+        ctxs)
+    Registry.all
 
 let test_entry_contracts () =
   let ctxs = Lazy.force enriched in
@@ -276,7 +332,8 @@ let test_zero_weight_family () =
   let control_flow_passes =
     List.filter_map
       (fun (e : Registry.entry) ->
-        if e.Registry.family = Registry.Control_flow then e.Registry.pass
+        if e.Registry.family = Registry.Control_flow then
+          Option.map (fun (p : Spirv_fuzz.Pass.t) -> p.Spirv_fuzz.Pass.name) e.Registry.pass
         else None)
       Registry.all
   in
@@ -322,6 +379,7 @@ let () =
       ( "weights",
         [
           Alcotest.test_case "parse_weights" `Quick test_parse_weights;
+          Alcotest.test_case "all-zero weights rejected" `Quick test_all_zero_weights;
           Alcotest.test_case "pass_weight" `Quick test_pass_weight;
           Alcotest.test_case "non-uniform shifts sampling" `Quick
             test_nonuniform_changes_sampling;

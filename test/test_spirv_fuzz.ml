@@ -375,8 +375,8 @@ let test_contracts_catch_bad_transformation () =
       { fresh = ctx.Spirv_fuzz.Context.m.Module_ir.id_bound; ty = Ty.Float }
   in
   Alcotest.(check bool) "precondition is indeed false" false
-    (Spirv_fuzz.Registry.precondition ctx bad);
-  let after = Spirv_fuzz.Registry.apply ctx bad in
+    (Spirv_fuzz.Rules.precondition ctx bad);
+  let after = Spirv_fuzz.Rules.apply ctx bad in
   let checker = Spirv_fuzz.Contract.create ctx in
   match Spirv_fuzz.Contract.check checker ~before:ctx bad ~after with
   | () -> Alcotest.fail "violated precondition not caught"
@@ -400,7 +400,7 @@ let test_contracts_catch_invalid_module () =
       }
   in
   Alcotest.(check bool) "harmless precondition holds" true
-    (Spirv_fuzz.Registry.precondition ctx nop);
+    (Spirv_fuzz.Rules.precondition ctx nop);
   (* pretend the transformation was applied but hand the checker a broken
      module: entry function retyped to a dangling type id *)
   let broken =

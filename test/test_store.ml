@@ -288,6 +288,33 @@ let test_cas_drops_undecodable () =
   Alcotest.(check (option string)) "and so does a fresh handle" (Some "fresh")
     (Cas.get (Cas.open_ ~root ()) ~key ~decode:Option.some)
 
+(* a writer killed between its temp-file write and the rename leaves a
+   [<key>.tmp.<pid>.<n>] file in the shard; it is not an object, so it is
+   neither counted nor offered to gc, and it stays on disk *)
+let test_cas_ignores_orphaned_temp () =
+  let root = fresh_dir () in
+  let cas = Cas.open_ ~root () in
+  let key = Cas.key_of_string "kept" in
+  Cas.put cas ~key "payload";
+  let shard = Filename.concat (Filename.concat root "objects") (String.sub key 0 2) in
+  let orphan =
+    Filename.concat shard (String.sub key 2 (String.length key - 2) ^ ".tmp.4242.0")
+  in
+  let oc = open_out_bin orphan in
+  output_string oc (String.make 4096 'x');
+  close_out oc;
+  let cas = Cas.open_ ~root () in
+  let stats = Cas.stats cas in
+  Alcotest.(check int) "only the object is indexed" 1 stats.Cas.objects;
+  Alcotest.(check int) "only its bytes are counted" (String.length "payload")
+    stats.Cas.bytes;
+  Alcotest.(check int) "gc under the bound evicts nothing" 0
+    (Cas.gc ~max_bytes:1024 cas);
+  Alcotest.(check int) "gc to zero evicts the one object" 1
+    (Cas.gc ~max_bytes:0 cas);
+  Alcotest.(check bool) "the temp file is left on disk" true
+    (Sys.file_exists orphan)
+
 (* ------------------------------------------------------------------ *)
 (* Journal *)
 
@@ -768,6 +795,8 @@ let () =
               test_cas_concurrent_domains;
             Alcotest.test_case "undecodable object dropped" `Quick
               test_cas_drops_undecodable;
+            Alcotest.test_case "ignores orphaned temp files" `Quick
+              test_cas_ignores_orphaned_temp;
           ] );
       ( "journal",
         [

@@ -103,15 +103,15 @@ let check_applies ?(also = []) (fx : fixture) (t : Spirv_fuzz.Transformation.t) 
         Alcotest.(check bool)
           ("enabler precondition: " ^ Spirv_fuzz.Transformation.type_id t)
           true
-          (Spirv_fuzz.Registry.precondition ctx t);
-        Spirv_fuzz.Registry.apply ctx t)
+          (Spirv_fuzz.Rules.precondition ctx t);
+        Spirv_fuzz.Rules.apply ctx t)
       fx.ctx also
   in
   Alcotest.(check bool)
     ("precondition: " ^ Spirv_fuzz.Transformation.type_id t)
     true
-    (Spirv_fuzz.Registry.precondition ctx t);
-  let ctx' = Spirv_fuzz.Registry.apply ctx t in
+    (Spirv_fuzz.Rules.precondition ctx t);
+  let ctx' = Spirv_fuzz.Rules.apply ctx t in
   (match Validate.check ctx'.Spirv_fuzz.Context.m with
   | Ok () -> ()
   | Error (e :: _) ->
@@ -127,11 +127,11 @@ let check_applies ?(also = []) (fx : fixture) (t : Spirv_fuzz.Transformation.t) 
   ctx'
 
 let check_rejected ?(also = []) (fx : fixture) (t : Spirv_fuzz.Transformation.t) =
-  let ctx = List.fold_left Spirv_fuzz.Registry.apply fx.ctx also in
+  let ctx = List.fold_left Spirv_fuzz.Rules.apply fx.ctx also in
   Alcotest.(check bool)
     ("precondition must fail: " ^ Spirv_fuzz.Transformation.type_id t)
     false
-    (Spirv_fuzz.Registry.precondition ctx t)
+    (Spirv_fuzz.Rules.precondition ctx t)
 
 let fresh2 fx =
   let m, a = Module_ir.fresh fx.m in
@@ -290,8 +290,8 @@ let test_add_dead_block_and_kill () =
   | _ -> Alcotest.fail "l_then should end in a conditional branch");
   (* ReplaceBranchWithKill applies to the dead block *)
   let t_kill = Spirv_fuzz.Transformation.Replace_branch_with_kill { fn = fx.main; block = fresh } in
-  Alcotest.(check bool) "kill pre" true (Spirv_fuzz.Registry.precondition ctx' t_kill);
-  let ctx'' = Spirv_fuzz.Registry.apply ctx' t_kill in
+  Alcotest.(check bool) "kill pre" true (Spirv_fuzz.Rules.precondition ctx' t_kill);
+  let ctx'' = Spirv_fuzz.Rules.apply ctx' t_kill in
   Alcotest.(check bool) "valid after kill" true (Validate.is_valid ctx''.Spirv_fuzz.Context.m);
   Alcotest.(check bool) "image unchanged" true
     (Image.equal (render_exn fx.m) (render_exn ctx''.Spirv_fuzz.Context.m));
@@ -303,7 +303,7 @@ let test_add_dead_block_requires_phi_free_successor () =
   let fx = fixture () in
   (* l_then branches to l_merge which has a φ: must be rejected *)
   let fx, cond, enablers = true_const fx in
-  let ctx = List.fold_left Spirv_fuzz.Registry.apply fx.ctx enablers in
+  let ctx = List.fold_left Spirv_fuzz.Rules.apply fx.ctx enablers in
   let fx = { fx with ctx } in
   let fx, fresh = fresh1 fx in
   check_rejected fx
@@ -647,8 +647,8 @@ let test_synonym_family () =
     }
   in
   let t_replace = Spirv_fuzz.Transformation.Replace_id_with_synonym { site; synonym = c1 } in
-  Alcotest.(check bool) "replace pre" true (Spirv_fuzz.Registry.precondition ctx1 t_replace);
-  let ctx2 = Spirv_fuzz.Registry.apply ctx1 t_replace in
+  Alcotest.(check bool) "replace pre" true (Spirv_fuzz.Rules.precondition ctx1 t_replace);
+  let ctx2 = Spirv_fuzz.Rules.apply ctx1 t_replace in
   Alcotest.(check bool) "valid" true (Validate.is_valid ctx2.Spirv_fuzz.Context.m);
   Alcotest.(check bool) "image preserved" true
     (Image.equal (render_exn fx.m) (render_exn ctx2.Spirv_fuzz.Context.m));
@@ -683,8 +683,8 @@ let test_replace_constant_with_uniform () =
     Spirv_fuzz.Transformation.Replace_constant_with_uniform
       { site; fresh_load = load_id; uniform = uni }
   in
-  Alcotest.(check bool) "pre" true (Spirv_fuzz.Registry.precondition fx.ctx t);
-  let ctx' = Spirv_fuzz.Registry.apply fx.ctx t in
+  Alcotest.(check bool) "pre" true (Spirv_fuzz.Rules.precondition fx.ctx t);
+  let ctx' = Spirv_fuzz.Rules.apply fx.ctx t in
   Alcotest.(check bool) "valid" true (Validate.is_valid ctx'.Spirv_fuzz.Context.m);
   let before =
     match Interp.render fx.m input' with Ok i -> i | Error _ -> Alcotest.fail "render"
@@ -708,7 +708,7 @@ let test_replace_constant_with_uniform () =
   let m3, load2 = Module_ir.fresh ctx2.Spirv_fuzz.Context.m in
   let ctx2 = { ctx2 with Spirv_fuzz.Context.m = m3 } in
   Alcotest.(check bool) "wrong value rejected" false
-    (Spirv_fuzz.Registry.precondition ctx2
+    (Spirv_fuzz.Rules.precondition ctx2
        (Spirv_fuzz.Transformation.Replace_constant_with_uniform
           { site; fresh_load = load2; uniform = uni2 }))
 
@@ -751,8 +751,8 @@ let test_composites () =
         path = [ 0 ];
       }
   in
-  Alcotest.(check bool) "extract pre" true (Spirv_fuzz.Registry.precondition fx1.ctx t_extract);
-  let ctx2 = Spirv_fuzz.Registry.apply fx1.ctx t_extract in
+  Alcotest.(check bool) "extract pre" true (Spirv_fuzz.Rules.precondition fx1.ctx t_extract);
+  let ctx2 = Spirv_fuzz.Rules.apply fx1.ctx t_extract in
   Alcotest.(check bool) "extract synonym bridged" true
     (Spirv_fuzz.Fact_manager.are_synonymous ctx2.Spirv_fuzz.Context.facts ex fx.x);
   (* arity mismatch rejected *)
@@ -861,7 +861,7 @@ let test_function_call_and_inline () =
   (* DontInline blocks inlining *)
   let fx3 = fixture () in
   let ctx3 =
-    Spirv_fuzz.Registry.apply fx3.ctx
+    Spirv_fuzz.Rules.apply fx3.ctx
       (Spirv_fuzz.Transformation.Set_function_control
          { fn = fx3.helper; control = Func.DontInline })
   in
@@ -944,9 +944,9 @@ let test_replace_irrelevant_id () =
   ignore ctx';
   (* a non-irrelevant slot is rejected *)
   let site_bad = { site with Spirv_fuzz.Transformation.us_operand = 1 } in
-  let ctx_with_param = Spirv_fuzz.Registry.apply fx.ctx add_param in
+  let ctx_with_param = Spirv_fuzz.Rules.apply fx.ctx add_param in
   Alcotest.(check bool) "relevant slot rejected" false
-    (Spirv_fuzz.Registry.precondition ctx_with_param
+    (Spirv_fuzz.Rules.precondition ctx_with_param
        (Spirv_fuzz.Transformation.Replace_irrelevant_id { site = site_bad; replacement = fx.x }))
 
 let test_add_uniform () =
@@ -958,8 +958,8 @@ let test_add_uniform () =
       { fresh = u; fresh_ptr_ty = up; pointee = float_id; name = "_u_extra";
         value = Value.VFloat 2.0 }
   in
-  Alcotest.(check bool) "pre" true (Spirv_fuzz.Registry.precondition fx.ctx t);
-  let ctx' = Spirv_fuzz.Registry.apply fx.ctx t in
+  Alcotest.(check bool) "pre" true (Spirv_fuzz.Rules.precondition fx.ctx t);
+  let ctx' = Spirv_fuzz.Rules.apply fx.ctx t in
   Alcotest.(check bool) "valid" true (Validate.is_valid ctx'.Spirv_fuzz.Context.m);
   (* the input was extended in sync with the module *)
   Alcotest.(check bool) "input extended" true
