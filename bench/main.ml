@@ -129,7 +129,19 @@ let print_rq2 ~scale ~engine ~hits =
   in
   Printf.printf "median surviving transformations: spirv-fuzz %.1f of %.1f; glsl-fuzz %.1f of %.1f\n"
     (kept r.Harness.Experiments.rq2_spirv) (initial r.Harness.Experiments.rq2_spirv)
-    (kept r.Harness.Experiments.rq2_glsl) (initial r.Harness.Experiments.rq2_glsl)
+    (kept r.Harness.Experiments.rq2_glsl) (initial r.Harness.Experiments.rq2_glsl);
+  let queries xs =
+    List.map (fun (o : Harness.Experiments.reduction_outcome) ->
+        o.Harness.Experiments.red_queries) xs
+  in
+  Printf.printf "interestingness queries (total, median per reduction):\n";
+  List.iter
+    (fun (label, xs) ->
+      let qs = queries xs in
+      Printf.printf "  %-10s : %d, %.1f\n" label (List.fold_left ( + ) 0 qs)
+        (Harness.Stats.median (List.map float_of_int qs)))
+    [ ("spirv-fuzz", r.Harness.Experiments.rq2_spirv);
+      ("glsl-fuzz", r.Harness.Experiments.rq2_glsl) ]
 
 let print_table4 ~scale ~engine ~hits =
   section "Table 4: deduplication effectiveness (crash bugs, spirv-fuzz tests)";

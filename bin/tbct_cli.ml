@@ -737,20 +737,21 @@ let hunt_cmd =
         Spirv_fuzz.Fuzzer.donors = List.map snd (Lazy.force Corpus.lowered_donors);
       }
     in
-    let original_run = Harness.Engine.run engine t m input in
+    (* the baseline cache's key for the one module this engine tests *)
+    let ref_name =
+      match (path, corpus) with Some n, _ | None, Some n -> n | None, None -> ""
+    in
+    (* each variant runs on its own input: AddUniform extends it in sync
+       with the module *)
     let try_seed seed =
       let ctx = Spirv_fuzz.Context.make m input in
       let result = Spirv_fuzz.Fuzzer.run ~config ~seed ctx in
-      match
-        ( original_run,
-          Harness.Engine.run engine t
-            result.Spirv_fuzz.Fuzzer.final.Spirv_fuzz.Context.m input )
-      with
-      | _, Compilers.Backend.Crashed s -> Some (seed, result, s)
-      | Compilers.Backend.Rendered i0, Compilers.Backend.Rendered i1
-        when not (Spirv_ir.Image.equal i0 i1) ->
-          Some (seed, result, "miscompilation")
-      | _ -> None
+      let final = result.Spirv_fuzz.Fuzzer.final in
+      Option.map
+        (fun d -> (seed, result, d))
+        (Harness.Pipeline.run_variant engine t ~ref_name ~original:m
+           ~variant_input:final.Spirv_fuzz.Context.input
+           ~variant:final.Spirv_fuzz.Context.m input)
     in
     let workers = max 1 (min domains seeds) in
     let found =
@@ -784,15 +785,13 @@ let hunt_cmd =
     in
     (match found with
      | None -> Printf.printf "no bug found on %s in %d seeds\n" target seeds
-     | Some (seed, result, signature) ->
-       Printf.printf "seed %d triggers: %s\n" seed signature;
+     | Some (seed, result, detection) ->
+       Printf.printf "seed %d triggers: %s\n" seed
+         detection.Harness.Pipeline.signature;
        let ctx = Spirv_fuzz.Context.make m input in
        let is_interesting (c : Spirv_fuzz.Context.t) =
-         match (original_run, Harness.Engine.run engine t c.Spirv_fuzz.Context.m input) with
-         | _, Compilers.Backend.Crashed s -> String.equal s signature
-         | Compilers.Backend.Rendered i0, Compilers.Backend.Rendered i1 ->
-             String.equal signature "miscompilation" && not (Spirv_ir.Image.equal i0 i1)
-         | _ -> false
+         Harness.Pipeline.interestingness engine t ~ref_name ~original:m
+           ~detection input c.Spirv_fuzz.Context.m c.Spirv_fuzz.Context.input
        in
        let r =
          Spirv_fuzz.Reducer.reduce ~original:ctx ~is_interesting

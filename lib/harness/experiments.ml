@@ -325,13 +325,15 @@ type reduction_outcome = {
   red_delta : int;            (** |instructions(reduced) - instructions(original)| *)
   red_kept : int;             (** surviving transformations / markers *)
   red_initial : int;
+  red_queries : int;          (** interestingness queries the reduction made *)
 }
 
 (* regenerate the variant for a hit and reduce it against its target: the
    shared body of [reduce_hit] and [reduce_crash_hit].  [None] when the hit's
    reference is not in the corpus (a journal written against a different
    corpus) or its recorded detection no longer reproduces; otherwise the
-   reference module, the regenerated variant and ddmin's result.  The engine
+   reference module, the regenerated variant, ddmin's result and the
+   number of interestingness queries the reduction made.  The engine
    memoizes the repeated prefix replays of ddmin's interestingness queries,
    so reduction no longer pays one full compile-and-execute per query *)
 let regenerate_and_reduce (engine : Engine.t) (t : Compilers.Target.t) (h : hit) =
@@ -353,14 +355,23 @@ let regenerate_and_reduce (engine : Engine.t) (t : Compilers.Target.t) (h : hit)
       (* the recorded detection must reproduce (it does, deterministically) *)
       if not (is_interesting generated.Pipeline.gen_variant generated.Pipeline.gen_input)
       then None
-      else Some (ref_module, generated, generated.Pipeline.gen_reduce ~is_interesting)
+      else
+        (* the reduction's interestingness queries, the paper's per-tool
+           reduction cost: deterministic, unlike its time *)
+        let queries = ref 0 in
+        let counted m input =
+          incr queries;
+          is_interesting m input
+        in
+        let reduced = generated.Pipeline.gen_reduce ~is_interesting:counted in
+        Some (ref_module, generated, reduced, !queries)
 
 let reduce_hit (engine : Engine.t) (h : hit) : reduction_outcome option =
   match Compilers.Target.find h.hit_target with
   | None -> None
   | Some t ->
       Option.map
-        (fun (ref_module, generated, reduced) ->
+        (fun (ref_module, generated, reduced, queries) ->
           let original_size = Module_ir.instruction_count ref_module in
           let reduced_size, kept =
             match reduced with
@@ -378,6 +389,7 @@ let reduce_hit (engine : Engine.t) (h : hit) : reduction_outcome option =
             red_delta = abs (reduced_size - original_size);
             red_kept = kept;
             red_initial = generated.Pipeline.gen_transformation_count;
+            red_queries = queries;
           })
         (regenerate_and_reduce engine t h)
 
@@ -480,7 +492,7 @@ let reduce_crash_hit ?(known = fun ~target:_ ~bug_id:_ -> None)
       | Some (d : dedup_test) -> Some (h.hit_target, d)
       | None -> (
           match regenerate_and_reduce engine t h with
-          | Some (_, _, `Spirv (kept, reduced_ctx)) ->
+          | Some (_, _, `Spirv (kept, reduced_ctx), _) ->
               Some
                 ( h.hit_target,
                   {
@@ -488,7 +500,7 @@ let reduce_crash_hit ?(known = fun ~target:_ ~bug_id:_ -> None)
                     dd_types = List.map Spirv_fuzz.Transformation.type_id kept;
                     dd_module = reduced_ctx.Spirv_fuzz.Context.m;
                   } )
-          | Some (_, _, `Glsl _) | None -> None))
+          | Some (_, _, `Glsl _, _) | None -> None))
 
 (** Reduce every capped crash hit of the dedup study down to its minimized
     transformation sequence — the input of Table 4, [tbct dedup] and the

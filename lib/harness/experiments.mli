@@ -122,6 +122,10 @@ type reduction_outcome = {
   red_delta : int;    (** |instructions(reduced) - instructions(original)| *)
   red_kept : int;     (** surviving transformations / markers *)
   red_initial : int;
+  red_queries : int;
+      (** interestingness queries the reduction made (ddmin plus the
+          AddFunction shrinking for spirv-fuzz; the marker reducer for
+          glsl-fuzz) — the paper's per-tool reduction cost, as a count *)
 }
 
 val reduce_hit : Engine.t -> hit -> reduction_outcome option

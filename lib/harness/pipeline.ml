@@ -174,13 +174,10 @@ let generate ?(check_contracts = false) ?(weights = []) (tool : tool)
             let r =
               Spirv_fuzz.Reducer.reduce ~original:ctx ~is_interesting:test
                 result.Spirv_fuzz.Fuzzer.transformations
+              (* the spirv-reduce analog: shrink surviving AddFunction bodies *)
+              |> Spirv_fuzz.Reducer.shrink_add_functions ~is_interesting:test
             in
-            (* the spirv-reduce analog: shrink surviving AddFunction bodies *)
-            let kept =
-              Spirv_fuzz.Reducer.shrink_add_functions ~original:ctx
-                ~is_interesting:test r.Spirv_fuzz.Reducer.transformations
-            in
-            `Spirv (kept, Spirv_fuzz.Lang.replay ctx kept));
+            `Spirv (r.Spirv_fuzz.Reducer.transformations, r.Spirv_fuzz.Reducer.reduced));
       }
   | Glsl_fuzz_tool ->
       let fuzzed = Glsl_like.Source_fuzzer.fuzz ~seed ref_source in

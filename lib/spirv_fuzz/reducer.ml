@@ -5,22 +5,79 @@
 
 open Spirv_ir
 
+(* Checkpointed replay.  Replay is a left fold over the immutable
+   [Context.t] ([Lang.replay] is [Spec.Apply.sequence_ctx]), so
+   [replay (p @ s) = fold s (replay p)]: a sequence that shares a prefix
+   with one already replayed only folds what follows that prefix.  A
+   checkpoint list holds, per element of the last replayed sequence, the
+   transformation and the context after it.  A candidate's prefix is
+   matched element by element by physical equality — ddmin's candidates
+   are the kept sequence with one chunk left out, so they share the
+   kept sequence's values — and a structurally equal but distinct value
+   ends the shared prefix, which is always safe. *)
+type checkpoints = {
+  original : Context.t;
+  steps : (Transformation.t * Context.t) list;  (** in sequence order *)
+  final : Context.t;  (** the context after the last step *)
+}
+
+let start original = { original; steps = []; final = original }
+
+let context cps = cps.final
+
+let of_steps original steps =
+  { original; steps; final = List.fold_left (fun _ (_, ctx) -> ctx) original steps }
+
+(* fold [ts] from [ctx], recording a checkpoint after each element *)
+let extend ctx ts =
+  let _, rev =
+    List.fold_left
+      (fun (ctx, acc) t ->
+        let ctx = Lang.replay ctx [ t ] in
+        (ctx, (t, ctx) :: acc))
+      (ctx, []) ts
+  in
+  List.rev rev
+
+let replay_from cps seq =
+  let rec shared ctx rev_prefix steps seq =
+    match (steps, seq) with
+    | (t', after) :: steps, t :: seq when t == t' ->
+        shared after ((t, after) :: rev_prefix) steps seq
+    | _ -> List.rev_append rev_prefix (extend ctx seq)
+  in
+  of_steps cps.original (shared cps.original [] cps.steps seq)
+
 type result = {
   transformations : Transformation.t list;  (** the 1-minimal subsequence *)
   reduced : Context.t;  (** original context with the subsequence applied *)
   stats : Tbct.Reducer.stats;
+  checkpoints : checkpoints;  (** for [transformations] *)
 }
 
 (** [reduce ~original ~is_interesting ts] requires that the full sequence is
     interesting (i.e. the variant it produces triggers the bug).  The
     interestingness test receives the replayed context.
 
+    The generic reducer only ever keeps the last interesting candidate,
+    so the checkpoints of that candidate are the base every later probe
+    is matched against.
+
     The instruction-count delta between [original]'s module and
     [reduced]'s module is the reduction-quality measure of section 4.2. *)
 let reduce ~(original : Context.t) ~is_interesting ts =
-  let test seq = is_interesting (Lang.replay original seq) in
+  let kept = ref (start original) in
+  let test seq =
+    let cps = replay_from !kept seq in
+    let interesting = is_interesting cps.final in
+    if interesting then kept := cps;
+    interesting
+  in
   let transformations, stats = Tbct.Reducer.reduce ~is_interesting:test ts in
-  { transformations; reduced = Lang.replay original transformations; stats }
+  (* [transformations] is the last interesting candidate: every element
+     matches, nothing is applied again *)
+  let checkpoints = replay_from !kept transformations in
+  { transformations; reduced = checkpoints.final; stats; checkpoints }
 
 (* ------------------------------------------------------------------ *)
 (* The spirv-reduce analog (section 3.4): "After delta debugging, the
@@ -29,9 +86,11 @@ let reduce ~(original : Context.t) ~is_interesting ts =
    AddFunction is the one transformation that is hard to split into smaller
    transformations, so its donated function bodies are shrunk directly:
    delta debugging over the body's instructions, testing that the module
-   still validates and the interestingness test still passes. *)
+   still validates and the interestingness test still passes.  Each test
+   folds the candidate and the suffix from [before], the checkpointed
+   context in front of the AddFunction. *)
 
-let shrink_function_payload ~original ~is_interesting ~prefix ~suffix
+let shrink_function_payload ~is_interesting ~before ~suffix
     (p : Transformation.add_function_payload) =
   let body_blocks = p.Transformation.af_function.Func.blocks in
   (* atoms: (block index, instruction index) pairs *)
@@ -59,29 +118,39 @@ let shrink_function_payload ~original ~is_interesting ~prefix ~suffix
   in
   let test kept_atoms =
     let candidate = payload_with kept_atoms in
-    let seq = prefix @ (Transformation.Add_function candidate :: suffix) in
-    let ctx = Lang.replay original seq in
+    let ctx = Lang.replay before (Transformation.Add_function candidate :: suffix) in
     Validate.is_valid ctx.Context.m && is_interesting ctx
   in
-  if not (test atoms) then p (* shrinking unavailable: keep the original *)
+  if not (test atoms) then None (* shrinking unavailable: keep the original *)
   else
     let kept, _ = Tbct.Reducer.reduce ~is_interesting:test atoms in
-    payload_with kept
+    Some (payload_with kept)
 
 (** Post-process a 1-minimal sequence, shrinking the function bodies of any
-    surviving AddFunction transformations while the test keeps passing. *)
-let shrink_add_functions ~original ~is_interesting (ts : Transformation.t list) =
-  let rec go prefix = function
-    | [] -> List.rev prefix
-    | Transformation.Add_function p :: rest ->
-        let shrunk =
-          shrink_function_payload ~original ~is_interesting
-            ~prefix:(List.rev prefix) ~suffix:rest p
-        in
-        go (Transformation.Add_function shrunk :: prefix) rest
-    | t :: rest -> go (t :: prefix) rest
+    surviving AddFunction transformations while the test keeps passing.
+    The prefix in front of each AddFunction comes from the checkpoints;
+    only a shrunk AddFunction and what follows it are folded again. *)
+let shrink_add_functions ~is_interesting (r : result) =
+  let rec go ctx rev_steps = function
+    | [] -> List.rev rev_steps
+    | ((Transformation.Add_function p, after) as step) :: rest -> (
+        let suffix = List.map fst rest in
+        match shrink_function_payload ~is_interesting ~before:ctx ~suffix p with
+        | None -> go after (step :: rev_steps) rest
+        | Some shrunk ->
+            let t = Transformation.Add_function shrunk in
+            let after = Lang.replay ctx [ t ] in
+            go after ((t, after) :: rev_steps) (extend after suffix))
+    | ((_, after) as step) :: rest -> go after (step :: rev_steps) rest
   in
-  go [] ts
+  let steps = go r.checkpoints.original [] r.checkpoints.steps in
+  let checkpoints = of_steps r.checkpoints.original steps in
+  {
+    r with
+    transformations = List.map fst steps;
+    reduced = checkpoints.final;
+    checkpoints;
+  }
 
 (** Size delta (in instructions) between the original module and a reduced
     variant — "the difference between the number of instructions in the

@@ -56,7 +56,20 @@ let of_module (m : Module_ir.t) : string =
       r.next <- (r.next + 1) mod ring_slots;
       d
 
-let of_input (input : Input.t) : string = hex (Input.to_string input)
-
-let of_run (m : Module_ir.t) (input : Input.t) : string =
-  hex (of_module m ^ ":" ^ of_input input)
+(* Input layout: width and height (int64 LE each), then per uniform, in
+   order, its name (int64 LE length + bytes) and its {!Value.add_bin}
+   encoding.  Every field is length-prefixed or fixed-width and floats go
+   in as their IEEE bits, so two inputs share a digest only if they are
+   equal bit for bit. *)
+let of_input (input : Input.t) : string =
+  let b = Buffer.create 64 in
+  let add_len n = Buffer.add_int64_le b (Int64.of_int n) in
+  add_len input.Input.width;
+  add_len input.Input.height;
+  List.iter
+    (fun (name, v) ->
+      add_len (String.length name);
+      Buffer.add_string b name;
+      Value.add_bin b v)
+    input.Input.uniforms;
+  hex (Buffer.contents b)

@@ -77,13 +77,3 @@ let of_string text : (t, string) result =
                 | Error e -> Error e)))
   in
   go [] ~width:8 ~height:8 items
-
-(** Stable digest of an input, for crash-signature bookkeeping. *)
-let to_string t =
-  let b = Buffer.create 64 in
-  Buffer.add_string b (Printf.sprintf "%dx%d" t.width t.height);
-  List.iter
-    (fun (name, v) ->
-      Buffer.add_string b (Printf.sprintf ";%s=%s" name (Value.show v)))
-    t.uniforms;
-  Buffer.contents b

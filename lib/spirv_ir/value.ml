@@ -22,6 +22,26 @@ let rec equal a b =
           !ok)
   | (VBool _ | VInt _ | VFloat _ | VComposite _), _ -> false
 
+(** Exact binary encoding, shared by the store's run codec and the input
+    digest: a tag byte, then the payload, integers little-endian.  0/1
+    VBool, 2 VInt (int32), 3 VFloat (its IEEE bit pattern, so every NaN
+    payload and every last bit is kept), 4 VComposite (int32 count, then
+    the elements). *)
+let rec add_bin buf v =
+  match v with
+  | VBool false -> Buffer.add_char buf '\000'
+  | VBool true -> Buffer.add_char buf '\001'
+  | VInt i ->
+      Buffer.add_char buf '\002';
+      Buffer.add_int32_le buf i
+  | VFloat f ->
+      Buffer.add_char buf '\003';
+      Buffer.add_int64_le buf (Int64.bits_of_float f)
+  | VComposite elems ->
+      Buffer.add_char buf '\004';
+      Buffer.add_int32_le buf (Int32.of_int (Array.length elems));
+      Array.iter (add_bin buf) elems
+
 let rec approx_equal ~tolerance a b =
   match (a, b) with
   | VFloat x, VFloat y -> Float.abs (x -. y) <= tolerance

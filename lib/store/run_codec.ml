@@ -19,29 +19,13 @@ exception Bad of string
    Layout: a leading version byte 0x01, then a tag byte — 0 Compiled_ok,
    1 Crashed (u32 length + bytes), 2 Rendered (u32 width, u32 height,
    then width*height pixels: 0 = Killed, 1 = Color + value).  Values are
-   tag-prefixed: 0/1 VBool, 2 VInt (int32 LE), 3 VFloat
-   (Int64.bits_of_float, LE — exact on every payload by construction),
-   4 VComposite (u32 count + elements).  All integers little-endian.  An
-   object that does not parse — truncated, corrupt, or written by the
-   retired text codec, none of whose objects begins with 0x01 — decodes to
-   [None], and the store drops it. *)
+   {!Value.add_bin}'s tag-prefixed encoding, floats as their IEEE bits.
+   All integers little-endian.  An object that does not parse —
+   truncated, corrupt, or written by the retired text codec, none of
+   whose objects begins with 0x01 — decodes to [None], and the store
+   drops it. *)
 
 let binary_version = '\001'
-
-let rec add_value_bin buf (v : Value.t) =
-  match v with
-  | Value.VBool false -> Buffer.add_char buf '\000'
-  | Value.VBool true -> Buffer.add_char buf '\001'
-  | Value.VInt i ->
-      Buffer.add_char buf '\002';
-      Buffer.add_int32_le buf i
-  | Value.VFloat f ->
-      Buffer.add_char buf '\003';
-      Buffer.add_int64_le buf (Int64.bits_of_float f)
-  | Value.VComposite elems ->
-      Buffer.add_char buf '\004';
-      Buffer.add_int32_le buf (Int32.of_int (Array.length elems));
-      Array.iter (add_value_bin buf) elems
 
 let rd_byte s pos =
   if !pos >= String.length s then raise (Bad "eof");
@@ -98,7 +82,7 @@ let encode_run (r : Compilers.Backend.run_result) : string =
           | Image.Killed -> Buffer.add_char buf '\000'
           | Image.Color v ->
               Buffer.add_char buf '\001';
-              add_value_bin buf v)
+              Value.add_bin buf v)
         img.Image.pixels);
   Buffer.contents buf
 

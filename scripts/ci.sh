@@ -269,6 +269,15 @@ if ! cmp -s "$STORE/tests-seq.txt" "$STORE/tests-par.txt"; then
   exit 1
 fi
 
+# hunt gate: each variant runs on its own input (AddUniform extends it
+# with the module), so a hunt must never report a binding that the
+# variant's input provides
+if ./_build/default/bin/tbct_cli.exe hunt --corpus gradient \
+     --target SwiftShader --seeds 60 | grep "missing binding"; then
+  echo "CI: tbct hunt ran a variant on the reference input" >&2
+  exit 1
+fi
+
 # compiled-kernel equivalence gate: a campaign and a dedup run over all
 # nine targets must be byte-identical between the flat compiled kernel
 # (the default) and the reference interpreter (--reference-interp), at
@@ -437,4 +446,4 @@ if $IN_GIT && [ "$(git status --porcelain)" != "$GIT_STATUS_BEFORE" ]; then
   exit 1
 fi
 
-echo "CI: build + tests + lint + tv + loop-coverage + memory-coverage + contract-smoke + store-smoke + store-repair + registry-gates + pool-determinism + compiled-kernel-equivalence + tv-campaign + serve-smoke + invariant + clean-tree checks passed"
+echo "CI: build + tests + lint + tv + loop-coverage + memory-coverage + contract-smoke + store-smoke + store-repair + registry-gates + pool-determinism + hunt-input + compiled-kernel-equivalence + tv-campaign + serve-smoke + invariant + clean-tree checks passed"

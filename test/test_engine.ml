@@ -42,6 +42,24 @@ let test_digest_distinguishes_modules () =
     (List.length refs)
     (List.length (List.sort_uniq String.compare digests))
 
+(* inputs that agree to 12 significant digits, and NaNs that differ only in
+   sign or payload: a lossy input key merges them *)
+let input_with_u x =
+  let input = Corpus.default_input in
+  {
+    input with
+    Spirv_ir.Input.uniforms =
+      List.map
+        (fun (name, v) ->
+          (name, if String.equal name "u_half" then Spirv_ir.Value.VFloat x else v))
+        input.Spirv_ir.Input.uniforms;
+  }
+
+let close_floats = [ 1.0000000000001; 1.0000000000002 ]
+
+let nans =
+  [ Float.nan; Float.neg Float.nan; Int64.float_of_bits 0x7ff0000000000123L ]
+
 let test_digest_input () =
   let i1 = Spirv_ir.Input.make ~width:8 ~height:8 [] in
   let i2 = Spirv_ir.Input.make ~width:8 ~height:8 [] in
@@ -49,7 +67,83 @@ let test_digest_input () =
   Alcotest.(check string) "equal inputs digest equally"
     (Spirv_ir.Digest.of_input i1) (Spirv_ir.Digest.of_input i2);
   Alcotest.(check bool) "different grids digest differently" false
-    (String.equal (Spirv_ir.Digest.of_input i1) (Spirv_ir.Digest.of_input i3))
+    (String.equal (Spirv_ir.Digest.of_input i1) (Spirv_ir.Digest.of_input i3));
+  let distinct what xs =
+    let ds = List.map (fun x -> Spirv_ir.Digest.of_input (input_with_u x)) xs in
+    Alcotest.(check int) (what ^ " digest pairwise differently") (List.length xs)
+      (List.length (List.sort_uniq String.compare ds))
+  in
+  distinct "floats equal to 12 digits" close_floats;
+  distinct "NaN, -NaN and a NaN with a payload" nans;
+  (* unprefixed, both would be the bytes "a" 0 "b" 1 *)
+  Alcotest.(check bool) "uniform names are length-prefixed" false
+    (String.equal
+       (Spirv_ir.Digest.of_input
+          (Spirv_ir.Input.make
+             [ ("a", Spirv_ir.Value.VBool false); ("b", Spirv_ir.Value.VBool true) ]))
+       (Spirv_ir.Digest.of_input
+          (Spirv_ir.Input.make [ ("a\000b", Spirv_ir.Value.VBool true) ])))
+
+(* gradient's image is (x, y, u_half): its output depends on every bit of
+   the uniform, so two inputs sharing a memo key would share an image *)
+let test_engine_run_exact_inputs () =
+  let m = List.assoc "gradient" (Lazy.force Corpus.lowered_references) in
+  let t = Compilers.Target.swiftshader in
+  let e = Harness.Engine.create () in
+  (* bit for bit: [Image.equal]'s tolerance would hide the last digit *)
+  let same_run a b =
+    match (a, b) with
+    | Compilers.Backend.Rendered i, Compilers.Backend.Rendered j ->
+        Array.length i.Spirv_ir.Image.pixels = Array.length j.Spirv_ir.Image.pixels
+        && Array.for_all2
+             (fun (p : Spirv_ir.Image.pixel) (q : Spirv_ir.Image.pixel) ->
+               match (p, q) with
+               | Spirv_ir.Image.Color u, Spirv_ir.Image.Color v -> Spirv_ir.Value.equal u v
+               | _ -> p = q)
+             i.Spirv_ir.Image.pixels j.Spirv_ir.Image.pixels
+    | _ -> a = b
+  in
+  List.iter
+    (fun x ->
+      let input = input_with_u x in
+      Alcotest.(check bool) (Printf.sprintf "u_half = %h renders" x) true
+        (match Compilers.Backend.run t m input with
+         | Compilers.Backend.Rendered _ -> true
+         | _ -> false);
+      Alcotest.(check bool)
+        (Printf.sprintf "u_half = %h: the engine's run is the backend's" x)
+        true
+        (same_run (Harness.Engine.run e t m input) (Compilers.Backend.run t m input)))
+    (close_floats @ nans)
+
+(* Every module digest and CAS module key hashes the listing, so its bytes
+   are frozen: these constants pin them over the 46 spirv-fuzz references,
+   two seeds of variants of each, and one diff. *)
+let test_listing_bytes_pinned () =
+  let tool = Harness.Pipeline.Spirv_fuzz_tool in
+  let refs = Harness.Experiments.references_for tool in
+  let b = Buffer.create (1 lsl 19) in
+  List.iter (fun (_, _, m) -> Buffer.add_string b (Spirv_ir.Disasm.to_string m)) refs;
+  let variant (_, ref_source, ref_module) seed =
+    (Harness.Pipeline.generate tool ~ref_source ~ref_module ~seed
+       ~input:Corpus.default_input).Harness.Pipeline.gen_variant
+  in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun r -> Buffer.add_string b (Spirv_ir.Disasm.to_string (variant r seed)))
+        refs)
+    [ 7; 42 ];
+  Alcotest.(check int) "references" 46 (List.length refs);
+  Alcotest.(check int) "listing length" 336130 (Buffer.length b);
+  Alcotest.(check string) "listing MD5" "4600ea0c8a6894fecda3fdf2bc67eb07"
+    (Stdlib.Digest.to_hex (Stdlib.Digest.string (Buffer.contents b)));
+  let ((name, _, ref_module) as r) = List.hd refs in
+  let d = Spirv_ir.Disasm.diff_to_string ref_module (variant r 7) in
+  Alcotest.(check string) "first reference" "gradient" name;
+  Alcotest.(check int) "diff length" 207 (String.length d);
+  Alcotest.(check string) "diff MD5" "945e2122962667241d6c37b0d4424b8d"
+    (Stdlib.Digest.to_hex (Stdlib.Digest.string d))
 
 (* ------------------------------------------------------------------ *)
 (* Exact equality and digest reuse by identity *)
@@ -621,6 +715,10 @@ let () =
             test_digest_reuse_across_workers;
           Alcotest.test_case "reuse retains no module" `Quick
             test_digest_cache_retains_nothing;
+          Alcotest.test_case "engine runs on bit-distinct inputs" `Quick
+            test_engine_run_exact_inputs;
+          Alcotest.test_case "listing bytes pinned" `Quick
+            test_listing_bytes_pinned;
         ]
         @ [ QCheck_alcotest.to_alcotest prop_equal_exact_refines_digest ] );
       ( "cache",

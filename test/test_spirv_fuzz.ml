@@ -168,6 +168,56 @@ let prop_subsequences_preserve_semantics =
       && Image.equal reference
            (render_exn replayed.Spirv_fuzz.Context.m replayed.Spirv_fuzz.Context.input))
 
+(* Checkpointed replay against a full replay from the original: a chain of
+   random subsequences, each replayed from the previous one's checkpoints
+   as ddmin does.  The chain mixes candidates that share a prefix with
+   their base, the empty sequence, one that drops the base's first
+   element and subsequences of a second fuzz run of the same seed, whose
+   transformations are equal but physically distinct and so share no
+   prefix with any base. *)
+let same_context (a : Spirv_fuzz.Context.t) (b : Spirv_fuzz.Context.t) =
+  let fa = a.Spirv_fuzz.Context.facts and fb = b.Spirv_fuzz.Context.facts in
+  Module_ir.equal_exact a.Spirv_fuzz.Context.m b.Spirv_fuzz.Context.m
+  && String.equal
+       (Digest.of_input a.Spirv_fuzz.Context.input)
+       (Digest.of_input b.Spirv_fuzz.Context.input)
+  && Id.Set.equal fa.Spirv_fuzz.Fact_manager.dead_blocks
+       fb.Spirv_fuzz.Fact_manager.dead_blocks
+  && fa.Spirv_fuzz.Fact_manager.synonyms = fb.Spirv_fuzz.Fact_manager.synonyms
+  && Id.Set.equal fa.Spirv_fuzz.Fact_manager.irrelevant
+       fb.Spirv_fuzz.Fact_manager.irrelevant
+  && Id.Set.equal fa.Spirv_fuzz.Fact_manager.irrelevant_pointees
+       fb.Spirv_fuzz.Fact_manager.irrelevant_pointees
+  && Id.Set.equal fa.Spirv_fuzz.Fact_manager.live_safe
+       fb.Spirv_fuzz.Fact_manager.live_safe
+
+let prop_checkpointed_replay_is_replay =
+  QCheck.Test.make ~name:"checkpointed replay equals full replay" ~count:30
+    QCheck.(pair (int_bound 1_000_000) (int_bound 1_000_000))
+    (fun (seed, subseed) ->
+      let ctx, result = fuzz_once seed in
+      let _, again = fuzz_once seed in
+      let ts = result.Spirv_fuzz.Fuzzer.transformations in
+      let rng = Tbct.Rng.make subseed in
+      let sub xs = List.filter (fun _ -> Tbct.Rng.bool rng) xs in
+      let candidates =
+        [ ts; sub ts; sub ts; []; sub ts;
+          (match ts with [] -> [] | _ :: rest -> rest);
+          sub again.Spirv_fuzz.Fuzzer.transformations; sub ts; ts ]
+      in
+      let _, ok =
+        List.fold_left
+          (fun (cps, ok) seq ->
+            let cps = Spirv_fuzz.Reducer.replay_from cps seq in
+            ( cps,
+              ok
+              && same_context (Spirv_fuzz.Reducer.context cps)
+                   (Spirv_fuzz.Lang.replay ctx seq) ))
+          (Spirv_fuzz.Reducer.start ctx, true)
+          candidates
+      in
+      ok)
+
 let prop_variants_roundtrip_assembler =
   QCheck.Test.make
     ~name:"fuzzed variants round-trip the assembler (dead blocks, kills, donations)"
@@ -266,9 +316,11 @@ let test_shrink_add_functions () =
               (fun acc (b : Block.t) -> acc + List.length b.Block.instrs)
               0 payload.Spirv_fuzz.Transformation.af_function.Func.blocks
           in
-          let shrunk =
-            Spirv_fuzz.Reducer.shrink_add_functions ~original:ctx ~is_interesting seq
+          let r =
+            Spirv_fuzz.Reducer.reduce ~original:ctx ~is_interesting seq
+            |> Spirv_fuzz.Reducer.shrink_add_functions ~is_interesting
           in
+          let shrunk = r.Spirv_fuzz.Reducer.transformations in
           (match shrunk with
           | [ Spirv_fuzz.Transformation.Add_function p' ] ->
               let after_size =
@@ -281,7 +333,10 @@ let test_shrink_add_functions () =
               let ctx' = Spirv_fuzz.Lang.replay ctx shrunk in
               Alcotest.(check bool) "still valid" true
                 (Validate.is_valid ctx'.Spirv_fuzz.Context.m);
-              Alcotest.(check bool) "still interesting" true (is_interesting ctx')
+              Alcotest.(check bool) "still interesting" true (is_interesting ctx');
+              Alcotest.(check bool) "the result's context is the replay" true
+                (Module_ir.equal_exact ctx'.Spirv_fuzz.Context.m
+                   r.Spirv_fuzz.Reducer.reduced.Spirv_fuzz.Context.m)
           | _ -> Alcotest.fail "sequence shape changed"))
 
 let test_delta_size_zero_for_empty_sequence () =
@@ -457,6 +512,7 @@ let () =
               prop_fuzzer_deterministic;
               prop_replay_reproduces_fuzzer_output;
               prop_subsequences_preserve_semantics;
+              prop_checkpointed_replay_is_replay;
               prop_variants_roundtrip_assembler;
             ] );
       ( "contracts",
