@@ -789,18 +789,22 @@ let hunt_cmd =
        Printf.printf "seed %d triggers: %s\n" seed
          detection.Harness.Pipeline.signature;
        let ctx = Spirv_fuzz.Context.make m input in
+       (* counted here, so the shrink's queries are included *)
+       let queries = ref 0 in
        let is_interesting (c : Spirv_fuzz.Context.t) =
+         incr queries;
          Harness.Pipeline.interestingness engine t ~ref_name ~original:m
            ~detection input c.Spirv_fuzz.Context.m c.Spirv_fuzz.Context.input
        in
        let r =
          Spirv_fuzz.Reducer.reduce ~original:ctx ~is_interesting
            result.Spirv_fuzz.Fuzzer.transformations
+         (* the spirv-reduce analog, as every campaign reduction runs it *)
+         |> Spirv_fuzz.Reducer.shrink_add_functions ~is_interesting
        in
        Printf.printf "reduced %d transformations to %d (%d interestingness queries)\n"
          r.Spirv_fuzz.Reducer.stats.Tbct.Reducer.initial
-         r.Spirv_fuzz.Reducer.stats.Tbct.Reducer.kept
-         r.Spirv_fuzz.Reducer.stats.Tbct.Reducer.queries;
+         r.Spirv_fuzz.Reducer.stats.Tbct.Reducer.kept !queries;
        List.iter
          (fun tr -> Printf.printf "  %s\n" (Spirv_fuzz.Transformation.type_id tr))
          r.Spirv_fuzz.Reducer.transformations;

@@ -43,8 +43,64 @@ type desc =
 
 and node = { nid : int; desc : desc }
 
+(* Structural hash-consing.  Two descs intern to the same node exactly
+   when they have the same constructor, the same operator tag or source
+   name, the same child nodes (by id) and the same paths; constants compare
+   by Value.equal, i.e. floats by their bit pattern, so -0.0 and 0.0 (and
+   distinct NaN payloads) intern to distinct constants, exactly as the
+   image diff distinguishes them.  Nothing iterates the table, so its hash
+   order never shows. *)
+let rec value_hash = function
+  | Value.VBool b -> if b then 1 else 2
+  | Value.VInt i -> 3 + (Int32.to_int i * 31)
+  | Value.VFloat f ->
+      let bits = Int64.bits_of_float f in
+      5 + (Int64.to_int bits lxor Int64.to_int (Int64.shift_right_logical bits 32))
+  | Value.VComposite xs ->
+      Array.fold_left
+        (fun h x -> (h * 31) + value_hash x)
+        (7 + Array.length xs) xs
+
+let rec path_equal p q =
+  match (p, q) with
+  | [], [] -> true
+  | i :: p, j :: q -> Int.equal i j && path_equal p q
+  | _ :: _, [] | [], _ :: _ -> false
+
+let rec nodes_equal xs ys =
+  match (xs, ys) with
+  | [], [] -> true
+  | x :: xs, y :: ys -> x.nid = y.nid && nodes_equal xs ys
+  | _ :: _, [] | [], _ :: _ -> false
+
+module Desc_tbl = Hashtbl.Make (struct
+  type t = desc
+
+  let equal a b =
+    match (a, b) with
+    | Const x, Const y -> Value.equal x y
+    | Source x, Source y -> String.equal x y
+    | Dead, Dead -> true
+    | App (t, xs), App (u, ys) -> String.equal t u && nodes_equal xs ys
+    | Extract (b, p), Extract (c, q) -> b.nid = c.nid && path_equal p q
+    | Insert (v, b, p), Insert (w, c, q) ->
+        v.nid = w.nid && b.nid = c.nid && path_equal p q
+    | (Const _ | Source _ | Dead | App _ | Extract _ | Insert _), _ -> false
+
+  let mix h x = (h * 65599) + x
+
+  let hash = function
+    | Const v -> value_hash v
+    | Source s -> mix 11 (Hashtbl.hash s)
+    | Dead -> 13
+    | App (tag, args) ->
+        List.fold_left (fun h n -> mix h n.nid) (Hashtbl.hash tag) args
+    | Extract (base, path) -> List.fold_left mix (mix 17 base.nid) path
+    | Insert (v, base, path) -> List.fold_left mix (mix (mix 19 v.nid) base.nid) path
+end)
+
 type ctx = {
-  tbl : (string, node) Hashtbl.t;
+  tbl : node Desc_tbl.t;
   mutable next_id : int;
   mutable visits : int;
   mutable local_serial : int;
@@ -57,7 +113,7 @@ type ctx = {
 
 let create ?(max_visits = 20_000) ?(max_nodes = 200_000) ?(max_unroll = 64) () =
   {
-    tbl = Hashtbl.create 1024;
+    tbl = Desc_tbl.create 1024;
     next_id = 0;
     visits = 0;
     local_serial = 0;
@@ -68,46 +124,22 @@ let create ?(max_visits = 20_000) ?(max_nodes = 200_000) ?(max_unroll = 64) () =
     max_unroll;
   }
 
-let node_count ctx = ctx.next_id
 let forced_exits ctx = ctx.forced_exits
 let mem_proofs ctx = ctx.mem_proofs
 
-(* Interning keys use the float's bit pattern, matching Value.equal's
-   bit-level comparison (so -0.0 and 0.0 intern to distinct constants,
-   exactly as the image diff distinguishes them). *)
-let rec value_key = function
-  | Value.VBool b -> if b then "T" else "F"
-  | Value.VInt i -> "i" ^ Int32.to_string i
-  | Value.VFloat f -> "f" ^ Int64.to_string (Int64.bits_of_float f)
-  | Value.VComposite xs ->
-      let parts = Array.to_list (Array.map value_key xs) in
-      "(" ^ String.concat "," parts ^ ")"
-
-let path_key path = String.concat "." (List.map string_of_int path)
-
-let desc_key = function
-  | Const v -> "c:" ^ value_key v
-  | Source s -> "s:" ^ s
-  | Dead -> "d"
-  | App (tag, args) ->
-      "a:" ^ tag ^ ":"
-      ^ String.concat "," (List.map (fun n -> string_of_int n.nid) args)
-  | Extract (base, path) -> "x:" ^ string_of_int base.nid ^ ":" ^ path_key path
-  | Insert (v, base, path) ->
-      "n:" ^ string_of_int v.nid ^ ":" ^ string_of_int base.nid ^ ":"
-      ^ path_key path
-
 let mk ctx desc =
-  let key = desc_key desc in
-  match Hashtbl.find_opt ctx.tbl key with
+  match Desc_tbl.find_opt ctx.tbl desc with
   | Some n -> n
   | None ->
       if ctx.next_id >= ctx.max_nodes then
         abstain `Budget "node budget exhausted (%d nodes)" ctx.max_nodes;
       let n = { nid = ctx.next_id; desc } in
       ctx.next_id <- ctx.next_id + 1;
-      Hashtbl.add ctx.tbl key n;
+      Desc_tbl.add ctx.tbl desc n;
       n
+
+let intern = mk
+let node_id n = n.nid
 
 let const ctx v = mk ctx (Const v)
 let source ctx s = mk ctx (Source s)
@@ -235,6 +267,8 @@ and update_parts ctx args i rest v =
 (* ------------------------------------------------------------------ *)
 (* Pretty-printing for mismatch witnesses.                             *)
 
+let path_key path = String.concat "." (List.map string_of_int path)
+
 let rec value_str = function
   | Value.VBool b -> string_of_bool b
   | Value.VInt i -> Int32.to_string i
@@ -284,7 +318,14 @@ let to_string n =
 module Root = struct
   type t = Rglobal of Id.t | Rlocal of int
 
-  let compare = Stdlib.compare
+  (* the order of the polymorphic compare (globals first), which the store
+     merge's node-creation order rests on *)
+  let compare a b =
+    match (a, b) with
+    | Rglobal x, Rglobal y -> Id.compare x y
+    | Rlocal x, Rlocal y -> Int.compare x y
+    | Rglobal _, Rlocal _ -> -1
+    | Rlocal _, Rglobal _ -> 1
 end
 
 module RootMap = Map.Make (Root)
@@ -372,6 +413,11 @@ type menv = {
       (** per function: the access-path / alias analysis backing the
           symbolic memory model *)
   globals : rv Id.Map.t;
+  consts : (Id.t, rv) Hashtbl.t;
+      (** constant id -> its interned node, filled on first use *)
+  blocks : (Id.t, Func.t * Block.t) Hashtbl.t;
+      (** branch target label -> (function, block), filled on first use *)
+  funcs : (Id.t, Func.t) Hashtbl.t;  (** callee id -> function *)
 }
 
 let availability_for me (f : Func.t) =
@@ -426,9 +472,38 @@ let lookup ctx me env id =
       match Id.Map.find_opt id me.globals with
       | Some rv -> rv
       | None -> (
-          match Module_ir.find_constant me.m id with
-          | Some _ -> Rnode (const ctx (Module_ir.const_value me.m id))
-          | None -> abstain `Internal "unbound id %s" (Id.to_string id)))
+          match Hashtbl.find_opt me.consts id with
+          | Some rv -> rv
+          | None -> (
+              match Module_ir.find_constant me.m id with
+              | Some _ ->
+                  (* a node is never dropped from the context, so every later
+                     use would intern this same node again *)
+                  let rv = Rnode (const ctx (Module_ir.const_value me.m id)) in
+                  Hashtbl.add me.consts id rv;
+                  rv
+              | None -> abstain `Internal "unbound id %s" (Id.to_string id))))
+
+(* Func.block_exn, remembered per label; the function check keeps a
+   malformed module whose functions share a label exact *)
+let block_for me (f : Func.t) label =
+  match Hashtbl.find_opt me.blocks label with
+  | Some (g, b) when g == f -> b
+  | Some _ -> Func.block_exn f label
+  | None ->
+      let b = Func.block_exn f label in
+      Hashtbl.add me.blocks label (f, b);
+      b
+
+let function_for me id =
+  match Hashtbl.find_opt me.funcs id with
+  | Some g -> g
+  | None -> (
+      match Module_ir.find_function me.m id with
+      | Some g ->
+          Hashtbl.add me.funcs id g;
+          g
+      | None -> abstain `Internal "call to unknown function %s" (Id.to_string id))
 
 let lookup_val ctx me env id =
   match lookup ctx me env id with
@@ -618,11 +693,7 @@ and eval_instrs ctx me ~depth ~unrolls f env mem b = function
             (bind r (Rptr { ptr with rpath = List.rev_append path ptr.rpath }))
             mem
       | res, Instr.FunctionCall (callee, args) -> (
-          let g =
-            match Module_ir.find_function me.m callee with
-            | Some g -> g
-            | None -> abstain `Internal "call to unknown function %s" (Id.to_string callee)
-          in
+          let g = function_for me callee in
           let arg_values = List.map (lookup ctx me env) args in
           let sub = eval_function ctx me ~depth:(depth + 1) g arg_values mem in
           if is_const_true sub.x_kill then
@@ -713,7 +784,7 @@ and eval_terminator ctx me ~depth ~unrolls f env mem (b : Block.t) : fexit =
         else u
     in
     eval_block ctx me ~depth ~unrolls f env ~pred:(Some b.Block.label) mem
-      (Func.block_exn f target)
+      (block_for me f target)
   in
   match b.Block.terminator with
   | Block.Return -> { x_kill = cbool ctx false; x_ret = dead ctx; x_mem = mem }
@@ -843,6 +914,9 @@ let summarize ctx (m : Module_ir.t) =
       facts = Hashtbl.create 8;
       mems = Hashtbl.create 8;
       globals;
+      consts = Hashtbl.create 64;
+      blocks = Hashtbl.create 64;
+      funcs = Hashtbl.create 8;
     }
   in
   let entry = Module_ir.entry_function m in

@@ -74,9 +74,6 @@ val create : ?max_visits:int -> ?max_nodes:int -> ?max_unroll:int -> unit -> ctx
     the proven trip bound a loop may have and still be unrolled.
     Exhaustion raises {!Abstain} with reason [`Budget]. *)
 
-val node_count : ctx -> int
-(** Distinct nodes interned so far — a measure of summary sharing. *)
-
 val forced_exits : ctx -> int
 (** How many times the evaluator forced a loop exit because the per-path
     unroll counter reached the proven trip bound.  A mismatch between two
@@ -99,6 +96,29 @@ val summarize : ctx -> Module_ir.t -> summary
     fragment coordinate become opaque sources, exactly one per name, so
     they meet across modules).
     @raise Abstain when any reached construct is beyond the analysis. *)
+
+(** {1 Interning}
+
+    The raw hash-consing step under the smart constructors, exposed so the
+    interning rule can be tested on its own. *)
+
+type desc =
+  | Const of Value.t
+  | Source of string
+  | Dead
+  | App of string * node list  (** operator tag + operands *)
+  | Extract of node * int list
+  | Insert of node * node * int list  (** inserted value, base, path *)
+
+val intern : ctx -> desc -> node
+(** The node for [desc], created on first use: two descs intern to the same
+    node exactly when they agree on the constructor, the tag or source
+    name, the child nodes and the paths, with constants compared by
+    {!Value.equal} (floats by bit pattern).  No normalization happens here.
+    @raise Abstain [`Budget] when a new node would exceed [max_nodes]. *)
+
+val node_id : node -> int
+(** The node's creation index in its context (0, 1, 2, …). *)
 
 val equal_node : node -> node -> bool
 (** Semantic equality of two nodes from the same context. *)

@@ -278,6 +278,18 @@ if ./_build/default/bin/tbct_cli.exe hunt --corpus gradient \
   exit 1
 fi
 
+# hunt shrink gate: hunt reduces as every campaign reduction does, so the
+# donated body of a surviving AddFunction is shrunk too.  Seed 34 of rings
+# keeps AddFunction + AddParameter + FunctionCall; with the body left
+# whole its delta listing has 24 lines
+hunt_delta=$(./_build/default/bin/tbct_cli.exe hunt --corpus rings \
+               --target SwiftShader \
+             | sed -n '/^delta between/,/^engine:/p' | grep -c '^[+-] ')
+if [ "$hunt_delta" -ge 24 ]; then
+  echo "CI: tbct hunt left the AddFunction body unshrunk ($hunt_delta delta lines)" >&2
+  exit 1
+fi
+
 # compiled-kernel equivalence gate: a campaign and a dedup run over all
 # nine targets must be byte-identical between the flat compiled kernel
 # (the default) and the reference interpreter (--reference-interp), at
@@ -446,4 +458,4 @@ if $IN_GIT && [ "$(git status --porcelain)" != "$GIT_STATUS_BEFORE" ]; then
   exit 1
 fi
 
-echo "CI: build + tests + lint + tv + loop-coverage + memory-coverage + contract-smoke + store-smoke + store-repair + registry-gates + pool-determinism + hunt-input + compiled-kernel-equivalence + tv-campaign + serve-smoke + invariant + clean-tree checks passed"
+echo "CI: build + tests + lint + tv + loop-coverage + memory-coverage + contract-smoke + store-smoke + store-repair + registry-gates + pool-determinism + hunt-input + hunt-shrink + compiled-kernel-equivalence + tv-campaign + serve-smoke + invariant + clean-tree checks passed"

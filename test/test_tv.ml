@@ -556,6 +556,230 @@ let test_carry_forward_changes_nothing () =
   Alcotest.(check bool) "the sweep crashed a pass" true (!crashed > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned TV bytes: every verdict, witness string, abstention reason and
+   mem-proof count of a fixed sweep, folded into one MD5.  The evaluator's
+   node ids decide commutative operand order and so the witness text, and
+   its budgets decide which checks abstain; a change to how Symval interns
+   or visits must leave all of it byte-identical.  The constant was
+   computed before structural interning replaced the string keys. *)
+
+let pinned_sweep_md5 = "8203cec2eb6c5f5d1db821a165b27c12"
+
+(* each distinct (pipeline, flags) configuration of the nine targets, with
+   clean and with target flags *)
+let pinned_configs =
+  List.concat_map
+    (fun (t : Compilers.Target.t) ->
+      [
+        (t.Compilers.Target.pipeline, clean);
+        (t.Compilers.Target.pipeline, t.Compilers.Target.opt_flags);
+      ])
+    Compilers.Target.all
+  |> List.sort_uniq compare
+
+(* seed 6 exhausts the block-visit budget on two variants *)
+let pinned_fuzz_seed = 6
+
+let pinned_modules () =
+  let corpus = Lazy.force Corpus.lowered_references in
+  let config =
+    {
+      Spirv_fuzz.Fuzzer.default_config with
+      Spirv_fuzz.Fuzzer.donors = List.map snd (Lazy.force Corpus.lowered_donors);
+      use_recommendations = true;
+    }
+  in
+  let fuzzed =
+    List.map
+      (fun (name, m) ->
+        let ctx = Spirv_fuzz.Context.make m Corpus.default_input in
+        let r = Spirv_fuzz.Fuzzer.run ~config ~seed:pinned_fuzz_seed ctx in
+        ( Printf.sprintf "%s/%d" name pinned_fuzz_seed,
+          r.Spirv_fuzz.Fuzzer.final.Spirv_fuzz.Context.m ))
+      corpus
+  in
+  (* fuzzed variants never trip a TV-visible bug, so the triggers supply
+     the mismatch witnesses *)
+  corpus @ fuzzed
+  @ [
+      ("sub-zero trigger", sub_zero_trigger ());
+      ("inline-swap trigger", inline_swap_trigger ());
+    ]
+
+let test_pinned_verdicts () =
+  let modules = pinned_modules () in
+  let buf = Buffer.create 65536 in
+  let kinds = Hashtbl.create 8 in
+  List.iter
+    (fun (pipeline, flags) ->
+      List.iter
+        (fun (name, m) ->
+          Buffer.add_string buf name;
+          Buffer.add_char buf '\n';
+          let check before after =
+            let v, proofs = Compilers.Tv.check_pass_counted before after in
+            let kind =
+              match v with
+              | Compilers.Tv.Equivalent -> "equivalent"
+              | Compilers.Tv.Mismatch _ -> "mismatch"
+              | Compilers.Tv.Abstained _ ->
+                  Option.value ~default:"?" (Compilers.Tv.abstain_label v)
+            in
+            Hashtbl.replace kinds kind ();
+            Printf.bprintf buf "%s %d\n" (Compilers.Tv.show_verdict v) proofs;
+            v
+          in
+          match Compilers.Optimizer.run_tv ~flags ~check pipeline m with
+          | Ok _ -> ()
+          | Error signature -> Printf.bprintf buf "crash %s\n" signature)
+        modules)
+    pinned_configs;
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) ("the sweep has a " ^ kind) true (Hashtbl.mem kinds kind))
+    [ "mismatch"; "budget"; "loop-unbounded" ];
+  Alcotest.(check string) "verdict bytes" pinned_sweep_md5
+    (Stdlib.Digest.to_hex (Stdlib.Digest.string (Buffer.contents buf)))
+
+(* ------------------------------------------------------------------ *)
+(* Interning: Symval once keyed its hash-consing table by a string
+   spelled from the desc.  Structural interning must identify exactly the
+   descs whose string keys were equal, so this keeps a copy of that key. *)
+
+let rec old_value_key = function
+  | Value.VBool b -> if b then "T" else "F"
+  | Value.VInt i -> "i" ^ Int32.to_string i
+  | Value.VFloat f -> "f" ^ Int64.to_string (Int64.bits_of_float f)
+  | Value.VComposite xs ->
+      let parts = Array.to_list (Array.map old_value_key xs) in
+      "(" ^ String.concat "," parts ^ ")"
+
+let old_path_key path = String.concat "." (List.map string_of_int path)
+
+let old_desc_key =
+  let id n = string_of_int (Symval.node_id n) in
+  function
+  | Symval.Const v -> "c:" ^ old_value_key v
+  | Symval.Source s -> "s:" ^ s
+  | Symval.Dead -> "d"
+  | Symval.App (tag, args) -> "a:" ^ tag ^ ":" ^ String.concat "," (List.map id args)
+  | Symval.Extract (base, path) -> "x:" ^ id base ^ ":" ^ old_path_key path
+  | Symval.Insert (v, base, path) ->
+      "n:" ^ id v ^ ":" ^ id base ^ ":" ^ old_path_key path
+
+(* a desc whose children are indices into the nodes interned so far *)
+type desc_spec =
+  | S_const of Value.t
+  | S_source of string
+  | S_dead
+  | S_app of string * int list
+  | S_extract of int * int list
+  | S_insert of int * int * int list
+
+let spec_gen =
+  let open QCheck.Gen in
+  (* ±0.0, NaNs with distinct sign and payload, and floats whose bits
+     equal a small VInt *)
+  let float_g =
+    oneofl
+      [ 0.0; -0.0; Float.nan; Int64.float_of_bits 0x7FF8000000000001L;
+        Int64.float_of_bits 0xFFF8000000000000L; 1.0; Float.infinity;
+        Int64.float_of_bits 1L; Int64.float_of_bits 5L ]
+  in
+  let int_g = oneofl [ 0l; 1l; 5l; -1l; 0x3F800000l ] in
+  let value_g =
+    sized_size (int_bound 2)
+    @@ fix (fun self n ->
+           if n = 0 then
+             frequency
+               [ (1, map (fun b -> Value.VBool b) bool);
+                 (2, map (fun i -> Value.VInt i) int_g);
+                 (3, map (fun f -> Value.VFloat f) float_g) ]
+           else
+             frequency
+               [ (1, self 0);
+                 (2,
+                   map
+                     (fun xs -> Value.VComposite (Array.of_list xs))
+                     (list_size (int_bound 3) (self (n - 1)))) ])
+  in
+  let path_g = list_size (int_range 1 3) (oneofl [ -1; 0; 1; 2; 12 ]) in
+  let child = int_bound 1000 in
+  frequency
+    [ (3, map (fun v -> S_const v) value_g);
+      (1, map (fun s -> S_source s) (oneofl [ "uniform:u"; "uniform:v"; "frag-coord" ]));
+      (1, return S_dead);
+      (3,
+        map2
+          (fun tag args -> S_app (tag, args))
+          (oneofl [ "IAdd"; "FMul"; "select"; "construct" ])
+          (list_size (int_bound 3) child));
+      (2, map2 (fun b p -> S_extract (b, p)) child path_g);
+      (2, map3 (fun v b p -> S_insert (v, b, p)) child child path_g) ]
+
+let rec spec_value_str = function
+  | Value.VBool b -> string_of_bool b
+  | Value.VInt i -> Int32.to_string i ^ "l"
+  | Value.VFloat f -> Printf.sprintf "0x%Lx" (Int64.bits_of_float f)
+  | Value.VComposite xs ->
+      "[" ^ String.concat ";" (Array.to_list (Array.map spec_value_str xs)) ^ "]"
+
+let spec_str =
+  let ints xs = "[" ^ String.concat ";" (List.map string_of_int xs) ^ "]" in
+  function
+  | S_const v -> "const " ^ spec_value_str v
+  | S_source s -> "source " ^ s
+  | S_dead -> "dead"
+  | S_app (t, args) -> "app " ^ t ^ " " ^ ints args
+  | S_extract (b, p) -> Printf.sprintf "extract %d %s" b (ints p)
+  | S_insert (v, b, p) -> Printf.sprintf "insert %d %d %s" v b (ints p)
+
+let interning_prop specs =
+  let ctx = Symval.create () in
+  let nodes = ref [||] in
+  let by_key = Hashtbl.create 64 in
+  List.iter
+    (fun spec ->
+      let node k = !nodes.(k mod Array.length !nodes) in
+      let desc =
+        match spec with
+        | S_const v -> Some (Symval.Const v)
+        | S_source s -> Some (Symval.Source s)
+        | S_dead -> Some Symval.Dead
+        | _ when !nodes = [||] -> None
+        | S_app (tag, args) -> Some (Symval.App (tag, List.map node args))
+        | S_extract (b, p) -> Some (Symval.Extract (node b, p))
+        | S_insert (v, b, p) -> Some (Symval.Insert (node v, node b, p))
+      in
+      Option.iter
+        (fun desc ->
+          let n = Symval.intern ctx desc in
+          let key = old_desc_key desc in
+          (match Hashtbl.find_opt by_key key with
+          | Some m ->
+              if not (Symval.equal_node m n) then
+                QCheck.Test.fail_reportf "equal keys %S interned apart" key
+          | None ->
+              (* node ids count up from 0, so a new key must get the next
+                 id — any other id is a node some other key already owns *)
+              if Symval.node_id n <> Hashtbl.length by_key then
+                QCheck.Test.fail_reportf "key %S shares node %d" key
+                  (Symval.node_id n);
+              Hashtbl.add by_key key n);
+          nodes := Array.append !nodes [| n |])
+        desc)
+    specs;
+  true
+
+let qcheck_interning =
+  QCheck.Test.make ~count:500
+    ~name:"intern: same node exactly when the old string keys are equal"
+    (QCheck.make
+       ~print:(fun specs -> String.concat "\n" (List.map spec_str specs))
+       QCheck.Gen.(list_size (int_range 1 60) spec_gen))
+    interning_prop
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "tv"
@@ -588,4 +812,10 @@ let () =
           Alcotest.test_case "run_tv = plain fold: verdicts, blame, counters"
             `Slow test_carry_forward_changes_nothing;
         ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "sweep verdicts, witnesses and proofs" `Quick
+            test_pinned_verdicts;
+        ] );
+      ("interning", [ QCheck_alcotest.to_alcotest qcheck_interning ]);
     ]
