@@ -84,8 +84,3 @@ let run ?(render = fun m input -> Interp.render m input) ?optimize
                     | Error (Interp.Missing_uniform u) ->
                         Crashed ("device lost (missing binding " ^ u ^ ")")
                   end)))
-
-(** Compile only — used when optimizing references before fuzzing (the
-    paper also feeds spirv-opt-optimized copies of each reference). *)
-let optimize_reference m =
-  match Optimizer.optimize m with Ok m' -> Some m' | Error _ -> None

@@ -28,7 +28,13 @@ val run :
   Module_ir.t ->
   Input.t ->
   run_result
-(** [render] executes the post-miscompile module over the fragment grid;
+[@@alert unmemoized_run
+  "runs in the harness flow through Harness.Engine.run (memo, store and \
+   compiled kernel)"]
+(** [unmemoized_run] is an error in [lib/harness], where
+    [Harness.Engine.run] is the one caller.
+
+    [render] executes the post-miscompile module over the fragment grid;
     defaults to {!Interp.render}.  The harness engine substitutes the flat
     compiled kernel ({!Compile.render_batch} behind a per-digest program
     cache); any substitute must be observably bit-identical to the
@@ -38,6 +44,3 @@ val run :
     defaults to [target_optimize t].  The harness engine substitutes a
     memo keyed by {!Target.config_key} and module digest; any substitute
     must return what [target_optimize t] returns. *)
-
-val optimize_reference : Module_ir.t -> Module_ir.t option
-(** Clean [-O] for preparing optimized copies of reference shaders. *)

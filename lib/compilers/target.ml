@@ -163,7 +163,7 @@ let swiftshader =
 
 (* Every flag is named: a new flag trips warning 9 here (an error in the
    default dev profile) until it is part of the key. *)
-let config_key t =
+let key_of_config ~pipeline ~flags =
   let {
     Passes.bug_fold_div_crash;
     bug_keep_stale_phi_entries;
@@ -172,7 +172,7 @@ let config_key t =
     bug_hoist_loop_load;
     bug_forward_aliased_store;
   } =
-    t.opt_flags
+    flags
   in
   let bits =
     List.map
@@ -181,8 +181,10 @@ let config_key t =
         bug_inline_swaps_const_args; bug_hoist_loop_load;
         bug_forward_aliased_store ]
   in
-  String.concat "," (List.map Optimizer.show_pass_name t.pipeline)
+  String.concat "," (List.map Optimizer.show_pass_name pipeline)
   ^ "|" ^ String.concat "" bits
+
+let config_key t = key_of_config ~pipeline:t.pipeline ~flags:t.opt_flags
 
 let all =
   [ amd_llpc; mesa; mesa_old; nvidia; pixel5; pixel4; spirv_opt; spirv_opt_old; swiftshader ]

@@ -37,6 +37,11 @@ val config_key : t -> string
     optimize every module identically, whatever their names or bug
     rosters (AMD-LLPC, Mesa and the Pixel images share one). *)
 
+val key_of_config :
+  pipeline:Optimizer.pass_name list -> flags:Passes.flags -> string
+(** [config_key t] is [key_of_config ~pipeline:t.pipeline ~flags:t.opt_flags];
+    the harness keys the clean [-O] step by its parts. *)
+
 val all : t list
 (** The nine targets, in Table 2 order. *)
 

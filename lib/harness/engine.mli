@@ -1,18 +1,21 @@
 (** The execution engine: every compile-and-execute of the harness flows
     through an explicit [Engine.t] instead of calling
-    {!Compilers.Backend.run} directly.
+    {!Compilers.Backend.run} directly (an alert on [Backend.run], an error
+    in [lib/harness], leaves {!run} the one caller).
 
     The engine holds a content-addressed memo table mapping
     [(target, module digest, input digest)] to the backend's run result,
     plus the baseline cache for original-program runs (keyed by
-    [(target, reference name)]), a memo table for the clean [-O]
-    optimization step (module digest -> optimized module) and a pipeline
-    memo for each target's own optimizer: [(config key, module digest)]
-    -> optimized module or crash signature, plus the translation-validation
-    blame once {!tv_blame} has run.  The key is
-    {!Compilers.Target.config_key}, not the target name, so targets that
-    share a pipeline and flags share every entry; {!run} and {!tv_blame}
-    both read and fill it.  All stores are guarded by a mutex, so one
+    [(target, reference name)]), a memo of translation-validation verdicts
+    and a pipeline memo for the optimizer configurations:
+    [(config key, module digest)] -> optimized module or crash signature,
+    plus the translation-validation blame once {!tv_blame} has run.  The
+    key is {!Compilers.Target.config_key}, not the target name, so targets
+    that share a pipeline and flags share every entry.  {!run} and
+    {!tv_blame} read and fill it, and so does {!optimize}: the clean [-O]
+    step is the [(Optimizer.standard, Passes.no_bugs)] configuration that
+    AMD-LLPC, Mesa and the Pixel images run, so their runs hold its
+    entries.  All stores are guarded by a mutex, so one
     engine may be shared by several OCaml 5 domains — the domain-parallel
     campaigns of {!Experiments} do exactly that.
 
@@ -47,8 +50,11 @@ type stats = {
   runs_executed : int;   (** backend executions actually performed *)
   cache_hits : int;      (** in-memory content-addressed memo hits *)
   baseline_hits : int;   (** baseline (target, reference) cache hits *)
-  opt_runs : int;        (** clean [-O] optimizations actually performed *)
-  opt_hits : int;        (** optimize-step hits (memory or disk) *)
+  opt_runs : int;        (** clean [-O] requests the optimizer ran for *)
+  opt_hits : int;
+      (** clean [-O] requests served without running the optimizer: by
+          the pipeline memo (whichever consumer filled the entry) or by an
+          [opt:] object on disk *)
   store_hits : int;      (** run results served from the disk store *)
   store_writes : int;    (** objects written through to the disk store *)
   tv_checks : int;
@@ -90,8 +96,8 @@ val default_memo_capacity : int
 val create :
   ?store:Tbct_store.Cas.t -> ?memo_capacity:int -> ?compiled:bool -> unit -> t
 (** A fresh engine with empty caches and zeroed counters.  [store] makes
-    the run cache and the optimize cache read-through/write-through to the
-    given on-disk CAS; [memo_capacity] (default
+    run results, TV verdicts and the clean [-O] step read-through and
+    write-through to the given on-disk CAS; [memo_capacity] (default
     {!default_memo_capacity}) bounds each in-memory table.
 
     [compiled] (default [true]) selects the execution kernel for the hot
@@ -100,9 +106,9 @@ val create :
     [compile_hits] in {!stats}), and executed with
     {!Spirv_ir.Compile.render_batch} — observably bit-identical to the
     reference interpreter.  [~compiled:false] keeps every render on
-    {!Spirv_ir.Interp.render} and uses no pipeline memo: {!run} takes
-    [Backend.run]'s default optimizer and {!tv_blame} runs
-    [Optimizer.run_tv] every time.  It is the reference mode the CI
+    {!Spirv_ir.Interp.render} and keeps the pipeline memo for {!optimize}
+    alone: {!run} takes [Backend.run]'s default optimizer and {!tv_blame}
+    runs [Optimizer.run_tv] every time.  It is the reference mode the CI
     byte-equality gates run campaigns under (the differential oracle for
     the kernel and the pipeline memo). *)
 
@@ -121,10 +127,14 @@ val baseline : t -> Compilers.Target.t -> ref_name:string ->
     baselines also populate the content-addressed store. *)
 
 val optimize : t -> Module_ir.t -> (Module_ir.t, string) result
-(** The clean [-O] pipeline, memoized by module digest through the same
-    memory/disk path as runs — closing the ROADMAP item.  Only actual
-    optimizer work is billed to the ["optimize"] stage; errors are not
-    cached. *)
+(** The clean [-O] pipeline ({!Compilers.Optimizer.optimize}), read from
+    and filled into the pipeline memo under the key of
+    [(Optimizer.standard, Passes.no_bugs)], so an earlier {!run} on a
+    target of that configuration answers it.  A memory miss reads the
+    [opt:<module digest>] disk object; only a computed result writes one.
+    Only actual optimizer work is billed to the ["optimize"] stage; errors
+    are not cached.  The [pipeline-runs]/[pipeline-hits] counters do not
+    count this step. *)
 
 val tv_check : t -> before:Module_ir.t -> after:Module_ir.t ->
   Compilers.Tv.verdict

@@ -733,13 +733,14 @@ let figure8 () : figure8 =
     if Spirv_fuzz.Rules.precondition ctx t then Spirv_fuzz.Rules.apply ctx t else ctx
   in
   let variant_a = ctx'.Spirv_fuzz.Context.m in
-  let mesa = Compilers.Target.mesa in
-  let img_of m =
-    match Compilers.Backend.run mesa m input with
+  let engine = Engine.create () in
+  let img_of t m =
+    match Engine.run engine t m input with
     | Compilers.Backend.Rendered img -> Some img
     | _ -> None
   in
-  let orig_a = img_of m_a and var_a = img_of variant_a in
+  let mesa = Compilers.Target.mesa in
+  let orig_a = img_of mesa m_a and var_a = img_of mesa variant_a in
   (* 8b: MoveBlockDown on a diamond; Pixel-5's block-order bug mis-branches *)
   let b = Builder.create () in
   let void_t = Builder.void_ty b in
@@ -778,12 +779,7 @@ let figure8 () : figure8 =
   in
   let variant_b = ctx_b'.Spirv_fuzz.Context.m in
   let pixel5 = Compilers.Target.pixel5 in
-  let img_of_p5 m =
-    match Compilers.Backend.run pixel5 m input with
-    | Compilers.Backend.Rendered img -> Some img
-    | _ -> None
-  in
-  let orig_b = img_of_p5 m_b and var_b = img_of_p5 variant_b in
+  let orig_b = img_of pixel5 m_b and var_b = img_of pixel5 variant_b in
   let ascii = function Some img -> Image.to_ascii img | None -> "(no image)\n" in
   let differ a bimg =
     match (a, bimg) with Some x, Some y -> not (Image.equal x y) | _ -> false

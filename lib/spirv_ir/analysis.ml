@@ -5,6 +5,9 @@
     given program point (the SSA dominance rule), and to enumerate the use
     sites eligible for id-replacing transformations. *)
 
+(* a CFG of its own is a compile error here: use Dataflow.Availability *)
+[@@@alert "@private_cfg"]
+
 type t = {
   m : Module_ir.t;
   f : Func.t;

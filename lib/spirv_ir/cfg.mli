@@ -10,6 +10,11 @@ type t = {
 }
 
 val of_func : Func.t -> t
+[@@alert private_cfg
+  "this module consumes the shared analyses: take the CFG from \
+   Dataflow.Availability.cfg"]
+(** [private_cfg] is an error only in the files that ask for it with a
+    floating [[@@@alert "@private_cfg"]]: validate, lint, analysis, symval. *)
 
 val block_index : t -> Id.t -> int option
 val successors : t -> Id.t -> Id.t list

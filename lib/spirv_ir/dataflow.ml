@@ -222,7 +222,8 @@ module Availability = struct
 
   let make m (f : Func.t) =
     let cfg = Cfg.of_func f in
-    let dom = Dominance.compute cfg in
+    (* the one dominator tree: every other module takes it from here *)
+    let dom = (Dominance.compute [@alert "-private_dominance"]) cfg in
     let def_site =
       List.fold_left
         (fun acc (b : Block.t) ->

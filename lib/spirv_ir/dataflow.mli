@@ -5,8 +5,9 @@
     These are the {e shared} def-use analyses: the validator, the lint
     suite ({!Lint}), the optimizer's checked pipelines and the
     transformation layer (via {!Analysis}) all consume them rather than
-    re-deriving definition sites or dominance privately — CI greps enforce
-    this. *)
+    re-deriving definition sites or dominance privately.  Alerts enforce
+    this: [Dominance.compute] is a compile error outside this module, and
+    [Cfg.of_func] one in the validator, lint, {!Analysis} and {!Symval}. *)
 
 (** {1 The engine} *)
 

@@ -11,6 +11,11 @@
 type t
 
 val compute : Cfg.t -> t
+[@@alert private_dominance
+  "dominance is derived once, in Spirv_ir.Dataflow: use \
+   Dataflow.Availability.dominance"]
+(** [private_dominance] is an error everywhere (the root [dune] file):
+    [Dataflow] is the one caller. *)
 
 val idom : t -> Id.t -> Id.t option
 (** Immediate dominator ([None] for the entry block and unreachable

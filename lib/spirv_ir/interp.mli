@@ -46,7 +46,11 @@ val run_fragment :
 
 val render :
   ?step_limit:int -> Module_ir.t -> Input.t -> (Image.t, trap) result
-(** Execute every fragment of the grid. *)
+[@@alert reference_interp
+  "the tree-walking reference interpreter: the harness renders through \
+   Spirv_ir.Compile.render_batch (via Harness.Engine.run), never this"]
+(** Execute every fragment of the grid: the reference semantics {!Compile}
+    is checked against.  [reference_interp] is an error in [lib/harness]. *)
 
 val run_function :
   ?step_limit:int ->

@@ -8,6 +8,9 @@
     in hand-written or freshly lowered modules.  Lint never raises on
     malformed input. *)
 
+(* a CFG of its own is a compile error here: use Dataflow.Availability *)
+[@@@alert "@private_cfg"]
+
 type severity = Error | Warning [@@deriving show { with_path = false }, eq]
 
 type finding = {

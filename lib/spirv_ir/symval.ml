@@ -4,6 +4,9 @@
    discipline, same lookup order env → globals → constants); wherever it
    cannot, it raises Abstain instead of approximating. *)
 
+(* a CFG of its own is a compile error here: use Dataflow.Availability *)
+[@@@alert "@private_cfg"]
+
 type reason =
   [ `Loop_unbounded  (** back edge with no provable trip-count bound *)
   | `Budget  (** node / visit / call-depth / unroll budget exhausted *)
@@ -456,7 +459,7 @@ let loop_facts_for me (f : Func.t) =
 
 (* The per-function memory analysis, computed once and cached — the only
    path by which the evaluator reasons about dynamic access-chain indices
-   (CI greps enforce there is no ad-hoc chain walking here). *)
+   (without it the corpus TV sweeps abstain for dynamic-index). *)
 let memory_for me (f : Func.t) =
   match Hashtbl.find_opt me.mems f.Func.id with
   | Some t -> t

@@ -35,9 +35,10 @@
     bug.
 
     Reachability, dominance, the loop forest, value ranges and access
-    paths all come from the shared {!Dataflow}/{!Memory} analyses (CI
-    greps enforce that this module neither rebuilds a CFG nor walks
-    access chains privately). *)
+    paths all come from the shared {!Dataflow}/{!Memory} analyses.  The
+    [private_cfg] and [private_dominance] alerts make a CFG or dominator
+    tree of its own a compile error here, and the corpus TV sweeps fail
+    when the access-path proofs stop coming from {!Memory}. *)
 
 type reason =
   [ `Loop_unbounded  (** back edge with no provable trip-count bound *)

@@ -1,3 +1,6 @@
+(* a CFG of its own is a compile error here: use Dataflow.Availability *)
+[@@@alert "@private_cfg"]
+
 type error = { where : string; message : string }
 
 let error_to_string e = Printf.sprintf "%s: %s" e.where e.message

@@ -32,11 +32,14 @@ let read_file path : string option =
           let n = in_channel_length ic in
           Some (really_input_string ic n))
 
+let remove_if_exists path = try Sys.remove path with Sys_error _ -> ()
+
 (** Write [data] to [path] atomically: a uniquely-named temp file in the
     same directory (same filesystem, so [rename] cannot degrade to a copy),
     then rename over the destination.  Concurrent writers of the same path
     race benignly — last rename wins, and every rename installs a complete
-    file. *)
+    file.  When the write or the rename raises, the temp file is unlinked
+    before the exception propagates, so a failed write leaks no bytes. *)
 let write_atomic ?(fsync = false) ~path data =
   ensure_dir (Filename.dirname path);
   let tmp =
@@ -44,19 +47,22 @@ let write_atomic ?(fsync = false) ~path data =
       (Atomic.fetch_and_add tmp_counter 1)
   in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let n = String.length data in
-      let written = ref 0 in
-      while !written < n do
-        written :=
-          !written + Unix.write_substring fd data !written (n - !written)
-      done;
-      if fsync then Unix.fsync fd);
-  Unix.rename tmp path
-
-let remove_if_exists path = try Sys.remove path with Sys_error _ -> ()
+  try
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        let n = String.length data in
+        let written = ref 0 in
+        while !written < n do
+          written :=
+            !written + Unix.write_substring fd data !written (n - !written)
+        done;
+        if fsync then Unix.fsync fd);
+    Unix.rename tmp path
+  with exn ->
+    let bt = Printexc.get_raw_backtrace () in
+    remove_if_exists tmp;
+    Printexc.raise_with_backtrace exn bt
 
 let file_size path : int option =
   match Unix.stat path with

@@ -335,7 +335,7 @@ let diamond_func () =
 
 let test_dominance_diamond () =
   let _, f, (la, lb, lc, ld) = diamond_func () in
-  let dom = Dominance.compute (Cfg.of_func f) in
+  let dom = (Dominance.compute [@alert "-private_dominance"]) (Cfg.of_func f) in
   Alcotest.(check bool) "a dom b" true (Dominance.dominates dom la lb);
   Alcotest.(check bool) "a dom d" true (Dominance.dominates dom la ld);
   Alcotest.(check bool) "b not dom d" false (Dominance.dominates dom lb ld);
@@ -392,7 +392,7 @@ let loop_func () =
 let test_dominance_loop () =
   let m, f, (l0, header, body, exit) = loop_func () in
   check_valid "loop module" m;
-  let dom = Dominance.compute (Cfg.of_func f) in
+  let dom = (Dominance.compute [@alert "-private_dominance"]) (Cfg.of_func f) in
   (* the header dominates the body and the exit; the body dominates nothing
      else (the back edge does not make it dominate the header) *)
   Alcotest.(check bool) "header dom body" true (Dominance.dominates dom header body);
@@ -414,7 +414,7 @@ let test_dominance_unreachable_block () =
   in
   let f = { f with Func.blocks = f.Func.blocks @ [ orphan ] } in
   let cfg = Cfg.of_func f in
-  let dom = Dominance.compute cfg in
+  let dom = (Dominance.compute [@alert "-private_dominance"]) cfg in
   Alcotest.(check bool) "orphan unreachable" false (Cfg.is_reachable cfg 99999);
   Alcotest.(check bool) "nothing dominates the orphan" false
     (Dominance.dominates dom (Func.entry_block f).Block.label 99999);

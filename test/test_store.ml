@@ -315,6 +315,19 @@ let test_cas_ignores_orphaned_temp () =
   Alcotest.(check bool) "the temp file is left on disk" true
     (Sys.file_exists orphan)
 
+(* a write whose rename fails (here: a non-empty directory sits at the
+   destination, which defeats the rename even for root) raises, and leaves
+   no [<path>.tmp.<pid>.<n>] file behind *)
+let test_write_atomic_failure_leaves_no_temp () =
+  let dir = fresh_dir () in
+  let path = Filename.concat dir "obj" in
+  Tbct_store.Fsio.ensure_dir (Filename.concat path "child");
+  (match Tbct_store.Fsio.write_atomic ~path "payload" with
+  | () -> Alcotest.fail "a write over a non-empty directory succeeded"
+  | exception Unix.Unix_error _ -> ());
+  Alcotest.(check (list string)) "only the directory is left" [ "obj" ]
+    (Array.to_list (Sys.readdir dir))
+
 (* ------------------------------------------------------------------ *)
 (* Journal *)
 
@@ -465,6 +478,29 @@ let test_engine_optimize_memoized () =
   let s = Harness.Engine.stats engine in
   Alcotest.(check int) "optimizer ran once" 1 s.Harness.Engine.opt_runs;
   Alcotest.(check int) "second call served from memo" 1 s.Harness.Engine.opt_hits
+
+(* the clean -O step is the (standard, no_bugs) configuration, so a run on
+   AMD-LLPC, which shares it, leaves the entry the step needs in the
+   pipeline memo; SwiftShader's flags differ, so after its run the
+   optimizer must still run *)
+let test_engine_optimize_shares_pipeline_memo () =
+  let m = Lazy.force gradient in
+  let input = Corpus.default_input in
+  let optimize_after_run (t : Compilers.Target.t) =
+    let engine = Harness.Engine.create () in
+    ignore (Harness.Engine.run engine t m input);
+    let o = Harness.Engine.optimize engine m in
+    Alcotest.(check bool)
+      (t.Compilers.Target.name ^ ": the clean -O module")
+      true
+      (o = Compilers.Optimizer.optimize m);
+    let s = Harness.Engine.stats engine in
+    (s.Harness.Engine.opt_runs, s.Harness.Engine.opt_hits)
+  in
+  Alcotest.(check (pair int int)) "AMD-LLPC's run serves the step" (0, 1)
+    (optimize_after_run Compilers.Target.amd_llpc);
+  Alcotest.(check (pair int int)) "SwiftShader's run does not" (1, 0)
+    (optimize_after_run Compilers.Target.swiftshader)
 
 let test_engine_store_shares_runs_and_opts () =
   let dir = fresh_dir () in
@@ -797,6 +833,8 @@ let () =
               test_cas_drops_undecodable;
             Alcotest.test_case "ignores orphaned temp files" `Quick
               test_cas_ignores_orphaned_temp;
+            Alcotest.test_case "failed write leaves no temp file" `Quick
+              test_write_atomic_failure_leaves_no_temp;
           ] );
       ( "journal",
         [
@@ -831,6 +869,8 @@ let () =
             test_engine_corrupt_store_heals;
           Alcotest.test_case "text run objects rewritten in binary" `Quick
             test_engine_replaces_text_run_objects;
+          Alcotest.test_case "clean -O served by the pipeline memo" `Quick
+            test_engine_optimize_shares_pipeline_memo;
         ] );
       ( "resume",
         [
