@@ -527,11 +527,6 @@ let find_miscompile_bug id =
 
 type pass_bug_kind = Crashes | Invalid_ir | Miscompiles
 
-let pass_bug_kind_to_string = function
-  | Crashes -> "crash"
-  | Invalid_ir -> "invalid-ir"
-  | Miscompiles -> "miscompile"
-
 type pass_bug_spec = {
   pb_id : string;
   pb_pass : Optimizer.pass_name;

@@ -69,19 +69,12 @@ val find_miscompile_bug : string -> miscompile_spec option
     enabled per target through {!Passes.flags}.  Unlike crash and
     miscompile specs they have a ground-truth guilty pass, which the
     translation validator ({!Optimizer.run_tv}) must recover — the Table 4
-    blame-attribution experiments key on this catalogue.  The fuzzing
-    registry mirrors it as dependency-free metadata
-    ([Spirv_fuzz.Registry.injected_pass_bugs]); a test keeps the two in
-    sync. *)
+    blame-attribution experiments key on this catalogue. *)
 
 type pass_bug_kind =
   | Crashes      (** the pass aborts with a stable signature *)
   | Invalid_ir   (** the pass emits IR the validator/lint rejects *)
   | Miscompiles  (** the pass silently changes semantics *)
-
-val pass_bug_kind_to_string : pass_bug_kind -> string
-(** ["crash"], ["invalid-ir"] or ["miscompile"] — the registry metadata
-    encoding. *)
 
 type pass_bug_spec = {
   pb_id : string;  (** the flag's field name, e.g. ["bug_fold_sub_zero"] *)

@@ -40,8 +40,6 @@ let split t =
   ( make_raw ~state:(Int64.logor (Int64.shift_left s1 32) s2) ~increment:i1,
     make_raw ~state:(Int64.logor (Int64.shift_left s2 32) s1) ~increment:i2 )
 
-let copy t = { state = t.state; increment = t.increment }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* rejection sampling to avoid modulo bias *)
@@ -61,8 +59,6 @@ let bool t = next_raw t land 1 = 1
 let chance t ~num ~den =
   if den <= 0 then invalid_arg "Rng.chance: den must be positive";
   int t den < num
-
-let float t bound = bound *. (Stdlib.float_of_int (next_raw t) /. 4294967296.0)
 
 let choose t = function
   | [] -> invalid_arg "Rng.choose: empty list"

@@ -17,9 +17,6 @@ val split : t -> t * t
     independent streams.  Useful to give each fuzzer pass its own stream so
     that adding draws to one pass does not perturb another. *)
 
-val copy : t -> t
-(** A generator with the same state; the two evolve independently. *)
-
 val int : t -> int -> int
 (** [int g bound] draws a uniform integer in [\[0, bound)].  [bound] must be
     positive. *)
@@ -31,9 +28,6 @@ val bool : t -> bool
 
 val chance : t -> num:int -> den:int -> bool
 (** [chance g ~num ~den] is true with probability [num/den]. *)
-
-val float : t -> float -> float
-(** [float g bound] draws a uniform float in [\[0, bound)]. *)
 
 val choose : t -> 'a list -> 'a
 (** Uniform element of a non-empty list.  @raise Invalid_argument on []. *)

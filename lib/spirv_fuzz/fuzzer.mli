@@ -50,7 +50,10 @@ type result = {
       (** the fuzzed variant: module, (possibly extended) input, and facts *)
   transformations : Transformation.t list;
       (** the recorded sequence; replaying it from the original context with
-          {!Lang.replay} reproduces [final] exactly *)
+          {!Lang.replay} reproduces [final] up to the module's [id_bound]
+          ({!Module_ir.equal_ignoring_bound}): a proposal whose
+          precondition failed has already drawn its fresh ids, so [final]'s
+          bound can be higher (108 of corpus seeds 0-399) *)
   passes_run : string list;  (** pass names, in execution order *)
   counters : (string * int * int) list;
       (** per-type (type_id, proposed, applied) tallies from the emitter,

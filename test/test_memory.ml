@@ -474,21 +474,6 @@ let test_bug_latent_by_default () =
         (spec.Compilers.Bug.pb_enabled t.Compilers.Target.opt_flags))
     Compilers.Target.all
 
-(* the registry's metadata mirror stays in sync with the optimizer's
-   roster (id, host pass, kind) *)
-let test_registry_pass_bugs_in_sync () =
-  let from_bug =
-    List.map
-      (fun (s : Compilers.Bug.pass_bug_spec) ->
-        ( s.Compilers.Bug.pb_id,
-          Compilers.Optimizer.show_pass_name s.Compilers.Bug.pb_pass,
-          Compilers.Bug.pass_bug_kind_to_string s.Compilers.Bug.pb_kind ))
-      Compilers.Bug.all_pass_bugs
-  in
-  Alcotest.(check (list (triple string string string)))
-    "registry mirrors the optimizer roster" from_bug
-    Spirv_fuzz.Registry.injected_pass_bugs
-
 (* ------------------------------------------------------------------ *)
 (* Abstention counters: codec round-trip                               *)
 
@@ -651,8 +636,6 @@ let () =
             test_bug_blamed_on_all_targets;
           Alcotest.test_case "bug latent by default" `Quick
             test_bug_latent_by_default;
-          Alcotest.test_case "registry mirror in sync" `Quick
-            test_registry_pass_bugs_in_sync;
         ] );
       ( "counters",
         [

@@ -1,13 +1,14 @@
 (* Registry properties: the table in Spirv_fuzz.Registry holds one
    distinct entry per transformation kind, the sweep list keeps its
-   historical order, the dedup ignore set matches the one the consumers
-   used to hard-code, and every entry's generator respects the paper's
-   contract — generated opportunities satisfy their precondition and
-   apply preserves validity, lint cleanliness and the rendered image.  Also pins the
-   zero-drift guarantee: uniform weights reproduce the historical RNG
-   stream bit for bit, and non-uniform weights really shift sampling. *)
+   historical order, and the dedup ignore set matches the one the
+   consumers used to hard-code.  The paper's contract is checked on the
+   fuzzer's own proposals: campaigns run with the Contract checker on
+   until the passes have applied every type, so each applied
+   transformation met its precondition and kept the module valid, lint
+   clean and rendering the same image.  Also pins the zero-drift
+   guarantee: uniform weights reproduce the historical RNG stream bit for
+   bit, and non-uniform weights really shift sampling. *)
 
-open Spirv_ir
 module Registry = Spirv_fuzz.Registry
 
 module Transformation = Spirv_fuzz.Transformation
@@ -153,141 +154,67 @@ let test_pass_weight () =
     (Registry.pass_weight ~weights:w "add_loads")
 
 (* ------------------------------------------------------------------ *)
-(* per-entry contract: gen -> precondition -> apply preserves all      *)
+(* contract: the passes' own proposals, checked as they apply          *)
 
-(* fuzzer-enriched contexts: realistic modules with facts (dead blocks,
-   synonyms, irrelevant ids) so fact-driven gens have material to work
-   with.  Built once — rendering every (entry, ctx, salt) apply result is
-   the expensive part, so keep the context count small. *)
-let enriched =
-  lazy
-    (let refs = Lazy.force Corpus.lowered_references in
-     let donors = List.map snd (Lazy.force Corpus.lowered_donors) in
-     let config =
-       {
-         Spirv_fuzz.Fuzzer.default_config with
-         Spirv_fuzz.Fuzzer.donors;
-         Spirv_fuzz.Fuzzer.max_transformations = 40;
-         Spirv_fuzz.Fuzzer.max_passes = 20;
-       }
-     in
-     List.map
-       (fun seed ->
-         let _, m = List.nth refs (seed mod List.length refs) in
-         let ctx = Spirv_fuzz.Context.make m Corpus.default_input in
-         (Spirv_fuzz.Fuzzer.run ~config ~seed ctx).Spirv_fuzz.Fuzzer.final)
-       [ 1; 2; 5 ])
+(* a corpus seed as `tbct transformations --seeds` fuzzes it: reference
+   [seed mod n], corpus donors *)
+let corpus_run config seed =
+  let refs = Lazy.force Corpus.lowered_references in
+  let donors = List.map snd (Lazy.force Corpus.lowered_donors) in
+  let _, m = List.nth refs (seed mod List.length refs) in
+  let ctx = Spirv_fuzz.Context.make m Corpus.default_input in
+  Spirv_fuzz.Fuzzer.run ~config:{ config with Spirv_fuzz.Fuzzer.donors } ~seed ctx
 
-let render_exn what (ctx : Spirv_fuzz.Context.t) =
-  match Interp.render ctx.Spirv_fuzz.Context.m ctx.Spirv_fuzz.Context.input with
-  | Ok img -> img
-  | Error t -> Alcotest.failf "%s render trapped: %s" what (Interp.trap_to_string t)
+(* the types no campaign applies *)
+let never_applied =
+  [
+    (* no pass proposes it; test_transformations applies hand-built cases *)
+    "AddNop";
+    (* inline_functions proposes only callees whose block declares an
+       OpVariable or an OpPhi, and the precondition rejects both *)
+    "InlineFunction";
+  ]
 
-(* one generated opportunity checked end to end; returns whether the gen
-   produced anything on this (ctx, salt) *)
-let check_one (e : Registry.entry) (ctx : Spirv_fuzz.Context.t) salt =
-  let rng = Tbct.Rng.make salt in
-  match e.Registry.gen ctx rng with
-  | None -> false
-  | Some (ctx', t) ->
-      Alcotest.(check string)
-        ("gen emits its own type: " ^ e.Registry.type_id)
-        e.Registry.type_id
-        (Spirv_fuzz.Transformation.type_id t);
-      Alcotest.(check bool)
-        ("generated opportunity satisfies precondition: " ^ e.Registry.type_id)
-        true
-        (Spirv_fuzz.Rules.precondition ctx' t);
-      let before_img = render_exn (e.Registry.type_id ^ " before") ctx' in
-      let before_lint =
-        Lint.error_count (Lint.check_module ctx'.Spirv_fuzz.Context.m)
-      in
-      let after = Spirv_fuzz.Rules.apply ctx' t in
-      (match Validate.check after.Spirv_fuzz.Context.m with
-      | Ok () -> ()
-      | Error (err :: _) ->
-          Alcotest.failf "%s apply broke validation: %s" e.Registry.type_id
-            (Validate.error_to_string err)
-      | Error [] -> Alcotest.fail "invalid");
-      Alcotest.(check bool)
-        (e.Registry.type_id ^ " apply introduces no lint errors")
-        true
-        (Lint.error_count (Lint.check_module after.Spirv_fuzz.Context.m)
-        <= before_lint);
-      let after_img = render_exn (e.Registry.type_id ^ " after") after in
-      Alcotest.(check bool)
-        (e.Registry.type_id ^ " apply preserves the image")
-        true
-        (Image.equal before_img after_img);
-      true
+let max_seeds = 400
 
-(* every gen's output dispatches, by its constructor, to its own entry *)
-let test_find () =
-  let ctxs = Lazy.force enriched in
-  List.iter
-    (fun (e : Registry.entry) ->
-      List.iter
-        (fun ctx ->
-          match e.Registry.gen ctx (Tbct.Rng.make 11) with
-          | None -> ()
-          | Some (_, t) ->
-              Alcotest.(check string)
-                ("gen output maps to its entry: " ^ e.Registry.type_id)
-                e.Registry.type_id
-                (Registry.entry (Transformation.kind t)).Registry.type_id)
-        ctxs)
-    Registry.all
-
-let test_entry_contracts () =
-  let ctxs = Lazy.force enriched in
-  let generated =
-    List.filter
-      (fun (e : Registry.entry) ->
-        let hits = ref 0 in
-        List.iter
-          (fun ctx ->
-            List.iter
-              (fun salt -> if check_one e ctx salt then incr hits)
-              [ 11; 23; 47 ])
-          ctxs;
-        !hits > 0)
-      Registry.all
+(* Seeds from 0 upward with the Contract checker on, until every type
+   outside [never_applied] has been applied.  The checker raises on the
+   first breach, so every applied transformation passed its precondition,
+   validate, lint and image checks. *)
+let test_every_type_applied_under_checker () =
+  let config =
+    { Spirv_fuzz.Fuzzer.default_config with Spirv_fuzz.Fuzzer.check_contracts = true }
   in
-  (* not every type finds an opportunity on every module (e.g. facts the
-     fuzzer never recorded), but the overwhelming majority must *)
-  Alcotest.(check bool)
-    (Printf.sprintf "most entries generate opportunities (%d of %d)"
-       (List.length generated) (List.length Registry.all))
-    true
-    (List.length generated >= 24)
-
-let prop_gen_respects_contract =
-  QCheck.Test.make ~name:"random gen draws satisfy the entry contract"
-    ~count:60
-    QCheck.(pair (int_bound 30) (int_bound 1_000_000))
-    (fun (entry_idx, salt) ->
-      let e = List.nth Registry.all (entry_idx mod List.length Registry.all) in
-      let ctxs = Lazy.force enriched in
-      let ctx = List.nth ctxs (salt mod List.length ctxs) in
-      ignore (check_one e ctx salt);
-      true)
+  let applied = Hashtbl.create 32 in
+  let missing () =
+    List.filter
+      (fun id -> not (List.mem id never_applied || Hashtbl.mem applied id))
+      entry_ids
+  in
+  let rec go seed =
+    match missing () with
+    | [] -> ()
+    | left when seed >= max_seeds ->
+        Alcotest.failf "no pass applied %s in seeds 0-%d"
+          (String.concat ", " left) (max_seeds - 1)
+    | _ ->
+        (match corpus_run config seed with
+        | r ->
+            List.iter
+              (fun (ty, _, n) -> if n > 0 then Hashtbl.replace applied ty ())
+              r.Spirv_fuzz.Fuzzer.counters
+        | exception Spirv_fuzz.Contract.Violation v ->
+            Alcotest.failf "seed %d: %s" seed
+              (Spirv_fuzz.Contract.violation_to_string v));
+        go (seed + 1)
+  in
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* scheduling: zero drift at uniform weights, real drift otherwise     *)
 
 let run_with weights seed =
-  let refs = Lazy.force Corpus.lowered_references in
-  let donors = List.map snd (Lazy.force Corpus.lowered_donors) in
-  let _, m = List.nth refs (seed mod List.length refs) in
-  let ctx = Spirv_fuzz.Context.make m Corpus.default_input in
-  let config =
-    {
-      Spirv_fuzz.Fuzzer.default_config with
-      Spirv_fuzz.Fuzzer.donors;
-      Spirv_fuzz.Fuzzer.weights = weights;
-    }
-  in
-  Spirv_fuzz.Fuzzer.run ~config ~seed ctx
+  corpus_run { Spirv_fuzz.Fuzzer.default_config with Spirv_fuzz.Fuzzer.weights } seed
 
 let uniform =
   List.map (fun f -> (f, 1)) Registry.families
@@ -372,7 +299,6 @@ let () =
       ( "table",
         [
           Alcotest.test_case "catalogue bijection" `Quick test_completeness;
-          Alcotest.test_case "find" `Quick test_find;
           Alcotest.test_case "pass list derivation" `Quick test_pass_names;
           Alcotest.test_case "dedup ignore derivation" `Quick test_dedup_ignored;
         ] );
@@ -387,11 +313,7 @@ let () =
             test_zero_weight_family;
         ] );
       ( "contract",
-        Alcotest.test_case "every entry generates and preserves" `Slow
-          test_entry_contracts
-        :: qcheck
-             [
-               prop_gen_respects_contract; prop_uniform_stream_equality;
-               prop_counters_consistent;
-             ] );
+        Alcotest.test_case "passes apply every type under the checker" `Slow
+          test_every_type_applied_under_checker
+        :: qcheck [ prop_uniform_stream_equality; prop_counters_consistent ] );
     ]

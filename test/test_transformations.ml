@@ -1,8 +1,8 @@
 (* Per-transformation unit tests: for every transformation type in the
    catalogue, a crafted scenario where the precondition holds, checks that
-   apply yields a valid module with unchanged semantics and the expected
-   structural effect, plus negative cases where the precondition must
-   fail. *)
+   apply yields a valid module with no new lint errors, unchanged
+   semantics and the expected structural effect, plus negative cases
+   where the precondition must fail. *)
 
 open Spirv_ir
 
@@ -119,6 +119,11 @@ let check_applies ?(also = []) (fx : fixture) (t : Spirv_fuzz.Transformation.t) 
         (Spirv_fuzz.Transformation.type_id t)
         (Validate.error_to_string e)
   | Error [] -> Alcotest.fail "invalid");
+  Alcotest.(check bool)
+    (Spirv_fuzz.Transformation.type_id t ^ " adds no lint errors")
+    true
+    (Lint.error_count (Lint.check_module ctx'.Spirv_fuzz.Context.m)
+    <= Lint.error_count (Lint.check_module ctx.Spirv_fuzz.Context.m));
   let before = render_exn fx.m in
   let after = render_exn ctx'.Spirv_fuzz.Context.m in
   Alcotest.(check bool)
