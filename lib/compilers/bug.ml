@@ -525,44 +525,34 @@ let find_miscompile_bug id =
 (* ------------------------------------------------------------------ *)
 (* Optimizer-hosted pass bugs                                          *)
 
-type pass_bug_kind = Crashes | Invalid_ir | Miscompiles
-
 type pass_bug_spec = {
   pb_id : string;
   pb_pass : Optimizer.pass_name;
-  pb_kind : pass_bug_kind;
   pb_enable : Passes.flags -> Passes.flags;
   pb_enabled : Passes.flags -> bool;
 }
 
-let pass_bug ~id ~pass ~kind enable enabled =
-  { pb_id = id; pb_pass = pass; pb_kind = kind; pb_enable = enable;
-    pb_enabled = enabled }
+let pass_bug ~id ~pass enable enabled =
+  { pb_id = id; pb_pass = pass; pb_enable = enable; pb_enabled = enabled }
 
 let all_pass_bugs =
   [
     pass_bug ~id:"bug_fold_div_crash" ~pass:Optimizer.Const_fold
-      ~kind:Crashes
       (fun f -> { f with Passes.bug_fold_div_crash = true })
       (fun f -> f.Passes.bug_fold_div_crash);
     pass_bug ~id:"bug_keep_stale_phi_entries" ~pass:Optimizer.Simplify_cfg
-      ~kind:Invalid_ir
       (fun f -> { f with Passes.bug_keep_stale_phi_entries = true })
       (fun f -> f.Passes.bug_keep_stale_phi_entries);
     pass_bug ~id:"bug_fold_sub_zero" ~pass:Optimizer.Const_fold
-      ~kind:Miscompiles
       (fun f -> { f with Passes.bug_fold_sub_zero = true })
       (fun f -> f.Passes.bug_fold_sub_zero);
     pass_bug ~id:"bug_inline_swaps_const_args" ~pass:Optimizer.Inline
-      ~kind:Miscompiles
       (fun f -> { f with Passes.bug_inline_swaps_const_args = true })
       (fun f -> f.Passes.bug_inline_swaps_const_args);
     pass_bug ~id:"bug_hoist_loop_load" ~pass:Optimizer.Hoist_invariant
-      ~kind:Miscompiles
       (fun f -> { f with Passes.bug_hoist_loop_load = true })
       (fun f -> f.Passes.bug_hoist_loop_load);
     pass_bug ~id:"bug_forward_aliased_store" ~pass:Optimizer.Store_forward
-      ~kind:Miscompiles
       (fun f -> { f with Passes.bug_forward_aliased_store = true })
       (fun f -> f.Passes.bug_forward_aliased_store);
   ]

@@ -71,15 +71,9 @@ val find_miscompile_bug : string -> miscompile_spec option
     translation validator ({!Optimizer.run_tv}) must recover — the Table 4
     blame-attribution experiments key on this catalogue. *)
 
-type pass_bug_kind =
-  | Crashes      (** the pass aborts with a stable signature *)
-  | Invalid_ir   (** the pass emits IR the validator/lint rejects *)
-  | Miscompiles  (** the pass silently changes semantics *)
-
 type pass_bug_spec = {
   pb_id : string;  (** the flag's field name, e.g. ["bug_fold_sub_zero"] *)
   pb_pass : Optimizer.pass_name;  (** ground-truth guilty pass *)
-  pb_kind : pass_bug_kind;
   pb_enable : Passes.flags -> Passes.flags;  (** set the flag *)
   pb_enabled : Passes.flags -> bool;  (** read the flag *)
 }

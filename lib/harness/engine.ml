@@ -4,8 +4,9 @@
     optional persistent {!Tbct_store.Cas} backend (read-through /
     write-through), the baseline cache, the per-configuration
     target-optimizer memo shared by runs, TV blame and the clean [-O] step,
-    counters and per-stage wall-clock accounting.  One engine may be
-    shared across domains. *)
+    the stage memo that decides crash-signature probes at the backend
+    stage that can produce the signature, counters and per-stage
+    wall-clock accounting.  One engine may be shared across domains. *)
 
 open Spirv_ir
 module Lru = Tbct_store.Lru
@@ -22,6 +23,16 @@ type pipeline_entry = {
   blame : Compilers.Optimizer.pass_name option option;
 }
 
+(* How far a module has got through a target's front end and compile
+   stage, for the stage memo: a crash signature, or that it passed.
+   [Front_end_passed] answers a front-end probe only; a compile-stage
+   probe on it runs the compile stage alone.  The optimized module itself
+   stays in the pipeline memo. *)
+type staged =
+  | Front_end_crashed of string
+  | Front_end_passed
+  | Compiled of string option
+
 type t = {
   lock : Mutex.t;
   mutable memo :
@@ -33,6 +44,8 @@ type t = {
       (* module digest -> lowered program for the flat execution kernel *)
   mutable pipeline_memo : (string * string, pipeline_entry) Lru.t;
       (* (Target.config_key, module digest) -> target optimizer outcome *)
+  mutable stage_memo : (string * string, staged) Lru.t;
+      (* (target name, module digest) -> front end and compile stage *)
   use_compiled : bool;
       (* false: reference-interpreter mode (the differential oracle) *)
   memo_capacity : int;
@@ -90,6 +103,7 @@ let create ?store ?(memo_capacity = default_memo_capacity) ?(compiled = true)
     tv_memo = Lru.create ~capacity:memo_capacity;
     compile_memo = Lru.create ~capacity:memo_capacity;
     pipeline_memo = Lru.create ~capacity:memo_capacity;
+    stage_memo = Lru.create ~capacity:memo_capacity;
     use_compiled = compiled;
     memo_capacity;
     baselines = Hashtbl.create 64;
@@ -129,9 +143,31 @@ let add_stage_locked e stage dt =
 
 let pipeline_runs_counter = "pipeline-runs"
 let pipeline_hits_counter = "pipeline-hits"
+let store_put_failures_counter = "store-put-failures"
 let execute_stage = "execute"
 let optimize_stage = "optimize"
 let tv_stage = "tv"
+
+(* the backend's stages, nested inside [execute_stage]: the front-end
+   triggers (billed by stage-memo probes only; a full run does not split
+   them out), the target optimizer on pipeline-memo misses, validation of
+   its output and the render (lowering included).  They are named apart
+   from [optimize_stage] and [tv_stage], which clock work outside
+   [execute_stage]. *)
+let front_stage = "execute/front"
+let optimize_miss_stage = "execute/optimize"
+let validate_stage = "execute/validate"
+let render_stage = "execute/render"
+
+let front_hits_counter = "stage-memo:front-hits"
+let front_misses_counter = "stage-memo:front-misses"
+let compile_hits_counter = "stage-memo:compile-hits"
+let compile_misses_counter = "stage-memo:compile-misses"
+
+(* the harness's only calls of the backend, each behind a memo below *)
+let backend_run = (Compilers.Backend.run [@alert "-unmemoized_run"])
+let backend_front_end = (Compilers.Backend.front_end [@alert "-unmemoized_run"])
+let backend_compile = (Compilers.Backend.compile [@alert "-unmemoized_run"])
 
 (* disk keys: the namespaced cache key digested into a CAS key *)
 let run_store_key (target, mdigest, idigest) =
@@ -158,10 +194,27 @@ let compiled_program e (m : Module_ir.t) : Compile.t =
           e.compiles <- e.compiles + 1);
       p
 
-(* The render hook handed to [Backend.run]: it receives the post-miscompile
-   module, which differs from the module the engine was asked about, so it
-   is digested and lowered (through the cache) on its own. *)
-let compiled_render e m input = Compile.render_batch (compiled_program e m) input
+(* [f x], its time added to [clock], a computation's list of (stage,
+   seconds) that the caller bills with [bill_locked] in the locked section
+   it takes anyway: the backend stages of every run cost no lock of their
+   own *)
+let clock_into clock stage f x =
+  let t0 = Unix.gettimeofday () in
+  let r = f x in
+  clock := (stage, Unix.gettimeofday () -. t0) :: !clock;
+  r
+
+let bill_locked e clock =
+  List.iter (fun (stage, dt) -> add_stage_locked e stage dt) !clock
+
+(* The render hook handed to [Backend.run]: it receives the
+   post-miscompile module, which differs from the module the engine was
+   asked about, so it is digested and lowered (through the cache) on its
+   own. *)
+let compiled_render e clock m input =
+  clock_into clock render_stage
+    (fun m -> Compile.render_batch (compiled_program e m) input)
+    m
 
 (* Store a fresh pipeline outcome under the engine lock.  A racing domain
    may have stored the same key meanwhile; an optimized module already in
@@ -186,9 +239,9 @@ let pipeline_hit e = bump_counter e pipeline_hits_counter 1
 let pipeline_key (t : Compilers.Target.t) m =
   (Compilers.Target.config_key t, Digest.of_module m)
 
-(* The optimize hook handed to [Backend.run]: any entry for the key
-   answers, whichever consumer stored it. *)
-let memo_optimize e (t : Compilers.Target.t) (m : Module_ir.t) :
+(* The optimize hook handed to [Backend.run] and [Backend.compile]: any
+   entry for the key answers, whichever consumer stored it. *)
+let memo_optimize e clock (t : Compilers.Target.t) (m : Module_ir.t) :
     (Module_ir.t, string) result =
   let key = pipeline_key t m in
   let cached = locked e (fun () -> Lru.find e.pipeline_memo key) in
@@ -197,7 +250,11 @@ let memo_optimize e (t : Compilers.Target.t) (m : Module_ir.t) :
       pipeline_hit e;
       entry.outcome
   | None ->
-      let outcome = Compilers.Backend.target_optimize t m in
+      let outcome =
+        clock_into clock optimize_miss_stage
+          (Compilers.Backend.target_optimize t)
+          m
+      in
       record_pipeline e key { outcome; blame = None };
       outcome
 
@@ -247,14 +304,20 @@ let read_through e ~memo ~store_key ~decode ~encode ~hit ~computed ~stage
               computed ();
               add_stage_locked e stage dt);
           (match (e.store, kept) with
-          | Some cas, Some v ->
-              Cas.put cas ~key:(store_key key) (encode v);
-              locked e (fun () -> e.store_writes <- e.store_writes + 1)
+          | Some cas, Some v -> (
+              match Cas.put cas ~key:(store_key key) (encode v) with
+              | () -> locked e (fun () -> e.store_writes <- e.store_writes + 1)
+              | exception (Unix.Unix_error _ | Sys_error _) ->
+                  (* store objects are recomputable: a write that fails
+                     (a full disk, a shard path that is not a directory)
+                     costs a later recomputation, never this result *)
+                  bump_counter e store_put_failures_counter 1)
           | _ -> ());
           r)
 
 let run e (t : Compilers.Target.t) (m : Module_ir.t) (input : Input.t) :
     Compilers.Backend.run_result =
+  let clock = ref [] in
   read_through e
     ~memo:(fun e -> e.memo)
     ~store_key:run_store_key ~decode:Run_codec.decode_run
@@ -266,17 +329,93 @@ let run e (t : Compilers.Target.t) (m : Module_ir.t) (input : Input.t) :
       let did = (Domain.self () :> int) in
       e.runs_executed <- e.runs_executed + 1;
       Hashtbl.replace e.domain_runs did
-        (1 + Option.value ~default:0 (Hashtbl.find_opt e.domain_runs did)))
+        (1 + Option.value ~default:0 (Hashtbl.find_opt e.domain_runs did));
+      bill_locked e clock)
     ~stage:execute_stage ~keep:Option.some ~cached:Fun.id
     (t.Compilers.Target.name, Digest.of_module m, Digest.of_input input)
     (fun () ->
       (* the harness's one permitted backend call: everything else runs
          through here, behind the memo and the store *)
-      let backend_run = (Compilers.Backend.run [@alert "-unmemoized_run"]) in
       if e.use_compiled then
-        backend_run ~render:(compiled_render e) ~optimize:(memo_optimize e t) t
-          m input
+        backend_run ~render:(compiled_render e clock)
+          ~validate:(clock_into clock validate_stage Validate.check)
+          ~optimize:(memo_optimize e clock t) t m input
       else backend_run t m input)
+
+(* The stage memo: the crash signature, if any, of the target's front end
+   alone ([front_only]) or of its front end and compile stage on a module.
+   A miss computes only up to the stage asked for, starting after the
+   front end when a [Front_end_passed] entry says it passed, and is billed
+   to [execute_stage]; a hit counts as a [cache_hits].  A racing domain's
+   entry is replaced only by one that got further. *)
+let staged_crash e (t : Compilers.Target.t) ~front_only m =
+  let key = (t.Compilers.Target.name, Digest.of_module m) in
+  let answer = function
+    | Front_end_crashed signature -> Some (Some signature)
+    | Compiled crash -> Some crash
+    | Front_end_passed -> if front_only then Some None else None
+  in
+  let hits, misses =
+    if front_only then (front_hits_counter, front_misses_counter)
+    else (compile_hits_counter, compile_misses_counter)
+  in
+  let clock = ref [] in
+  let compile () =
+    match
+      backend_compile ~optimize:(memo_optimize e clock t)
+        ~validate:(clock_into clock validate_stage Validate.check)
+        t m
+    with
+    | Ok _ -> Compiled None
+    | Error signature -> Compiled (Some signature)
+  in
+  let cached = locked e (fun () -> Lru.find e.stage_memo key) in
+  match Option.bind cached answer with
+  | Some crash ->
+      locked e (fun () ->
+          e.cache_hits <- e.cache_hits + 1;
+          bump_counter_locked e hits 1);
+      crash
+  | None ->
+      let t0 = Unix.gettimeofday () in
+      let entry =
+        match cached with
+        | Some Front_end_passed -> compile ()
+        | _ -> (
+            match
+              clock_into clock front_stage (backend_front_end t) m
+            with
+            | Some signature -> Front_end_crashed signature
+            | None when front_only -> Front_end_passed
+            | None -> compile ())
+      in
+      let dt = Unix.gettimeofday () -. t0 in
+      locked e (fun () ->
+          (match Lru.find e.stage_memo key with
+          | None | Some Front_end_passed -> Lru.set e.stage_memo key entry
+          | Some (Front_end_crashed _ | Compiled _) -> ());
+          bump_counter_locked e misses 1;
+          add_stage_locked e execute_stage dt;
+          bill_locked e clock);
+      Option.join (answer entry)
+
+let crashes_with e (t : Compilers.Target.t) m input signature =
+  let run_crashes () =
+    match run e t m input with
+    | Compilers.Backend.Crashed s -> String.equal s signature
+    | Compilers.Backend.Rendered _ | Compilers.Backend.Compiled_ok -> false
+  in
+  let stage_crashes ~front_only =
+    match staged_crash e t ~front_only m with
+    | Some s -> String.equal s signature
+    | None -> false
+  in
+  if not e.use_compiled then run_crashes ()
+  else
+    match Compilers.Backend.stage_of_signature t signature with
+    | Compilers.Backend.Front_end -> stage_crashes ~front_only:true
+    | Compilers.Backend.Compile -> stage_crashes ~front_only:false
+    | Compilers.Backend.Execute -> run_crashes ()
 
 let baseline e (t : Compilers.Target.t) ~ref_name (m : Module_ir.t)
     (input : Input.t) : Compilers.Backend.run_result =
@@ -404,7 +543,12 @@ let timed e ~stage f =
 let stats e : stats =
   locked e (fun () ->
       let runs_saved = e.cache_hits + e.baseline_hits + e.store_hits in
-      let looked_up = runs_saved + e.runs_executed in
+      let counter k = Option.value ~default:0 (Hashtbl.find_opt e.named_counters k) in
+      let looked_up =
+        runs_saved + e.runs_executed
+        + counter front_misses_counter
+        + counter compile_misses_counter
+      in
       {
         runs_executed = e.runs_executed;
         cache_hits = e.cache_hits;
@@ -419,11 +563,13 @@ let stats e : stats =
         compile_hits = e.compile_hits;
         memo_entries =
           Lru.length e.memo + Lru.length e.tv_memo
-          + Lru.length e.compile_memo + Lru.length e.pipeline_memo;
+          + Lru.length e.compile_memo + Lru.length e.pipeline_memo
+          + Lru.length e.stage_memo;
         memo_capacity = e.memo_capacity;
         memo_evictions =
           Lru.evictions e.memo + Lru.evictions e.tv_memo
-          + Lru.evictions e.compile_memo + Lru.evictions e.pipeline_memo;
+          + Lru.evictions e.compile_memo + Lru.evictions e.pipeline_memo
+          + Lru.evictions e.stage_memo;
         runs_saved;
         hit_rate =
           (if looked_up = 0 then 0.0
@@ -453,6 +599,7 @@ let reset e =
       e.tv_memo <- Lru.create ~capacity:e.memo_capacity;
       e.compile_memo <- Lru.create ~capacity:e.memo_capacity;
       e.pipeline_memo <- Lru.create ~capacity:e.memo_capacity;
+      e.stage_memo <- Lru.create ~capacity:e.memo_capacity;
       Hashtbl.reset e.baselines;
       Hashtbl.reset e.stage_wall;
       Hashtbl.reset e.domain_runs;
@@ -489,7 +636,7 @@ let pp_stats fmt (s : stats) =
       s.compiles s.compile_hits;
   if s.stages <> [] then begin
     Format.fprintf fmt "@\nstage wall-clock:";
-    List.iter (fun (k, v) -> Format.fprintf fmt "@\n  %-10s %8.3fs" k v) s.stages
+    List.iter (fun (k, v) -> Format.fprintf fmt "@\n  %-16s %8.3fs" k v) s.stages
   end;
   (match s.per_domain_runs with
   | [] | [ _ ] -> ()  (* single-domain runs need no breakdown *)

@@ -19,6 +19,13 @@
     engine may be shared by several OCaml 5 domains — the domain-parallel
     campaigns of {!Experiments} do exactly that.
 
+    The stage memo serves crash-signature probes ({!crashes_with}): per
+    [(target name, module digest)] it holds how far the module has got
+    through the target's {!Compilers.Backend.front_end} and
+    {!Compilers.Backend.compile} stages, so a reduction probe whose
+    signature only the front end can produce runs neither the optimizer
+    nor validation nor the render (DESIGN.md §5).
+
     The in-memory tables are bounded: {!create}'s [memo_capacity] caps the
     entry count and least-recently-used entries are evicted past it
     (surfaced as [memo_evictions] in {!stats}), so a long-running service
@@ -37,18 +44,27 @@
     set of transformations delta debugging keeps — cannot be affected by
     cache hits.
 
-    The engine also keeps per-stage wall-clock accounting: {!run} bills
-    backend executions to the ["execute"] stage, {!optimize} bills actual
-    optimizer work to ["optimize"], and callers wrap other phases with
-    {!timed}. *)
+    The engine also keeps per-stage wall-clock accounting: {!run} and the
+    stage-memo misses of {!crashes_with} bill backend work to the
+    ["execute"] stage, {!optimize} bills actual optimizer work to
+    ["optimize"], and callers wrap other phases with {!timed}.  Inside
+    ["execute"] four nested stages split the backend:
+    ["execute/front"] (front-end triggers, clocked on stage-memo misses
+    only, since a full run does not split them out), ["execute/optimize"]
+    (the target optimizer on pipeline-memo misses), ["execute/validate"]
+    ({!Spirv_ir.Validate.check} of its output) and ["execute/render"]
+    (lowering and the fragment grid). *)
 
 open Spirv_ir
 
 type t
 
 type stats = {
-  runs_executed : int;   (** backend executions actually performed *)
-  cache_hits : int;      (** in-memory content-addressed memo hits *)
+  runs_executed : int;
+      (** full backend executions actually performed by {!run}; a
+          stage-memo miss of {!crashes_with} is not one *)
+  cache_hits : int;
+      (** in-memory hits of the run memo and of the stage memo *)
   baseline_hits : int;   (** baseline (target, reference) cache hits *)
   opt_runs : int;        (** clean [-O] requests the optimizer ran for *)
   opt_hits : int;
@@ -67,13 +83,18 @@ type stats = {
   memo_capacity : int;   (** the per-table LRU entry cap *)
   memo_evictions : int;  (** entries evicted by the LRU bound *)
   runs_saved : int;      (** [cache_hits + baseline_hits + store_hits] *)
-  hit_rate : float;      (** [runs_saved / (runs_saved + runs_executed)] *)
+  hit_rate : float;
+      (** [runs_saved / (runs_saved + runs_executed + stage-memo misses)]:
+          a stage-memo miss does backend work without being a full run *)
   execute_wall : float;
-      (** seconds spent inside [Backend.run], pipeline memo lookups and
-          misses included *)
+      (** seconds spent inside the backend stages, pipeline memo lookups
+          and misses included *)
   stages : (string * float) list;
       (** cumulative wall-clock per stage, sorted by stage name;
-          ["execute"] is maintained by {!run}, ["optimize"] by
+          ["execute"] is maintained by {!run} and {!crashes_with}, its
+          nested ["execute/front"], ["execute/optimize"],
+          ["execute/validate"] and ["execute/render"] by the computation
+          that ran them, with its ["execute"] time, ["optimize"] by
           {!optimize}, others by {!timed} *)
   per_domain_runs : (int * int) list;
       (** backend executions per OCaml domain id, sorted by id — how
@@ -87,7 +108,11 @@ type stats = {
           results) and the engine's own: [pipeline-runs] (target
           optimizer pipelines actually run, by {!run} or {!tv_blame}),
           [pipeline-hits] (optimizer outcomes and blames served by the
-          pipeline memo), and [tv-abstain:*] and [mem-proofs], which,
+          pipeline memo), [stage-memo:front-hits],
+          [stage-memo:front-misses], [stage-memo:compile-hits] and
+          [stage-memo:compile-misses] ({!crashes_with}'s probes by the
+          stage they asked for), [store-put-failures] (write-throughs the
+          store refused), and [tv-abstain:*] and [mem-proofs], which,
           like [tv_checks], count only steps actually validated *)
 }
 
@@ -118,7 +143,23 @@ val run : t -> Compilers.Target.t -> Module_ir.t -> Input.t ->
     then execute-and-record (billing the ["execute"] stage).  The mutex is
     not held during execution, so concurrent misses proceed in parallel.
     An execution takes the target's optimizer output from the pipeline
-    memo ([Backend.run]'s [?optimize] hook). *)
+    memo ([Backend.run]'s [?optimize] hook).  A store write that
+    fails with [Unix.Unix_error] or [Sys_error] is counted as
+    [store-put-failures] and skipped: the result is still returned and
+    kept in memory. *)
+
+val crashes_with :
+  t -> Compilers.Target.t -> Module_ir.t -> Input.t -> string -> bool
+(** [crashes_with e t m input s] is [run e t m input = Crashed s], decided
+    at {!Compilers.Backend.stage_of_signature}[ t s]: a [Front_end]
+    signature runs only the front-end triggers, a [Compile] one the front
+    end and compile stage without the render, both through the stage memo
+    (a hit counts as a [cache_hits]; a miss adds nothing to
+    [runs_executed], renders nothing and writes nothing to the store, and
+    a front-end miss runs no optimizer); an [Execute]
+    (["device lost (...)"]) signature takes {!run}.  A reference engine
+    ([~compiled:false]) always takes {!run}: the unstaged formulation, so
+    the reference-interpreter gates compare staged probes against it. *)
 
 val baseline : t -> Compilers.Target.t -> ref_name:string ->
   Module_ir.t -> Input.t -> Compilers.Backend.run_result
@@ -175,8 +216,9 @@ val pipeline_hits : stats -> int
 (** The [pipeline-hits] counter: pipeline-memo lookups that ran nothing. *)
 
 val reset : t -> unit
-(** Clear every cache (the pipeline memo included) and zero every counter and stage clock.  The disk
-    store (if any) is left untouched. *)
+(** Clear every cache (the pipeline and stage memos included) and zero
+    every counter and stage clock.  The disk store (if any) is left
+    untouched. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** Human-readable rendering of {!stats}. *)

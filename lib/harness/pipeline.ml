@@ -196,46 +196,42 @@ let generate ?(check_contracts = false) ?(weights = []) (tool : tool)
 
 (** Interestingness test for reductions: the variant still produces the same
     signature on the target (crash signature match, or still-mismatching
-    image for miscompilations) — section 3.4's interestingness tests.
+    image for miscompilations) — section 3.4's interestingness tests.  When
+    the detection came only after the clean [-O] step, a candidate that
+    does not hold as submitted is tried again optimized.
 
     For a pass-blamed TV signature the test re-validates instead of
     re-rendering: the candidate is interesting iff the translation
     validator still blames the {e same} pass.  That keeps the reduced test
     case tied to the optimizer bug it witnesses, and it is completely
-    input-independent. *)
+    input-independent.
+
+    A crash signature is decided at the backend stage that can produce it
+    ({!Engine.crashes_with}): a front-end signature by the front-end
+    triggers alone, another compile-time one without the render. *)
 let interestingness (engine : Engine.t) (t : Compilers.Target.t) ~ref_name
     ~(original : Module_ir.t) ~(detection : detection) input (m : Module_ir.t)
     (m_input : Input.t) : bool =
   let orig_run = Engine.baseline engine t ~ref_name original input in
-  let with_or_without_opt check =
-    let direct = Engine.run engine t m m_input in
-    if check direct then true
-    else if detection.via_opt then
-      match Engine.optimize engine m with
-      | Ok optimized -> check (Engine.run engine t optimized m_input)
-      | Error _ -> false
-    else false
-  in
-  if Option.is_some (Signature.blamed_pass detection.signature) then
-    let same_blame candidate =
-      match tv_signature engine t candidate with
-      | Some s -> String.equal s detection.signature
-      | None -> false
-    in
-    same_blame m
-    || (detection.via_opt
+  let with_or_without_opt holds =
+    holds m
+    || detection.via_opt
        &&
        match Engine.optimize engine m with
-       | Ok optimized -> same_blame optimized
-       | Error _ -> false)
+       | Ok optimized -> holds optimized
+       | Error _ -> false
+  in
+  if Option.is_some (Signature.blamed_pass detection.signature) then
+    with_or_without_opt (fun candidate ->
+        match tv_signature engine t candidate with
+        | Some s -> String.equal s detection.signature
+        | None -> false)
   else if Signature.is_miscompilation detection.signature then
-    with_or_without_opt (fun run ->
-        match (orig_run, run) with
+    with_or_without_opt (fun candidate ->
+        match (orig_run, Engine.run engine t candidate m_input) with
         | Compilers.Backend.Rendered img0, Compilers.Backend.Rendered img1 ->
             not (Image.equal img0 img1)
         | _ -> false)
   else
-    with_or_without_opt (fun run ->
-        match run with
-        | Compilers.Backend.Crashed s -> String.equal s detection.signature
-        | _ -> false)
+    with_or_without_opt (fun candidate ->
+        Engine.crashes_with engine t candidate m_input detection.signature)

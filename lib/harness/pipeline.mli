@@ -111,4 +111,10 @@ val interestingness :
     still-mismatching image for miscompilations) — section 3.4.  For a
     pass-blamed TV signature the test re-validates instead of
     re-rendering: the candidate is interesting iff the translation
-    validator still blames the {e same} pass. *)
+    validator still blames the {e same} pass.  A crash signature is
+    decided by {!Engine.crashes_with} at the backend stage that can
+    produce it: a front-end signature by the front-end triggers alone,
+    any other compile-time signature without the render, a
+    ["device lost (...)"] one by a full {!Engine.run}.  When
+    [detection.via_opt], a candidate that does not hold as submitted is
+    tried again after the clean [-O] step ({!Engine.optimize}). *)

@@ -96,6 +96,10 @@ let engine_json (s : Harness.Engine.stats) =
       ("runs_saved", Json.Int s.Harness.Engine.runs_saved);
       ("hit_rate", Json.Float s.Harness.Engine.hit_rate);
       ("execute_wall", Json.Float s.Harness.Engine.execute_wall);
+      ( "stages",
+        Json.Obj
+          (List.map (fun (k, v) -> (k, Json.Float v)) s.Harness.Engine.stages)
+      );
       ( "counters",
         Json.Obj
           (List.map

@@ -696,6 +696,358 @@ let test_raising_on_seed_propagates () =
   | exception Hook_failure -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Staged crash probes.  The engine decides a crash-signature probe at the
+   backend stage that can produce the signature; the oracle is the
+   unstaged formulation it replaced: Engine.run on a reference engine,
+   signature equality, and the clean -O retry when the detection came
+   via_opt. *)
+
+let oracle_crashes e (t : Compilers.Target.t)
+    (d : Harness.Pipeline.detection) m input =
+  let crashes m =
+    match Harness.Engine.run e t m input with
+    | Compilers.Backend.Crashed s -> String.equal s d.Harness.Pipeline.signature
+    | Compilers.Backend.Rendered _ | Compilers.Backend.Compiled_ok -> false
+  in
+  crashes m
+  || d.Harness.Pipeline.via_opt
+     &&
+     match Harness.Engine.optimize e m with
+     | Ok optimized -> crashes optimized
+     | Error _ -> false
+
+let is_crash (h : Harness.Experiments.hit) =
+  not
+    (Harness.Signature.is_miscompilation
+       h.Harness.Experiments.hit_detection.Harness.Pipeline.signature)
+
+(* crash hits of two small campaigns: spirv-fuzz-simple seeds 0-59 give
+   front-end, after-opt, invalid-output and device-lost signatures, and
+   spirv-fuzz seeds 0-210 add the phi-arity bugs (seed 210) *)
+let staged_hits =
+  lazy
+    (List.concat_map
+       (fun (tool, seeds) ->
+         Harness.Experiments.run_campaign ~engine:(Harness.Engine.create ())
+           ~scale:{ scale with Harness.Experiments.seeds } tool)
+       [ (Harness.Pipeline.Spirv_fuzz_simple, 60); (tool, 211) ]
+    |> List.filter is_crash)
+
+let target_of (h : Harness.Experiments.hit) =
+  Option.get (Compilers.Target.find h.Harness.Experiments.hit_target)
+
+let regenerate (h : Harness.Experiments.hit) =
+  let ((_, ref_source, ref_module) as r) =
+    List.find
+      (fun (n, _, _) -> String.equal n h.Harness.Experiments.hit_ref)
+      (Harness.Experiments.references_for h.Harness.Experiments.hit_tool)
+  in
+  ( r,
+    Harness.Pipeline.generate h.Harness.Experiments.hit_tool ~ref_source
+      ~ref_module ~seed:h.Harness.Experiments.hit_seed
+      ~input:Corpus.default_input )
+
+(* a module's crash on the target, from [Backend.run], with the first of
+   the backend's stages that already produces it: the front end alone,
+   then the front end and compile stage, else the execute stage *)
+let reported_crash (t : Compilers.Target.t) m input =
+  match Compilers.Backend.run t m input with
+  | Compilers.Backend.Rendered _ | Compilers.Backend.Compiled_ok -> None
+  | Compilers.Backend.Crashed s ->
+      let stage =
+        if Compilers.Backend.front_end t m = Some s then Compilers.Backend.Front_end
+        else if Compilers.Backend.compile t m = Error s then Compilers.Backend.Compile
+        else Compilers.Backend.Execute
+      in
+      Some (stage, s)
+
+let stage_name = function
+  | Compilers.Backend.Front_end -> "front end"
+  | Compilers.Backend.Compile -> "compile"
+  | Compilers.Backend.Execute -> "execute"
+
+(* The catalogue facts [Backend.stage_of_signature] rests on, and its
+   agreement with the stage the backend reports on every campaign hit.
+   Optimizer crashes come from pass bugs, not from the crash catalogue:
+   every one a pass bug raises on the division-by-zero witness or on a
+   hit's variant must classify as a compile-stage signature on every
+   target. *)
+let test_stage_catalogue_guard () =
+  let sigs =
+    List.map (fun (b : Compilers.Bug.crash_spec) -> b.Compilers.Bug.signature)
+      Compilers.Bug.all_crash_bugs
+  in
+  Alcotest.(check int) "crash signatures pairwise distinct"
+    (List.length sigs)
+    (List.length (List.sort_uniq String.compare sigs));
+  List.iter
+    (fun s ->
+      List.iter
+        (fun prefix ->
+          if String.starts_with ~prefix s then
+            Alcotest.failf "crash signature %S starts with %S" s prefix)
+        [ "device lost"; "miscompil"; "optimizer emitted invalid module" ])
+    sigs;
+  let hits = Lazy.force staged_hits in
+  Alcotest.(check bool) "the campaigns have crash hits" true (hits <> []);
+  let variants = ref [ div_zero_module (); bool_select_module () ] in
+  List.iter
+    (fun (h : Harness.Experiments.hit) ->
+      let t = target_of h in
+      let d = h.Harness.Experiments.hit_detection in
+      let _, g = regenerate h in
+      variants := g.Harness.Pipeline.gen_variant :: !variants;
+      let m =
+        if d.Harness.Pipeline.via_opt then
+          Result.get_ok (Compilers.Optimizer.optimize g.Harness.Pipeline.gen_variant)
+        else g.Harness.Pipeline.gen_variant
+      in
+      match reported_crash t m g.Harness.Pipeline.gen_input with
+      | None ->
+          Alcotest.failf "seed %d on %s: no crash" h.Harness.Experiments.hit_seed
+            t.Compilers.Target.name
+      | Some (stage, s) ->
+          Alcotest.(check string) "the backend reports the hit's signature"
+            d.Harness.Pipeline.signature s;
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d on %s: classifier = reported stage of %S"
+               h.Harness.Experiments.hit_seed t.Compilers.Target.name s)
+            (stage_name stage)
+            (stage_name (Compilers.Backend.stage_of_signature t s)))
+    hits;
+  let optimizer_crashes =
+    List.concat_map
+      (fun (pb : Compilers.Bug.pass_bug_spec) ->
+        let t =
+          {
+            Compilers.Target.spirv_opt with
+            Compilers.Target.opt_flags =
+              pb.Compilers.Bug.pb_enable Compilers.Passes.no_bugs;
+          }
+        in
+        List.filter_map
+          (fun m ->
+            match Compilers.Backend.target_optimize t m with
+            | Error s -> Some s
+            | Ok _ -> None)
+          !variants)
+      Compilers.Bug.all_pass_bugs
+    |> List.sort_uniq String.compare
+  in
+  Alcotest.(check bool) "a pass bug crashes the optimizer" true
+    (optimizer_crashes <> []);
+  List.iter
+    (fun s ->
+      List.iter
+        (fun (t : Compilers.Target.t) ->
+          Alcotest.(check string)
+            (Printf.sprintf "optimizer crash %S on %s" s t.Compilers.Target.name)
+            "compile"
+            (stage_name (Compilers.Backend.stage_of_signature t s)))
+        Compilers.Target.all)
+    optimizer_crashes
+
+(* For the first hit of every signature, the staged interestingness
+   verdict equals the oracle's on every ddmin candidate.  Two hits are
+   also checked with via_opt forced on, since no crash hit of these
+   campaigns comes via_opt. *)
+let test_staged_probes_exact () =
+  let hits = Lazy.force staged_hits in
+  let firsts =
+    List.fold_left
+      (fun acc (h : Harness.Experiments.hit) ->
+        let s = h.Harness.Experiments.hit_detection.Harness.Pipeline.signature in
+        if
+          List.exists
+            (fun (g : Harness.Experiments.hit) ->
+              String.equal s g.Harness.Experiments.hit_detection.Harness.Pipeline.signature)
+            acc
+        then acc
+        else h :: acc)
+      [] hits
+    |> List.rev
+  in
+  let stage_of (h : Harness.Experiments.hit) =
+    Compilers.Backend.stage_of_signature (target_of h)
+      h.Harness.Experiments.hit_detection.Harness.Pipeline.signature
+  in
+  let covers pred what =
+    Alcotest.(check bool) ("covers " ^ what) true (List.exists pred firsts)
+  in
+  let sig_of (h : Harness.Experiments.hit) =
+    h.Harness.Experiments.hit_detection.Harness.Pipeline.signature
+  in
+  covers (fun h -> stage_of h = Compilers.Backend.Front_end) "a front-end signature";
+  covers
+    (fun h ->
+      List.exists
+        (fun (b : Compilers.Bug.crash_spec) ->
+          b.Compilers.Bug.phase = Compilers.Bug.After_opt
+          && String.equal b.Compilers.Bug.signature (sig_of h))
+        Compilers.Bug.all_crash_bugs)
+    "an after-opt signature";
+  covers
+    (fun h -> String.starts_with ~prefix:"optimizer emitted invalid module" (sig_of h))
+    "an invalid-output signature";
+  covers (fun h -> stage_of h = Compilers.Backend.Execute) "a device-lost signature";
+  let forced =
+    List.filter_map
+      (fun stage ->
+        Option.map
+          (fun (h : Harness.Experiments.hit) ->
+            {
+              h with
+              Harness.Experiments.hit_detection =
+                { h.Harness.Experiments.hit_detection with Harness.Pipeline.via_opt = true };
+            })
+          (List.find_opt (fun h -> stage_of h = stage) firsts))
+      [ Compilers.Backend.Front_end; Compilers.Backend.Compile ]
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (h : Harness.Experiments.hit) ->
+      let t = target_of h in
+      let d = h.Harness.Experiments.hit_detection in
+      let (ref_name, _, ref_module), g = regenerate h in
+      let staged =
+        Harness.Pipeline.interestingness (Harness.Engine.create ()) t ~ref_name
+          ~original:ref_module ~detection:d Corpus.default_input
+      in
+      let reference = Harness.Engine.create ~compiled:false () in
+      let is_interesting m input =
+        let verdict = staged m input in
+        incr checked;
+        if verdict <> oracle_crashes reference t d m input then
+          Alcotest.failf "seed %d on %s (%S, via_opt %b): staged says %b"
+            h.Harness.Experiments.hit_seed t.Compilers.Target.name
+            d.Harness.Pipeline.signature d.Harness.Pipeline.via_opt verdict;
+        verdict
+      in
+      Alcotest.(check bool) "the hit reproduces" true
+        (is_interesting g.Harness.Pipeline.gen_variant g.Harness.Pipeline.gen_input);
+      ignore (g.Harness.Pipeline.gen_reduce ~is_interesting))
+    (firsts @ forced);
+  Alcotest.(check bool) "ddmin candidates checked" true (!checked > 100)
+
+(* A front-end probe runs no later stage: no backend run, no target
+   optimizer, no lowering; only the front-end counters move. *)
+let test_front_end_probe_runs_front_end_only () =
+  let h =
+    List.find
+      (fun h ->
+        Compilers.Backend.stage_of_signature (target_of h)
+          h.Harness.Experiments.hit_detection.Harness.Pipeline.signature
+        = Compilers.Backend.Front_end)
+      (Lazy.force staged_hits)
+  in
+  let t = target_of h in
+  let (ref_name, _, ref_module), g = regenerate h in
+  let e = Harness.Engine.create () in
+  ignore (Harness.Engine.baseline e t ~ref_name ref_module Corpus.default_input);
+  let probe () =
+    Harness.Pipeline.interestingness e t ~ref_name ~original:ref_module
+      ~detection:h.Harness.Experiments.hit_detection Corpus.default_input
+      g.Harness.Pipeline.gen_variant g.Harness.Pipeline.gen_input
+  in
+  let counter (s : Harness.Engine.stats) k =
+    Option.value ~default:0 (List.assoc_opt k s.Harness.Engine.counters)
+  in
+  let clock (s : Harness.Engine.stats) k =
+    Option.value ~default:0.0 (List.assoc_opt k s.Harness.Engine.stages)
+  in
+  let s0 = Harness.Engine.stats e in
+  Alcotest.(check bool) "interesting" true (probe ());
+  let s1 = Harness.Engine.stats e in
+  Alcotest.(check bool) "interesting again" true (probe ());
+  let s2 = Harness.Engine.stats e in
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check int) (what ^ " unchanged") (f s0) (f s2))
+    [
+      ("runs_executed", fun s -> s.Harness.Engine.runs_executed);
+      ("pipeline-runs", Harness.Engine.pipeline_runs);
+      ("compiles", fun s -> s.Harness.Engine.compiles);
+      ("store_writes", fun s -> s.Harness.Engine.store_writes);
+    ];
+  List.iter
+    (fun k ->
+      Alcotest.(check (float 0.0)) (k ^ " clock unchanged") (clock s0 k) (clock s2 k))
+    [ "execute/optimize"; "execute/validate"; "execute/render" ];
+  Alcotest.(check int) "one front-end miss" 1
+    (counter s1 "stage-memo:front-misses" - counter s0 "stage-memo:front-misses");
+  Alcotest.(check bool) "the front-end clock ran" true
+    (clock s1 "execute/front" > clock s0 "execute/front");
+  Alcotest.(check int) "the repeat is a front-end hit" 1
+    (counter s2 "stage-memo:front-hits" - counter s1 "stage-memo:front-hits");
+  Alcotest.(check int) "counted as a memo hit" 1
+    (s2.Harness.Engine.cache_hits - s1.Harness.Engine.cache_hits);
+  Harness.Engine.reset e;
+  let s3 = Harness.Engine.stats e in
+  Alcotest.(check int) "reset empties every memo" 0 s3.Harness.Engine.memo_entries;
+  Alcotest.(check int) "reset clears the stage counters" 0
+    (counter s3 "stage-memo:front-hits")
+
+(* A replayed staged reduction does no backend work at all: for a
+   front-end and a compile-stage hit, reducing it again on the same engine
+   adds no full run and no stage-memo miss, only hits. *)
+let test_staged_replay_runs_no_stage () =
+  let counter (s : Harness.Engine.stats) k =
+    Option.value ~default:0 (List.assoc_opt k s.Harness.Engine.counters)
+  in
+  let misses s =
+    counter s "stage-memo:front-misses" + counter s "stage-memo:compile-misses"
+  in
+  List.iter
+    (fun stage ->
+      let h =
+        List.find
+          (fun h ->
+            Compilers.Backend.stage_of_signature (target_of h)
+              h.Harness.Experiments.hit_detection.Harness.Pipeline.signature
+            = stage)
+          (Lazy.force staged_hits)
+      in
+      let e = Harness.Engine.create () in
+      let first = Harness.Experiments.reduce_hit e h in
+      let s1 = Harness.Engine.stats e in
+      let second = Harness.Experiments.reduce_hit e h in
+      let s2 = Harness.Engine.stats e in
+      let what = stage_name stage in
+      Alcotest.(check bool) (what ^ ": the hit reduces") true (Option.is_some first);
+      Alcotest.(check bool) (what ^ ": same outcome") true (first = second);
+      Alcotest.(check bool) (what ^ ": the first reduction probes stages") true
+        (misses s1 > 0);
+      Alcotest.(check int) (what ^ ": the replay adds no stage-memo miss")
+        (misses s1) (misses s2);
+      Alcotest.(check int) (what ^ ": the replay adds no full run")
+        s1.Harness.Engine.runs_executed s2.Harness.Engine.runs_executed;
+      Alcotest.(check bool) (what ^ ": hit rate below 1 after misses") true
+        (s2.Harness.Engine.hit_rate < 1.0))
+    [ Compilers.Backend.Front_end; Compilers.Backend.Compile ]
+
+(* The reduction output itself, pinned: every reduced crash test of the
+   30-seed campaign, by target, transformation types and the minimized
+   module's listing.  The byte-equality gates compare two settings of the
+   same code; this constant holds across changes. *)
+let test_reduced_crash_tests_pinned () =
+  let tests =
+    Harness.Experiments.reduced_crash_tests ~scale
+      ~engine:(Harness.Engine.create ()) ~hits:(Lazy.force baseline_hits) ()
+  in
+  let b = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (target, (d : Harness.Experiments.dedup_test)) ->
+      Buffer.add_string b target;
+      Buffer.add_char b '\n';
+      Buffer.add_string b (String.concat " " d.Harness.Experiments.dd_types);
+      Buffer.add_char b '\n';
+      Buffer.add_string b (Spirv_ir.Disasm.to_string d.Harness.Experiments.dd_module))
+    tests;
+  Alcotest.(check int) "reduced tests" 15 (List.length tests);
+  Alcotest.(check string) "reduced tests MD5" "9067fe44c4df29ae9c985b1f1e56ed60"
+    (Stdlib.Digest.to_hex (Stdlib.Digest.string (Buffer.contents b)))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "engine"
@@ -766,5 +1118,17 @@ let () =
             (test_parallel_reduce_hits 4);
           Alcotest.test_case "raising on_seed propagates" `Slow
             test_raising_on_seed_propagates;
+        ] );
+      ( "staged",
+        [
+          Alcotest.test_case "catalogue guard" `Slow test_stage_catalogue_guard;
+          Alcotest.test_case "probes = unstaged oracle" `Slow
+            test_staged_probes_exact;
+          Alcotest.test_case "front-end probe runs no later stage" `Slow
+            test_front_end_probe_runs_front_end_only;
+          Alcotest.test_case "staged replay runs no stage" `Slow
+            test_staged_replay_runs_no_stage;
+          Alcotest.test_case "reduced crash tests pinned" `Slow
+            test_reduced_crash_tests_pinned;
         ] );
     ]

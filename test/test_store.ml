@@ -526,6 +526,34 @@ let test_engine_store_shares_runs_and_opts () =
   Alcotest.(check bool) "disk-served results identical" true
     (r1 = r2 && o1 = o2)
 
+(* A store write that fails must not fail the run: with a regular file
+   where every shard directory of the object tree should be, each put
+   raises ENOTDIR, and the engine returns what a store-less engine
+   returns, counting the one failed write-through. *)
+let test_engine_put_failure_skipped () =
+  let dir = fresh_dir () in
+  let m = Lazy.force gradient in
+  let input = Corpus.default_input in
+  let t = Compilers.Target.swiftshader in
+  let e = Harness.Engine.create ~store:(Harness.Persist.open_cas ~dir ()) () in
+  let objects = Filename.concat (Harness.Persist.cas_dir dir) "objects" in
+  for shard = 0 to 255 do
+    Out_channel.with_open_bin
+      (Filename.concat objects (Printf.sprintf "%02x" shard))
+      (fun oc -> output_string oc "not a directory")
+  done;
+  let r = Harness.Engine.run e t m input in
+  Alcotest.(check bool) "same result as a store-less engine" true
+    (r = Harness.Engine.run (Harness.Engine.create ()) t m input);
+  let s = Harness.Engine.stats e in
+  Alcotest.(check int) "one failed put counted" 1
+    (Option.value ~default:0
+       (List.assoc_opt "store-put-failures" s.Harness.Engine.counters));
+  Alcotest.(check int) "no write counted" 0 s.Harness.Engine.store_writes;
+  Alcotest.(check bool) "the result stays in memory" true
+    (Harness.Engine.run e t m input = r
+    && (Harness.Engine.stats e).Harness.Engine.cache_hits = 1)
+
 let test_engine_tv_memoized () =
   let dir = fresh_dir () in
   let m = Lazy.force gradient in
@@ -871,6 +899,8 @@ let () =
             test_engine_replaces_text_run_objects;
           Alcotest.test_case "clean -O served by the pipeline memo" `Quick
             test_engine_optimize_shares_pipeline_memo;
+          Alcotest.test_case "failed put keeps the run" `Quick
+            test_engine_put_failure_skipped;
         ] );
       ( "resume",
         [
