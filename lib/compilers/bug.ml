@@ -225,11 +225,6 @@ let non_fallthrough_blocks (f : Func.t) =
   in
   go [] f.Func.blocks
 
-let non_fallthrough_count m =
-  List.fold_left
-    (fun acc f -> acc + List.length (non_fallthrough_blocks f))
-    0 m.Module_ir.functions
-
 (* a comparison fed directly by a load from a Uniform pointer — the shape
    ReplaceConstantWithUniform produces *)
 let has_uniform_fed_condition m =

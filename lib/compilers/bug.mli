@@ -53,7 +53,6 @@ val loop_count : Module_ir.t -> int
 
 val max_empty_chain : Module_ir.t -> int
 val has_constant_condition : Module_ir.t -> bool
-val non_fallthrough_count : Module_ir.t -> int
 val has_uniform_fed_condition : Module_ir.t -> bool
 
 (** {1 The catalogue} *)

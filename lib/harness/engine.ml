@@ -3,10 +3,10 @@
     {!Compilers.Backend.run} with a bounded LRU eviction policy, an
     optional persistent {!Tbct_store.Cas} backend (read-through /
     write-through), the baseline cache, the per-configuration
-    target-optimizer memo shared by runs, TV blame and the clean [-O] step,
-    the stage memo that decides crash-signature probes at the backend
-    stage that can produce the signature, counters and per-stage
-    wall-clock accounting.  One engine may be shared across domains. *)
+    target-optimizer memo shared by runs, TV blame and the clean [-O] step
+    (with the validator's verdict on each optimized module), the stage
+    memo of front-end crash signatures, counters and per-stage wall-clock
+    accounting.  One engine may be shared across domains. *)
 
 open Spirv_ir
 module Lru = Tbct_store.Lru
@@ -17,21 +17,13 @@ let default_memo_capacity = 65536
 
 (* The target optimizer's outcome on one module, shared by every target
    with the same configuration.  [blame] stays [None] until translation
-   validation has run on the module; a crashed pipeline needs none. *)
+   validation has run on the module, [valid] until [Validate.check] has
+   judged the optimized module; a crashed pipeline needs neither. *)
 type pipeline_entry = {
   outcome : (Module_ir.t, string) result;
   blame : Compilers.Optimizer.pass_name option option;
+  valid : (unit, Validate.error list) result option;
 }
-
-(* How far a module has got through a target's front end and compile
-   stage, for the stage memo: a crash signature, or that it passed.
-   [Front_end_passed] answers a front-end probe only; a compile-stage
-   probe on it runs the compile stage alone.  The optimized module itself
-   stays in the pipeline memo. *)
-type staged =
-  | Front_end_crashed of string
-  | Front_end_passed
-  | Compiled of string option
 
 type t = {
   lock : Mutex.t;
@@ -44,8 +36,8 @@ type t = {
       (* module digest -> lowered program for the flat execution kernel *)
   mutable pipeline_memo : (string * string, pipeline_entry) Lru.t;
       (* (Target.config_key, module digest) -> target optimizer outcome *)
-  mutable stage_memo : (string * string, staged) Lru.t;
-      (* (target name, module digest) -> front end and compile stage *)
+  mutable stage_memo : (string * string, string option) Lru.t;
+      (* (target name, module digest) -> front-end crash signature *)
   use_compiled : bool;
       (* false: reference-interpreter mode (the differential oracle) *)
   memo_capacity : int;
@@ -149,11 +141,11 @@ let optimize_stage = "optimize"
 let tv_stage = "tv"
 
 (* the backend's stages, nested inside [execute_stage]: the front-end
-   triggers (billed by stage-memo probes only; a full run does not split
+   triggers (billed by stage-memo misses only; a full run does not split
    them out), the target optimizer on pipeline-memo misses, validation of
-   its output and the render (lowering included).  They are named apart
-   from [optimize_stage] and [tv_stage], which clock work outside
-   [execute_stage]. *)
+   its output on entries without a verdict and the render (lowering
+   included).  They are named apart from [optimize_stage] and [tv_stage],
+   which clock work outside [execute_stage]. *)
 let front_stage = "execute/front"
 let optimize_miss_stage = "execute/optimize"
 let validate_stage = "execute/validate"
@@ -161,8 +153,6 @@ let render_stage = "execute/render"
 
 let front_hits_counter = "stage-memo:front-hits"
 let front_misses_counter = "stage-memo:front-misses"
-let compile_hits_counter = "stage-memo:compile-hits"
-let compile_misses_counter = "stage-memo:compile-misses"
 
 (* the harness's only calls of the backend, each behind a memo below *)
 let backend_run = (Compilers.Backend.run [@alert "-unmemoized_run"])
@@ -216,22 +206,29 @@ let compiled_render e clock m input =
     (fun m -> Compile.render_batch (compiled_program e m) input)
     m
 
-(* Store a fresh pipeline outcome under the engine lock.  A racing domain
-   may have stored the same key meanwhile; an optimized module already in
-   the table is kept, so every consumer shares one value (and its digest
-   and lowered program by identity). *)
-let record_pipeline e key (entry : pipeline_entry) =
+(* Store a pipeline entry, merged with the one already in the table (a
+   racing domain's, or the one a later consumer learnt more about).  An
+   optimized module already in the table is kept, so every consumer
+   shares one value (and its digest and lowered program by identity), and
+   a blame or verdict already known survives an entry that lacks it. *)
+let merge_pipeline_locked e key (entry : pipeline_entry) =
+  let known fresh old = match fresh with None -> old | Some _ -> fresh in
+  let entry =
+    match Lru.find e.pipeline_memo key with
+    | Some { outcome = Ok m; blame; valid } ->
+        {
+          outcome = Ok m;
+          blame = known entry.blame blame;
+          valid = known entry.valid valid;
+        }
+    | Some _ | None -> entry
+  in
+  Lru.set e.pipeline_memo key entry
+
+(* a pipeline the engine ran: its outcome, and the blame if TV ran it *)
+let record_pipeline e key ?blame outcome =
   locked e (fun () ->
-      let entry =
-        match Lru.find e.pipeline_memo key with
-        | Some { outcome = Ok m; blame } ->
-            {
-              outcome = Ok m;
-              blame = (match entry.blame with None -> blame | b -> b);
-            }
-        | Some _ | None -> entry
-      in
-      Lru.set e.pipeline_memo key entry;
+      merge_pipeline_locked e key { outcome; blame; valid = None };
       bump_counter_locked e pipeline_runs_counter 1)
 
 let pipeline_hit e = bump_counter e pipeline_hits_counter 1
@@ -239,11 +236,13 @@ let pipeline_hit e = bump_counter e pipeline_hits_counter 1
 let pipeline_key (t : Compilers.Target.t) m =
   (Compilers.Target.config_key t, Digest.of_module m)
 
-(* The optimize hook handed to [Backend.run] and [Backend.compile]: any
-   entry for the key answers, whichever consumer stored it. *)
-let memo_optimize e clock (t : Compilers.Target.t) (m : Module_ir.t) :
+(* The optimize and validate hooks handed to [Backend.run] and
+   [Backend.compile] for the module of [key]: any entry for the key
+   answers, whichever consumer stored it.  The verdict is a function of
+   the optimized module, so it lives in that module's entry and is
+   computed once per configuration, whichever run or probe asks first. *)
+let memo_optimize e clock (t : Compilers.Target.t) key (m : Module_ir.t) :
     (Module_ir.t, string) result =
-  let key = pipeline_key t m in
   let cached = locked e (fun () -> Lru.find e.pipeline_memo key) in
   match cached with
   | Some entry ->
@@ -255,8 +254,19 @@ let memo_optimize e clock (t : Compilers.Target.t) (m : Module_ir.t) :
           (Compilers.Backend.target_optimize t)
           m
       in
-      record_pipeline e key { outcome; blame = None };
+      record_pipeline e key outcome;
       outcome
+
+let memo_validate e clock key (optimized : Module_ir.t) =
+  let cached = locked e (fun () -> Lru.find e.pipeline_memo key) in
+  match cached with
+  | Some { valid = Some verdict; _ } -> verdict
+  | Some { valid = None; _ } | None ->
+      let verdict = clock_into clock validate_stage Validate.check optimized in
+      locked e (fun () ->
+          merge_pipeline_locked e key
+            { outcome = Ok optimized; blame = None; valid = Some verdict });
+      verdict
 
 (* The one read-through body behind [run], [optimize] and [tv_check]: the
    in-memory LRU [memo], then the disk store under [store_key] (which drops
@@ -337,85 +347,72 @@ let run e (t : Compilers.Target.t) (m : Module_ir.t) (input : Input.t) :
       (* the harness's one permitted backend call: everything else runs
          through here, behind the memo and the store *)
       if e.use_compiled then
+        let key = pipeline_key t m in
         backend_run ~render:(compiled_render e clock)
-          ~validate:(clock_into clock validate_stage Validate.check)
-          ~optimize:(memo_optimize e clock t) t m input
+          ~validate:(memo_validate e clock key)
+          ~optimize:(memo_optimize e clock t key) t m input
       else backend_run t m input)
 
 (* The stage memo: the crash signature, if any, of the target's front end
-   alone ([front_only]) or of its front end and compile stage on a module.
-   A miss computes only up to the stage asked for, starting after the
-   front end when a [Front_end_passed] entry says it passed, and is billed
-   to [execute_stage]; a hit counts as a [cache_hits].  A racing domain's
-   entry is replaced only by one that got further. *)
-let staged_crash e (t : Compilers.Target.t) ~front_only m =
+   on a module.  A hit counts as a [cache_hits]; a miss is billed to
+   [execute_stage] and [front_stage]. *)
+let front_end_crash e (t : Compilers.Target.t) m =
   let key = (t.Compilers.Target.name, Digest.of_module m) in
-  let answer = function
-    | Front_end_crashed signature -> Some (Some signature)
-    | Compiled crash -> Some crash
-    | Front_end_passed -> if front_only then Some None else None
-  in
-  let hits, misses =
-    if front_only then (front_hits_counter, front_misses_counter)
-    else (compile_hits_counter, compile_misses_counter)
-  in
-  let clock = ref [] in
-  let compile () =
-    match
-      backend_compile ~optimize:(memo_optimize e clock t)
-        ~validate:(clock_into clock validate_stage Validate.check)
-        t m
-    with
-    | Ok _ -> Compiled None
-    | Error signature -> Compiled (Some signature)
-  in
-  let cached = locked e (fun () -> Lru.find e.stage_memo key) in
-  match Option.bind cached answer with
+  match locked e (fun () -> Lru.find e.stage_memo key) with
   | Some crash ->
       locked e (fun () ->
           e.cache_hits <- e.cache_hits + 1;
-          bump_counter_locked e hits 1);
+          bump_counter_locked e front_hits_counter 1);
       crash
   | None ->
       let t0 = Unix.gettimeofday () in
-      let entry =
-        match cached with
-        | Some Front_end_passed -> compile ()
-        | _ -> (
-            match
-              clock_into clock front_stage (backend_front_end t) m
-            with
-            | Some signature -> Front_end_crashed signature
-            | None when front_only -> Front_end_passed
-            | None -> compile ())
-      in
+      let crash = backend_front_end t m in
       let dt = Unix.gettimeofday () -. t0 in
       locked e (fun () ->
-          (match Lru.find e.stage_memo key with
-          | None | Some Front_end_passed -> Lru.set e.stage_memo key entry
-          | Some (Front_end_crashed _ | Compiled _) -> ());
-          bump_counter_locked e misses 1;
+          Lru.set e.stage_memo key crash;
+          bump_counter_locked e front_misses_counter 1;
           add_stage_locked e execute_stage dt;
-          bill_locked e clock);
-      Option.join (answer entry)
+          add_stage_locked e front_stage dt);
+      crash
 
+(* The compile stage's crash signature, if any, of a module that passed
+   the front end, through the pipeline memo's hooks: a module a run has
+   already compiled costs only its [After_opt] triggers.  Billed to
+   [execute_stage] like a run. *)
+let compile_crash e (t : Compilers.Target.t) m =
+  let clock = ref [] in
+  let key = pipeline_key t m in
+  let t0 = Unix.gettimeofday () in
+  let compiled =
+    backend_compile ~optimize:(memo_optimize e clock t key)
+      ~validate:(memo_validate e clock key) t m
+  in
+  let dt = Unix.gettimeofday () -. t0 in
+  locked e (fun () ->
+      add_stage_locked e execute_stage dt;
+      bill_locked e clock);
+  Result.fold ~ok:(fun _ -> None) ~error:Option.some compiled
+
+(* [run]'s crash as the stages up to the signature's decide it, the front
+   end's first as in [Backend.run]; a reference engine runs in full *)
 let crashes_with e (t : Compilers.Target.t) m input signature =
-  let run_crashes () =
-    match run e t m input with
-    | Compilers.Backend.Crashed s -> String.equal s signature
-    | Compilers.Backend.Rendered _ | Compilers.Backend.Compiled_ok -> false
+  let stage =
+    if e.use_compiled then Compilers.Backend.stage_of_signature t signature
+    else Compilers.Backend.Execute
   in
-  let stage_crashes ~front_only =
-    match staged_crash e t ~front_only m with
-    | Some s -> String.equal s signature
-    | None -> false
+  let crash =
+    match stage with
+    | Compilers.Backend.Front_end -> front_end_crash e t m
+    | Compilers.Backend.Compile -> (
+        match front_end_crash e t m with
+        | Some _ as crash -> crash
+        | None -> compile_crash e t m)
+    | Compilers.Backend.Execute -> (
+        match run e t m input with
+        | Compilers.Backend.Crashed s -> Some s
+        | Compilers.Backend.Rendered _ | Compilers.Backend.Compiled_ok -> None)
   in
-  if not e.use_compiled then run_crashes ()
-  else
-    match Compilers.Backend.stage_of_signature t signature with
-    | Compilers.Backend.Front_end -> stage_crashes ~front_only:true
-    | Compilers.Backend.Compile -> stage_crashes ~front_only:false
-    | Compilers.Backend.Execute -> run_crashes ()
+  Option.equal String.equal crash (Some signature)
 
 let baseline e (t : Compilers.Target.t) ~ref_name (m : Module_ir.t)
     (input : Input.t) : Compilers.Backend.run_result =
@@ -436,7 +433,7 @@ let clean_config =
   Compilers.Target.key_of_config ~pipeline:Compilers.Optimizer.standard
     ~flags:Compilers.Passes.no_bugs
 
-let clean_entry m = { outcome = Ok m; blame = None }
+let clean_entry m = { outcome = Ok m; blame = None; valid = None }
 
 (** The clean [-O] step, in the pipeline memo under [clean_config]: an
     entry any consumer stored answers it, a memory miss reads the
@@ -525,11 +522,11 @@ let tv_blame e (t : Compilers.Target.t) (m : Module_ir.t) :
         match run_tv e t m with
         | Ok r ->
             let guilty = r.Compilers.Optimizer.tv_guilty in
-            record_pipeline e key
-              { outcome = Ok r.Compilers.Optimizer.tv_module; blame = Some guilty };
+            record_pipeline e key ~blame:guilty
+              (Ok r.Compilers.Optimizer.tv_module);
             Ok guilty
         | Error signature ->
-            record_pipeline e key { outcome = Error signature; blame = None };
+            record_pipeline e key (Error signature);
             Error signature)
 
 let timed e ~stage f =
@@ -544,11 +541,7 @@ let stats e : stats =
   locked e (fun () ->
       let runs_saved = e.cache_hits + e.baseline_hits + e.store_hits in
       let counter k = Option.value ~default:0 (Hashtbl.find_opt e.named_counters k) in
-      let looked_up =
-        runs_saved + e.runs_executed
-        + counter front_misses_counter
-        + counter compile_misses_counter
-      in
+      let looked_up = runs_saved + e.runs_executed + counter front_misses_counter in
       {
         runs_executed = e.runs_executed;
         cache_hits = e.cache_hits;

@@ -9,7 +9,9 @@
     [(target, reference name)]), a memo of translation-validation verdicts
     and a pipeline memo for the optimizer configurations:
     [(config key, module digest)] -> optimized module or crash signature,
-    plus the translation-validation blame once {!tv_blame} has run.  The
+    plus the translation-validation blame once {!tv_blame} has run and
+    the {!Spirv_ir.Validate.check} verdict once a run or probe has
+    needed it.  The
     key is {!Compilers.Target.config_key}, not the target name, so targets
     that share a pipeline and flags share every entry.  {!run} and
     {!tv_blame} read and fill it, and so does {!optimize}: the clean [-O]
@@ -20,11 +22,10 @@
     campaigns of {!Experiments} do exactly that.
 
     The stage memo serves crash-signature probes ({!crashes_with}): per
-    [(target name, module digest)] it holds how far the module has got
-    through the target's {!Compilers.Backend.front_end} and
-    {!Compilers.Backend.compile} stages, so a reduction probe whose
-    signature only the front end can produce runs neither the optimizer
-    nor validation nor the render (DESIGN.md §5).
+    [(target name, module digest)] it holds the crash signature, if any,
+    of the target's {!Compilers.Backend.front_end}, so a reduction probe
+    whose signature only the front end can produce runs neither the
+    optimizer nor validation nor the render (DESIGN.md §5).
 
     The in-memory tables are bounded: {!create}'s [memo_capacity] caps the
     entry count and least-recently-used entries are evicted past it
@@ -45,15 +46,15 @@
     cache hits.
 
     The engine also keeps per-stage wall-clock accounting: {!run} and the
-    stage-memo misses of {!crashes_with} bill backend work to the
+    staged probes of {!crashes_with} bill backend work to the
     ["execute"] stage, {!optimize} bills actual optimizer work to
     ["optimize"], and callers wrap other phases with {!timed}.  Inside
     ["execute"] four nested stages split the backend:
     ["execute/front"] (front-end triggers, clocked on stage-memo misses
     only, since a full run does not split them out), ["execute/optimize"]
     (the target optimizer on pipeline-memo misses), ["execute/validate"]
-    ({!Spirv_ir.Validate.check} of its output) and ["execute/render"]
-    (lowering and the fragment grid). *)
+    ({!Spirv_ir.Validate.check} of its output, on pipeline entries without
+    a verdict) and ["execute/render"] (lowering and the fragment grid). *)
 
 open Spirv_ir
 
@@ -62,7 +63,7 @@ type t
 type stats = {
   runs_executed : int;
       (** full backend executions actually performed by {!run}; a
-          stage-memo miss of {!crashes_with} is not one *)
+          staged probe of {!crashes_with} is not one *)
   cache_hits : int;
       (** in-memory hits of the run memo and of the stage memo *)
   baseline_hits : int;   (** baseline (target, reference) cache hits *)
@@ -85,7 +86,7 @@ type stats = {
   runs_saved : int;      (** [cache_hits + baseline_hits + store_hits] *)
   hit_rate : float;
       (** [runs_saved / (runs_saved + runs_executed + stage-memo misses)]:
-          a stage-memo miss does backend work without being a full run *)
+          a stage-memo miss runs the front end without being a full run *)
   execute_wall : float;
       (** seconds spent inside the backend stages, pipeline memo lookups
           and misses included *)
@@ -108,11 +109,9 @@ type stats = {
           results) and the engine's own: [pipeline-runs] (target
           optimizer pipelines actually run, by {!run} or {!tv_blame}),
           [pipeline-hits] (optimizer outcomes and blames served by the
-          pipeline memo), [stage-memo:front-hits],
-          [stage-memo:front-misses], [stage-memo:compile-hits] and
-          [stage-memo:compile-misses] ({!crashes_with}'s probes by the
-          stage they asked for), [store-put-failures] (write-throughs the
-          store refused), and [tv-abstain:*] and [mem-proofs], which,
+          pipeline memo), [stage-memo:front-hits] and
+          [stage-memo:front-misses] ({!crashes_with}'s front-end lookups),
+          [store-put-failures] (write-throughs the store refused), and [tv-abstain:*] and [mem-proofs], which,
           like [tv_checks], count only steps actually validated *)
 }
 
@@ -152,14 +151,14 @@ val crashes_with :
   t -> Compilers.Target.t -> Module_ir.t -> Input.t -> string -> bool
 (** [crashes_with e t m input s] is [run e t m input = Crashed s], decided
     at {!Compilers.Backend.stage_of_signature}[ t s]: a [Front_end]
-    signature runs only the front-end triggers, a [Compile] one the front
-    end and compile stage without the render, both through the stage memo
-    (a hit counts as a [cache_hits]; a miss adds nothing to
-    [runs_executed], renders nothing and writes nothing to the store, and
-    a front-end miss runs no optimizer); an [Execute]
-    (["device lost (...)"]) signature takes {!run}.  A reference engine
-    ([~compiled:false]) always takes {!run}: the unstaged formulation, so
-    the reference-interpreter gates compare staged probes against it. *)
+    signature by the stage memo (a hit counts as a [cache_hits]); a
+    [Compile] one by the stage memo's "front end passed", then
+    {!Compilers.Backend.compile} through the pipeline memo, so a module a
+    run has compiled costs only its [After_opt] triggers; an [Execute]
+    (["device lost (...)"]) one by {!run}.  A staged probe adds nothing to
+    [runs_executed], renders nothing and writes nothing to the store.  A
+    reference engine ([~compiled:false]) always takes {!run}, so the
+    reference-interpreter gates compare staged probes against it. *)
 
 val baseline : t -> Compilers.Target.t -> ref_name:string ->
   Module_ir.t -> Input.t -> Compilers.Backend.run_result

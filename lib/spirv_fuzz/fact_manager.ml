@@ -88,19 +88,3 @@ let component_synonyms t ~composite ~path =
       else if Id.equal b composite && pb = path && pa = [] then Some a
       else None)
     t.synonyms
-
-(** Drop facts that mention ids no longer defined in the module — used by
-    consumers that prune a module (none of the built-in transformations
-    remove ids, so this is a safety net for external tooling). *)
-let restrict t ~defined =
-  let mem = Id.Set.mem in
-  {
-    dead_blocks = Id.Set.inter t.dead_blocks defined;
-    synonyms =
-      List.filter
-        (fun ((a, _), (b, _)) -> mem a defined && mem b defined)
-        t.synonyms;
-    irrelevant = Id.Set.inter t.irrelevant defined;
-    irrelevant_pointees = Id.Set.inter t.irrelevant_pointees defined;
-    live_safe = Id.Set.inter t.live_safe defined;
-  }

@@ -58,7 +58,3 @@ val component_synonyms : t -> composite:Id.t -> path:int list -> Id.t list
 (** Ids recorded equal to the given component of a composite — what
     CompositeConstruct records and CompositeExtract bridges into
     whole-object synonyms. *)
-
-val restrict : t -> defined:Id.Set.t -> t
-(** Drop facts mentioning ids outside [defined]; a safety net for external
-    tooling that prunes modules. *)

@@ -54,44 +54,3 @@ let available_ids_of_type t ~block ~index ~ty =
       t.f.Func.blocks
   in
   List.filter (available_at t ~block ~index) (of_module @ of_instrs)
-
-(** A use of an id inside a function, precise enough to parametrize a
-    replacement transformation: [instr_index] is the position within the
-    block's instruction list, or the instruction count to denote the
-    terminator; [operand_index] is the position within {!Instr.used_ids}. *)
-type use_site = {
-  fn : Id.t;
-  block : Id.t;
-  instr_index : int;
-  operand_index : int;
-}
-
-let use_sites_in_function m (f : Func.t) ~of_id =
-  ignore m;
-  List.concat_map
-    (fun (b : Block.t) ->
-      let n = List.length b.Block.instrs in
-      let in_instrs =
-        List.concat
-          (List.mapi
-             (fun idx (i : Instr.t) ->
-               List.concat
-                 (List.mapi
-                    (fun op_idx u ->
-                      if Id.equal u of_id then
-                        [ { fn = f.Func.id; block = b.Block.label; instr_index = idx; operand_index = op_idx } ]
-                      else [])
-                    (Instr.used_ids i)))
-             b.Block.instrs)
-      in
-      let in_term =
-        List.concat
-          (List.mapi
-             (fun op_idx u ->
-               if Id.equal u of_id then
-                 [ { fn = f.Func.id; block = b.Block.label; instr_index = n; operand_index = op_idx } ]
-               else [])
-             (Block.terminator_used_ids b.Block.terminator))
-      in
-      in_instrs @ in_term)
-    f.Func.blocks

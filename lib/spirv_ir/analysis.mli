@@ -31,16 +31,3 @@ val available_ids_of_type : t -> block:Id.t -> index:int -> ty:Id.t -> Id.t list
     id is [ty] — candidates for id-replacement transformations.  Module
     constants and globals first, then this function's parameters, then
     instruction results in block order. *)
-
-(** A use of an id inside a function, precise enough to parametrize a
-    replacement transformation: [instr_index] is the position within the
-    block's instruction list, or the instruction count to denote the
-    terminator; [operand_index] is the position within {!Instr.used_ids}. *)
-type use_site = {
-  fn : Id.t;
-  block : Id.t;
-  instr_index : int;
-  operand_index : int;
-}
-
-val use_sites_in_function : Module_ir.t -> Func.t -> of_id:Id.t -> use_site list

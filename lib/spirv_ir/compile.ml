@@ -717,11 +717,3 @@ let run_fragment ?(step_limit = Interp.default_step_limit) prog
       try Ok (exec_fragment ctx rinit ~frag_x ~frag_y) with Ctrap t -> Error t)
 
 let render ?step_limit m input = render_batch ?step_limit (lower m) input
-
-let func_count prog = Array.length prog.p_funcs
-
-let instr_count prog =
-  Array.fold_left
-    (fun acc cf ->
-      Array.fold_left (fun acc b -> acc + Array.length b.bi + 1) acc cf.cf_blocks)
-    0 prog.p_funcs

@@ -42,9 +42,3 @@ val run_fragment :
 val render :
   ?step_limit:int -> Module_ir.t -> Input.t -> (Image.t, Interp.trap) result
 (** [lower] + [render_batch] in one step, for one-shot callers. *)
-
-val func_count : t -> int
-(** Number of lowered functions (diagnostics). *)
-
-val instr_count : t -> int
-(** Flattened instruction records, terminators included (diagnostics). *)

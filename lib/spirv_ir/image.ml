@@ -37,16 +37,6 @@ let equal ?(tolerance = 1e-9) a b =
         a.pixels;
       !ok)
 
-let mismatch_count ?(tolerance = 1e-9) a b =
-  if a.width <> b.width || a.height <> b.height then a.width * a.height
-  else begin
-    let n = ref 0 in
-    Array.iteri
-      (fun i p -> if not (equal_pixel ~tolerance p b.pixels.(i)) then incr n)
-      a.pixels;
-    !n
-  end
-
 (** Compact ASCII rendering for examples and debugging: each pixel becomes a
     character by quantizing the first (red) channel; killed pixels are
     ['.']. *)

@@ -28,8 +28,6 @@ val set : t -> x:int -> y:int -> pixel -> unit
 val equal : ?tolerance:float -> t -> t -> bool
 (** Pixel-wise with a small numeric tolerance (default 1e-9). *)
 
-val mismatch_count : ?tolerance:float -> t -> t -> int
-
 val to_ascii : t -> string
 (** Compact rendering for examples and debugging: one shade character per
     pixel by quantizing the red channel; killed pixels print ['.']. *)

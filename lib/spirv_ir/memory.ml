@@ -411,7 +411,6 @@ let chain_segs t id =
   | _ -> None
 
 let escapes t b = Hashtbl.mem t.escaped (base_id b)
-let index_interval t ~block id = index_interval_raw t ~block id
 
 (* ---- aliasing ------------------------------------------------------ *)
 

@@ -89,11 +89,6 @@ val escapes : t -> base -> bool
     stored value — after which per-function reasoning about who reads or
     writes it is forfeit (calls become weak definitions of its cells). *)
 
-val index_interval : t -> block:Id.t -> Id.t -> Dataflow.Itv.t
-(** Sound interval for an index id as observed by a chain in [block]
-    (constants fold; otherwise the meet of the block-exit and defining-site
-    {!Dataflow.Ranges} bindings). *)
-
 (** {1 Facts} *)
 
 type verdict = Must_alias | May_alias | No_alias

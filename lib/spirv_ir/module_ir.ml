@@ -98,13 +98,6 @@ let intern_type m ty =
       let m, id = fresh m in
       ({ m with types = m.types @ [ { td_id = id; td_ty = ty } ] }, id)
 
-let intern_types m tys =
-  List.fold_left
-    (fun (m, acc) ty ->
-      let m, id = intern_type m ty in
-      (m, acc @ [ id ]))
-    (m, []) tys
-
 (** Get-or-create a constant declaration of type [ty]. *)
 let intern_constant m ~ty value =
   match find_constant_id m ~ty ~value with

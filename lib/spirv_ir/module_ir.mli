@@ -89,7 +89,6 @@ val replace_function : t -> Func.t -> t
 val intern_type : t -> Ty.t -> t * Id.t
 (** Get-or-create; component type ids must already be declared. *)
 
-val intern_types : t -> Ty.t list -> t * Id.t list
 val intern_constant : t -> ty:Id.t -> Constant.t -> t * Id.t
 val add_global : t -> ty:Id.t -> name:string -> init:Id.t option -> t * Id.t
 

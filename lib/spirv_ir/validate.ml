@@ -755,9 +755,3 @@ let check m =
   | errors -> Error errors
 
 let is_valid m = match check m with Ok () -> true | Error _ -> false
-
-let first_error m =
-  match check m with
-  | Ok () -> None
-  | Error (e :: _) -> Some (error_to_string e)
-  | Error [] -> None

@@ -31,6 +31,3 @@ val check : Module_ir.t -> (unit, error list) result
 (** All validation errors, or [Ok ()] for a valid module. *)
 
 val is_valid : Module_ir.t -> bool
-
-val first_error : Module_ir.t -> string option
-(** Rendering of the first error, for test assertions. *)

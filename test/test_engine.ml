@@ -600,6 +600,33 @@ let test_pipeline_memo_accounting () =
     (let s = Harness.Engine.stats e in
      (Harness.Engine.pipeline_runs s, Harness.Engine.pipeline_hits s))
 
+let stage_clock (s : Harness.Engine.stats) k =
+  Option.value ~default:0.0 (List.assoc_opt k s.Harness.Engine.stages)
+
+(* The validator's verdict is a function of the optimized module, so it
+   lives in the pipeline entry: AMD-LLPC and Mesa share a configuration,
+   and the second target's run validates nothing. *)
+let test_validation_once_per_entry () =
+  let m = List.assoc "gradient" (Lazy.force Corpus.lowered_references) in
+  let e = Harness.Engine.create () in
+  let run (t : Compilers.Target.t) =
+    match Harness.Engine.run e t m Corpus.default_input with
+    | Compilers.Backend.Crashed s ->
+        Alcotest.failf "%s crashes: %s" t.Compilers.Target.name s
+    | Compilers.Backend.Rendered _ | Compilers.Backend.Compiled_ok ->
+        Harness.Engine.stats e
+  in
+  Alcotest.(check string) "one configuration"
+    (Compilers.Target.config_key Compilers.Target.amd_llpc)
+    (Compilers.Target.config_key Compilers.Target.mesa);
+  let s1 = run Compilers.Target.amd_llpc in
+  let s2 = run Compilers.Target.mesa in
+  Alcotest.(check bool) "the first run validates" true
+    (stage_clock s1 "execute/validate" > 0.0);
+  Alcotest.(check (float 0.0)) "the second run validates nothing"
+    (stage_clock s1 "execute/validate") (stage_clock s2 "execute/validate");
+  Alcotest.(check int) "two runs" 2 s2.Harness.Engine.runs_executed
+
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel campaigns *)
 
@@ -952,9 +979,6 @@ let test_front_end_probe_runs_front_end_only () =
   let counter (s : Harness.Engine.stats) k =
     Option.value ~default:0 (List.assoc_opt k s.Harness.Engine.counters)
   in
-  let clock (s : Harness.Engine.stats) k =
-    Option.value ~default:0.0 (List.assoc_opt k s.Harness.Engine.stages)
-  in
   let s0 = Harness.Engine.stats e in
   Alcotest.(check bool) "interesting" true (probe ());
   let s1 = Harness.Engine.stats e in
@@ -971,12 +995,13 @@ let test_front_end_probe_runs_front_end_only () =
     ];
   List.iter
     (fun k ->
-      Alcotest.(check (float 0.0)) (k ^ " clock unchanged") (clock s0 k) (clock s2 k))
+      Alcotest.(check (float 0.0)) (k ^ " clock unchanged") (stage_clock s0 k)
+        (stage_clock s2 k))
     [ "execute/optimize"; "execute/validate"; "execute/render" ];
   Alcotest.(check int) "one front-end miss" 1
     (counter s1 "stage-memo:front-misses" - counter s0 "stage-memo:front-misses");
   Alcotest.(check bool) "the front-end clock ran" true
-    (clock s1 "execute/front" > clock s0 "execute/front");
+    (stage_clock s1 "execute/front" > stage_clock s0 "execute/front");
   Alcotest.(check int) "the repeat is a front-end hit" 1
     (counter s2 "stage-memo:front-hits" - counter s1 "stage-memo:front-hits");
   Alcotest.(check int) "counted as a memo hit" 1
@@ -994,9 +1019,7 @@ let test_staged_replay_runs_no_stage () =
   let counter (s : Harness.Engine.stats) k =
     Option.value ~default:0 (List.assoc_opt k s.Harness.Engine.counters)
   in
-  let misses s =
-    counter s "stage-memo:front-misses" + counter s "stage-memo:compile-misses"
-  in
+  let misses s = counter s "stage-memo:front-misses" in
   List.iter
     (fun stage ->
       let h =
@@ -1024,6 +1047,35 @@ let test_staged_replay_runs_no_stage () =
       Alcotest.(check bool) (what ^ ": hit rate below 1 after misses") true
         (s2.Harness.Engine.hit_rate < 1.0))
     [ Compilers.Backend.Front_end; Compilers.Backend.Compile ]
+
+(* A compile-stage probe on a module that a run has already compiled is
+   answered by the pipeline entry the run filled: its optimized module and
+   its verdict.  The invalid-output signature is the validator's own. *)
+let test_compile_probe_after_run () =
+  let h =
+    List.find
+      (fun (h : Harness.Experiments.hit) ->
+        String.starts_with ~prefix:"optimizer emitted invalid module"
+          h.Harness.Experiments.hit_detection.Harness.Pipeline.signature)
+      (Lazy.force staged_hits)
+  in
+  let t = target_of h in
+  let signature = h.Harness.Experiments.hit_detection.Harness.Pipeline.signature in
+  let _, g = regenerate h in
+  let m = g.Harness.Pipeline.gen_variant and input = g.Harness.Pipeline.gen_input in
+  let e = Harness.Engine.create () in
+  Alcotest.(check bool) "the run crashes with the signature" true
+    (Harness.Engine.run e t m input = Compilers.Backend.Crashed signature);
+  let s1 = Harness.Engine.stats e in
+  Alcotest.(check bool) "the probe answers true" true
+    (Harness.Engine.crashes_with e t m input signature);
+  let s2 = Harness.Engine.stats e in
+  Alcotest.(check int) "no optimizer run" (Harness.Engine.pipeline_runs s1)
+    (Harness.Engine.pipeline_runs s2);
+  Alcotest.(check (float 0.0)) "no validation"
+    (stage_clock s1 "execute/validate") (stage_clock s2 "execute/validate");
+  Alcotest.(check int) "no full run" s1.Harness.Engine.runs_executed
+    s2.Harness.Engine.runs_executed
 
 (* The reduction output itself, pinned: every reduced crash test of the
    30-seed campaign, by target, transformation types and the minimized
@@ -1095,6 +1147,8 @@ let () =
             test_key_separates_pipeline;
           Alcotest.test_case "accounting and reset" `Quick
             test_pipeline_memo_accounting;
+          Alcotest.test_case "validation once per config entry" `Quick
+            test_validation_once_per_entry;
         ] );
       ( "parallel",
         [
@@ -1128,6 +1182,8 @@ let () =
             test_front_end_probe_runs_front_end_only;
           Alcotest.test_case "staged replay runs no stage" `Slow
             test_staged_replay_runs_no_stage;
+          Alcotest.test_case "compile probe reuses the run's entry" `Slow
+            test_compile_probe_after_run;
           Alcotest.test_case "reduced crash tests pinned" `Slow
             test_reduced_crash_tests_pinned;
         ] );
