@@ -112,10 +112,10 @@ let run_tv ?(flags = Passes.no_bugs) ?(check = Tv.check_pass) pipeline m :
     let m', rev_steps =
       List.fold_left
         (fun (m, steps) pass ->
+          (* a pass that changes nothing returns its input itself, so
+             [check] sees [m' == m] and Digest.of_module reuses the
+             input's digest by identity *)
           let m' = run_pass flags m pass in
-          (* carry an unchanged module forward as the very same value, so
-             its digest is reused by identity (Digest.of_module) *)
-          let m' = if Module_ir.equal_exact m m' then m else m' in
           (m', (pass, check m m') :: steps))
         (m, []) pipeline
     in

@@ -114,12 +114,14 @@ let const_fold flags m =
     | _ -> i
   in
   let m' = Opt_util.map_instrs m fold_instr in
-  (* map_instrs consumed the original module; re-apply on the module that
-     accumulated new constants *)
-  let with_consts = { m' with Module_ir.constants = !folded.Module_ir.constants;
-                              Module_ir.types = !folded.Module_ir.types;
-                              Module_ir.id_bound = !folded.Module_ir.id_bound } in
-  with_consts
+  (* map_instrs walked the original module; carry over what the folds
+     interned into [!folded] *)
+  let f = !folded in
+  if f == m then m'
+  else
+    { m' with Module_ir.constants = f.Module_ir.constants;
+              Module_ir.types = f.Module_ir.types;
+              Module_ir.id_bound = f.Module_ir.id_bound }
 
 (* ------------------------------------------------------------------ *)
 (* Copy propagation                                                    *)
@@ -165,34 +167,16 @@ let removable (i : Instr.t) =
 let dce m =
   let rec iterate m =
     let used = Opt_util.used_value_ids m in
-    let changed = ref false in
-    let prune_block (b : Block.t) =
-      {
-        b with
-        Block.instrs =
-          List.filter
-            (fun (i : Instr.t) ->
-              match i.Instr.result with
-              | Some r when removable i && not (Id.Set.mem r used) ->
-                  changed := true;
-                  false
-              | _ -> ( match i.Instr.op with
-                       | Instr.Nop -> changed := true; false
-                       | _ -> true))
-            b.Block.instrs;
-      }
+    let live (i : Instr.t) =
+      match i.Instr.result with
+      | Some r when removable i && not (Id.Set.mem r used) -> false
+      | _ -> ( match i.Instr.op with Instr.Nop -> false | _ -> true)
     in
     let m' =
-      {
-        m with
-        Module_ir.functions =
-          List.map
-            (fun (fn : Func.t) ->
-              { fn with Func.blocks = List.map prune_block fn.Func.blocks })
-            m.Module_ir.functions;
-      }
+      Opt_util.map_all_blocks m (fun (b : Block.t) ->
+          Opt_util.with_instrs b (Opt_util.filter live b.Block.instrs))
     in
-    if !changed then iterate m' else m'
+    if m' == m then m else iterate m'
   in
   iterate m
 
@@ -200,23 +184,21 @@ let dce m =
 (* CFG simplification                                                  *)
 
 let remove_phi_entries_for ~pred (b : Block.t) =
-  {
-    b with
-    Block.instrs =
-      List.map
-        (fun (i : Instr.t) ->
-          match i.Instr.op with
-          | Instr.Phi inc ->
-              { i with Instr.op = Instr.Phi (List.filter (fun (_, p) -> not (Id.equal p pred)) inc) }
-          | _ -> i)
-        b.Block.instrs;
-  }
+  Opt_util.with_instrs b
+    (Opt_util.map
+       (fun (i : Instr.t) ->
+         match i.Instr.op with
+         | Instr.Phi inc ->
+             let inc' = Opt_util.filter (fun (_, p) -> not (Id.equal p pred)) inc in
+             if inc' == inc then i else { i with Instr.op = Instr.Phi inc' }
+         | _ -> i)
+       b.Block.instrs)
 
 let fold_constant_branches flags m (fn : Func.t) =
   let changed = ref false in
   let blocks = ref fn.Func.blocks in
   let update_block label f =
-    blocks := List.map (fun (b : Block.t) -> if Id.equal b.Block.label label then f b else b) !blocks
+    blocks := Opt_util.map (fun (b : Block.t) -> if Id.equal b.Block.label label then f b else b) !blocks
   in
   List.iter
     (fun (b : Block.t) ->
@@ -240,12 +222,12 @@ let fold_constant_branches flags m (fn : Func.t) =
               { blk with Block.terminator = Block.Branch t })
       | _ -> ())
     fn.Func.blocks;
-  ({ fn with Func.blocks = !blocks }, !changed)
+  (Opt_util.with_blocks fn !blocks, !changed)
 
 let remove_unreachable_blocks flags (fn : Func.t) =
   let cfg = Cfg.of_func fn in
-  let reachable = Cfg.reachable_labels cfg in
-  let is_reachable l = List.mem l reachable in
+  let reachable = Id.Set.of_list (Cfg.reachable_labels cfg) in
+  let is_reachable l = Id.Set.mem l reachable in
   let dropped =
     List.filter (fun (b : Block.t) -> not (is_reachable b.Block.label)) fn.Func.blocks
   in
@@ -344,7 +326,7 @@ let simplify_cfg flags m =
     in
     fix fn 64
   in
-  { m with Module_ir.functions = List.map simplify_fn m.Module_ir.functions }
+  Opt_util.map_functions m simplify_fn
 
 (* ------------------------------------------------------------------ *)
 (* φ simplification                                                    *)
@@ -362,45 +344,44 @@ let phi_simplify m =
 (* ------------------------------------------------------------------ *)
 (* Local common subexpression elimination                              *)
 
+(* A pure instruction is keyed by its operation and result type.
+   [Instr.op] is plain data (ids, ints, enums; no floats, no closures), so
+   structural equality and [Hashtbl.hash] on the pair identify exactly the
+   instructions whose printed forms are equal. *)
 let cse m =
   let cse_block (b : Block.t) =
-    let seen : (string, Id.t) Hashtbl.t = Hashtbl.create 16 in
-    let instrs =
-      List.map
-        (fun (i : Instr.t) ->
-          match (i.Instr.result, i.Instr.ty, i.Instr.op) with
-          | Some r, Some ty, op -> (
-              let hashable =
-                match op with
-                | Instr.Binop _ | Instr.Unop _ | Instr.Select _
+    let seen : (Instr.op * Id.t, Id.t) Hashtbl.t = Hashtbl.create 16 in
+    Opt_util.with_instrs b
+      (Opt_util.map
+         (fun (i : Instr.t) ->
+           match (i.Instr.result, i.Instr.ty, i.Instr.op) with
+           | ( Some r,
+               Some ty,
+               (( Instr.Binop _ | Instr.Unop _ | Instr.Select _
                 | Instr.CompositeConstruct _ | Instr.CompositeExtract _
-                | Instr.CompositeInsert _ ->
-                    Some (Instr.show_op op ^ "@" ^ Id.to_string ty)
-                | _ -> None
-              in
-              match hashable with
-              | None -> i
-              | Some key -> (
-                  match Hashtbl.find_opt seen key with
-                  | Some prior -> Instr.make ~result:r ~ty (Instr.CopyObject prior)
-                  | None ->
-                      Hashtbl.replace seen key r;
-                      i))
-          | _ -> i)
-        b.Block.instrs
-    in
-    { b with Block.instrs }
+                | Instr.CompositeInsert _ ) as op) ) -> (
+               let key = (op, ty) in
+               match Hashtbl.find_opt seen key with
+               | Some prior -> Instr.make ~result:r ~ty (Instr.CopyObject prior)
+               | None ->
+                   Hashtbl.replace seen key r;
+                   i)
+           | _ -> i)
+         b.Block.instrs)
   in
-  {
-    m with
-    Module_ir.functions =
-      List.map
-        (fun (fn : Func.t) -> { fn with Func.blocks = List.map cse_block fn.Func.blocks })
-        m.Module_ir.functions;
-  }
+  Opt_util.map_all_blocks m cse_block
 
 (* ------------------------------------------------------------------ *)
 (* Local store-to-load forwarding                                      *)
+
+(* the pointers some access chain of [fn] indexes into *)
+let access_chain_bases (fn : Func.t) =
+  List.fold_left
+    (fun acc (i : Instr.t) ->
+      match i.Instr.op with
+      | Instr.AccessChain (base, _) -> Id.Set.add base acc
+      | _ -> acc)
+    Id.Set.empty (Func.all_instrs fn)
 
 (* Forward [Store (p, v)] to subsequent [Load p] within a block, for direct
    (non-access-chain) pointers.  Conservatively invalidated by calls, by any
@@ -415,16 +396,10 @@ let cse m =
    {!Spirv_ir.Memory} analysis exists to expose: the render oracle only
    catches it when the sampled grid happens to drive [j] to 0. *)
 let store_forward flags m =
-  let access_chain_bases =
-    List.concat_map
-      (fun (fn : Func.t) ->
-        List.filter_map
-          (fun (i : Instr.t) ->
-            match i.Instr.op with
-            | Instr.AccessChain (base, _) -> Some base
-            | _ -> None)
-          (Func.all_instrs fn))
-      m.Module_ir.functions
+  let chain_bases =
+    List.fold_left
+      (fun acc (fn : Func.t) -> Id.Set.union acc (access_chain_bases fn))
+      Id.Set.empty m.Module_ir.functions
   in
   let forward_fn (fn : Func.t) =
     (* chain-pointer results and their syntactic keys, function-wide (the
@@ -448,8 +423,8 @@ let store_forward flags m =
         in
         List.iter (Hashtbl.remove chain_known) stale
       in
-      let instrs =
-        List.map
+      Opt_util.with_instrs b
+        (Opt_util.map
           (fun (i : Instr.t) ->
             match (i.Instr.result, i.Instr.ty, i.Instr.op) with
             | _, _, Instr.Store (p, v) ->
@@ -460,7 +435,7 @@ let store_forward flags m =
                           without killing the other keys on the same base *)
                        Hashtbl.replace chain_known key v
                    | None -> drop_chain_facts_for p);
-                if List.mem p access_chain_bases then Hashtbl.reset known
+                if Id.Set.mem p chain_bases then Hashtbl.reset known
                 else Hashtbl.replace known p v;
                 i
             | _, _, Instr.FunctionCall _ ->
@@ -473,7 +448,7 @@ let store_forward flags m =
                 i
             | Some r, Some ty, Instr.Load p -> (
                 match Hashtbl.find_opt known p with
-                | Some v when not (List.mem p access_chain_bases) ->
+                | Some v when not (Id.Set.mem p chain_bases) ->
                     Instr.make ~result:r ~ty (Instr.CopyObject v)
                 | _ -> (
                     if not flags.bug_forward_aliased_store then i
@@ -485,13 +460,11 @@ let store_forward flags m =
                       | Some v -> Instr.make ~result:r ~ty (Instr.CopyObject v)
                       | None -> i))
             | _ -> i)
-          b.Block.instrs
-      in
-      { b with Block.instrs }
+          b.Block.instrs)
     in
-    { fn with Func.blocks = List.map forward_block fn.Func.blocks }
+    Opt_util.map_blocks fn forward_block
   in
-  { m with Module_ir.functions = List.map forward_fn m.Module_ir.functions }
+  Opt_util.map_functions m forward_fn
 
 (* ------------------------------------------------------------------ *)
 (* Dead store elimination                                              *)
@@ -502,26 +475,16 @@ let dse m =
   let eliminate_in (fn : Func.t) =
     (* the shared store-only-locals analysis: locals whose every use is as
        a store destination *)
-    let write_only = Id.Set.elements (Dataflow.write_only_locals fn) in
-    {
-      fn with
-      Func.blocks =
-        List.map
-          (fun (b : Block.t) ->
-            {
-              b with
-              Block.instrs =
-                List.filter
-                  (fun (i : Instr.t) ->
-                    match i.Instr.op with
-                    | Instr.Store (p, _) -> not (List.mem p write_only)
-                    | _ -> true)
-                  b.Block.instrs;
-            })
-          fn.Func.blocks;
-    }
+    let write_only = Dataflow.write_only_locals fn in
+    let live (i : Instr.t) =
+      match i.Instr.op with
+      | Instr.Store (p, _) -> not (Id.Set.mem p write_only)
+      | _ -> true
+    in
+    Opt_util.map_blocks fn (fun (b : Block.t) ->
+        Opt_util.with_instrs b (Opt_util.filter live b.Block.instrs))
   in
-  { m with Module_ir.functions = List.map eliminate_in m.Module_ir.functions }
+  Opt_util.map_functions m eliminate_in
 
 (* Memory-backed cross-check for DSE: every store the pass would delete —
    a store through a pointer in [write_only_locals] — must also be
@@ -592,14 +555,7 @@ let hoist_invariant flags m =
               | None -> ())
             b.Block.instrs)
         fn.Func.blocks;
-      let access_chain_bases =
-        List.filter_map
-          (fun (i : Instr.t) ->
-            match i.Instr.op with
-            | Instr.AccessChain (base, _) -> Some base
-            | _ -> None)
-          (Func.all_instrs fn)
-      in
+      let chain_bases = access_chain_bases fn in
       let blocks = ref fn.Func.blocks in
       let process (l : Loops.loop) =
         let preds = Cfg.predecessors cfg l.Loops.header in
@@ -667,7 +623,7 @@ let hoist_invariant flags m =
               | Instr.CompositeInsert _ | Instr.CopyObject _ ->
                   true
               | Instr.Load p ->
-                  (not (List.mem p access_chain_bases))
+                  (not (Id.Set.mem p chain_bases))
                   && (not loop_has_call)
                   && (match in_loop_stores p with
                      | [] -> true
@@ -701,17 +657,21 @@ let hoist_invariant flags m =
               changed := false;
               let pending = ref [] in
               blocks :=
-                List.map
+                Opt_util.map
                   (fun (b : Block.t) ->
                     if not (in_loop_label b.Block.label) then b
                     else begin
-                      let keep = ref [] in
-                      List.iteri
-                        (fun idx (i : Instr.t) ->
-                          if hoistable b idx i then pending := i :: !pending
-                          else keep := i :: !keep)
-                        b.Block.instrs;
-                      { b with Block.instrs = List.rev !keep }
+                      let idx = ref (-1) in
+                      Opt_util.with_instrs b
+                        (Opt_util.filter
+                           (fun (i : Instr.t) ->
+                             incr idx;
+                             if hoistable b !idx i then begin
+                               pending := i :: !pending;
+                               false
+                             end
+                             else true)
+                           b.Block.instrs)
                     end)
                   !blocks;
               match List.rev !pending with
@@ -725,7 +685,7 @@ let hoist_invariant flags m =
                       | None -> ())
                     instrs;
                   blocks :=
-                    List.map
+                    Opt_util.map
                       (fun (b : Block.t) ->
                         if Id.equal b.Block.label ph then
                           { b with Block.instrs = b.Block.instrs @ instrs }
@@ -734,10 +694,10 @@ let hoist_invariant flags m =
             done
       in
       List.iter process forest.Loops.loops;
-      { fn with Func.blocks = !blocks }
+      Opt_util.with_blocks fn !blocks
     end
   in
-  { m with Module_ir.functions = List.map hoist_fn m.Module_ir.functions }
+  Opt_util.map_functions m hoist_fn
 
 (* ------------------------------------------------------------------ *)
 (* Inlining                                                            *)
@@ -767,8 +727,8 @@ let inline flags m =
   in
   let inline_into (fn : Func.t) =
     let inline_block (b : Block.t) =
-      let instrs =
-        List.concat_map
+      Opt_util.with_instrs b
+        (Opt_util.concat_map
           (fun (i : Instr.t) ->
             match (i.Instr.result, i.Instr.op) with
             | Some call_id, Instr.FunctionCall (callee, args) -> (
@@ -840,13 +800,9 @@ let inline flags m =
                     | _ -> [ i ])
                 | _ -> [ i ])
             | _ -> [ i ])
-          b.Block.instrs
-      in
-      { b with Block.instrs }
+          b.Block.instrs)
     in
-    { fn with Func.blocks = List.map inline_block fn.Func.blocks }
+    Opt_util.map_blocks fn inline_block
   in
-  let m' =
-    { m with Module_ir.functions = List.map inline_into m.Module_ir.functions }
-  in
-  { m' with Module_ir.id_bound = !bound }
+  let m' = Opt_util.map_functions m inline_into in
+  if !bound = m.Module_ir.id_bound then m' else { m' with Module_ir.id_bound = !bound }

@@ -4,7 +4,13 @@
     enables the optimizer-hosted injected bugs that the spirv-opt /
     spirv-opt-old / SwiftShader targets exhibit.  Correctness is covered by
     the test suite: each pass and the full pipeline preserve rendered images
-    on the corpus, on random generated modules and on fuzzed variants. *)
+    on the corpus, on random generated modules and on fuzzed variants.
+
+    Identity contract: a pass returns its input module itself ([==]) exactly
+    when its output would be {!Spirv_ir.Module_ir.equal_exact} to it, and
+    otherwise rebuilds only the functions, blocks and instruction lists it
+    edits.  Callers tell an unchanged step by [p m == m];
+    {!Spirv_ir.Digest.of_module} then reuses the input's digest. *)
 
 open Spirv_ir
 

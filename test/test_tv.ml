@@ -405,9 +405,10 @@ let qcheck_tv_sound =
     tv_soundness_prop
 
 (* ------------------------------------------------------------------ *)
-(* Carry-forward: run_tv hands an unchanged pass output on as the input
-   value itself.  It must change no TV result and no engine counter, so
-   it is compared against the plain fold over run_pass it replaced.
+(* Carry-forward: a pass that changes nothing returns the input value
+   itself, and run_tv hands it on as is.  It must change no TV result and
+   no engine counter, so it is compared against the plain fold over
+   run_pass.
 
    The same sweep checks the invariant the engine's pipeline memo rests
    on: run_tv optimizes exactly as Optimizer.run does, so one stored
