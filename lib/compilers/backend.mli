@@ -81,9 +81,9 @@ val run :
     stages above.
 
     [render] defaults to {!Interp.render}; the harness engine substitutes
-    the flat compiled kernel ({!Compile.render_batch} behind a per-digest
-    program cache), and any substitute must be observably bit-identical
-    to the reference interpreter. *)
+    the flat compiled kernel ({!Compile.render_batch} behind a render
+    memo), and any substitute must be observably bit-identical to the
+    reference interpreter. *)
 
 val stage_of_signature : Target.t -> string -> stage
 (** The one stage of {!run} on the target that can produce the crash

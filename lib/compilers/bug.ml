@@ -28,7 +28,8 @@ type crash_spec = {
 
 type miscompile_spec = {
   mc_bug_id : string;
-  rewrite : Module_ir.t -> Module_ir.t;  (** identity when the shape is absent *)
+  rewrite : Module_ir.t -> Module_ir.t;
+      (** the input itself ([==]) when the shape is absent *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -269,14 +270,18 @@ let swap_branch (b : Block.t) =
       { b with Block.terminator = Block.BranchConditional (c, f, t) }
   | _ -> b
 
-let map_functions m f = { m with Module_ir.functions = List.map f m.Module_ir.functions }
+(* The rewrites are built on {!Opt_util}'s sharing-preserving traversals:
+   a function, block or instruction list none of whose parts a rewrite
+   edits comes back physically, so a module without the bug's shape is
+   returned itself and the engine digests and renders it as the optimized
+   module it is. *)
 
 (** Figure 8b analog: the backend mis-lowers branches in blocks laid out
     without fallthrough — conditional branches take the wrong arm, and
     unconditional branches "fall through" into the syntactically next block
     (a missing-jump code layout bug). *)
 let rewrite_block_order_sensitive m =
-  map_functions m (fun (fn : Func.t) ->
+  Opt_util.map_functions m (fun (fn : Func.t) ->
       let bad = non_fallthrough_blocks fn in
       let next_of =
         let rec pairs = function
@@ -286,96 +291,63 @@ let rewrite_block_order_sensitive m =
         in
         pairs fn.Func.blocks
       in
-      {
-        fn with
-        Func.blocks =
-          List.map
-            (fun (b : Block.t) ->
-              if not (List.mem b.Block.label bad) then b
-              else
-                match b.Block.terminator with
-                | Block.BranchConditional _ -> swap_branch b
-                | Block.Branch _ -> (
-                    match List.assoc_opt b.Block.label next_of with
-                    | Some next ->
-                        { b with Block.terminator = Block.Branch next }
-                    | None -> b)
-                | Block.Return | Block.ReturnValue _ | Block.Kill
-                | Block.Unreachable ->
-                    b)
-            fn.Func.blocks;
-      })
+      Opt_util.map_blocks fn (fun (b : Block.t) ->
+          if not (List.mem b.Block.label bad) then b
+          else
+            match b.Block.terminator with
+            | Block.BranchConditional _ -> swap_branch b
+            | Block.Branch target -> (
+                match List.assoc_opt b.Block.label next_of with
+                | Some next when not (Id.equal next target) ->
+                    { b with Block.terminator = Block.Branch next }
+                | Some _ | None -> b)
+            | Block.Return | Block.ReturnValue _ | Block.Kill
+            | Block.Unreachable ->
+                b))
 
 (** Figure 8a analog: conditional branches whose condition is a φ (the shape
     PropagateInstructionUp creates) take the wrong arm. *)
 let rewrite_phi_condition m =
-  map_functions m (fun (fn : Func.t) ->
-      {
-        fn with
-        Func.blocks =
-          List.map
-            (fun (b : Block.t) ->
-              match b.Block.terminator with
-              | Block.BranchConditional (c, _, _) ->
-                  let cond_is_phi =
-                    List.exists
-                      (fun (i : Instr.t) -> i.Instr.result = Some c && Instr.is_phi i)
-                      b.Block.instrs
-                  in
-                  if cond_is_phi then swap_branch b else b
-              | _ -> b)
-            fn.Func.blocks;
-      })
+  Opt_util.map_all_blocks m (fun (b : Block.t) ->
+      match b.Block.terminator with
+      | Block.BranchConditional (c, _, _) ->
+          let cond_is_phi =
+            List.exists
+              (fun (i : Instr.t) -> i.Instr.result = Some c && Instr.is_phi i)
+              b.Block.instrs
+          in
+          if cond_is_phi then swap_branch b else b
+      | _ -> b)
 
 (** Positional φ lowering: a 2-entry φ whose entries are not in CFG
     predecessor order reads the wrong slot (PermutePhiEntries trigger). *)
 let rewrite_phi_positional m =
-  map_functions m (fun (fn : Func.t) ->
-      let cfg = Cfg.of_func fn in
-      {
-        fn with
-        Func.blocks =
-          List.map
-            (fun (b : Block.t) ->
-              let preds = Cfg.predecessors cfg b.Block.label in
-              {
-                b with
-                Block.instrs =
-                  List.map
-                    (fun (i : Instr.t) ->
-                      match i.Instr.op with
-                      | Instr.Phi [ (v1, p1); (v2, p2) ]
-                        when preds = [ p2; p1 ] && not (Id.equal p1 p2) ->
-                          (* entries listed in the reverse of pred order:
-                             the buggy backend reads positionally *)
-                          { i with Instr.op = Instr.Phi [ (v2, p1); (v1, p2) ] }
-                      | _ -> i)
-                    b.Block.instrs;
-              })
-            fn.Func.blocks;
-      })
+  Opt_util.map_functions m (fun (fn : Func.t) ->
+      let cfg = lazy (Cfg.of_func fn) in
+      Opt_util.map_blocks fn (fun (b : Block.t) ->
+          let preds = lazy (Cfg.predecessors (Lazy.force cfg) b.Block.label) in
+          Opt_util.with_instrs b
+            (Opt_util.map
+               (fun (i : Instr.t) ->
+                 match i.Instr.op with
+                 | Instr.Phi [ (v1, p1); (v2, p2) ]
+                   when (not (Id.equal p1 p2))
+                        && (not (Id.equal v1 v2))
+                        && Lazy.force preds = [ p2; p1 ] ->
+                     (* entries listed in the reverse of pred order: the
+                        buggy backend reads positionally (equal values
+                        read the same either way) *)
+                     { i with Instr.op = Instr.Phi [ (v2, p1); (v1, p2) ] }
+                 | _ -> i)
+               b.Block.instrs)))
 
 (** Component indexing off-by-one for high vector components. *)
 let rewrite_extract_high m =
-  map_functions m (fun (fn : Func.t) ->
-      {
-        fn with
-        Func.blocks =
-          List.map
-            (fun (b : Block.t) ->
-              {
-                b with
-                Block.instrs =
-                  List.map
-                    (fun (i : Instr.t) ->
-                      match i.Instr.op with
-                      | Instr.CompositeExtract (src, [ k ]) when k >= 2 ->
-                          { i with Instr.op = Instr.CompositeExtract (src, [ k - 1 ]) }
-                      | _ -> i)
-                    b.Block.instrs;
-              })
-            fn.Func.blocks;
-      })
+  Opt_util.map_instrs m (fun (i : Instr.t) ->
+      match i.Instr.op with
+      | Instr.CompositeExtract (src, [ k ]) when k >= 2 ->
+          { i with Instr.op = Instr.CompositeExtract (src, [ k - 1 ]) }
+      | _ -> i)
 
 (** Conditions fed by direct uniform loads are evaluated inverted. *)
 let rewrite_uniform_condition m =
@@ -396,29 +368,22 @@ let rewrite_uniform_condition m =
           (Func.all_instrs fn))
       m.Module_ir.functions
   in
-  map_functions m (fun (fn : Func.t) ->
-      {
-        fn with
-        Func.blocks =
-          List.map
-            (fun (b : Block.t) ->
-              match b.Block.terminator with
-              | Block.BranchConditional (c, _, _) ->
-                  let fed_by_two_uniform_loads =
-                    List.exists
-                      (fun (i : Instr.t) ->
-                        i.Instr.result = Some c
-                        && List.length
-                             (List.filter
-                                (fun u -> List.mem u uniform_load_results)
-                                (Instr.used_ids i))
-                           >= 2)
-                      b.Block.instrs
-                  in
-                  if fed_by_two_uniform_loads then swap_branch b else b
-              | _ -> b)
-            fn.Func.blocks;
-      })
+  Opt_util.map_all_blocks m (fun (b : Block.t) ->
+      match b.Block.terminator with
+      | Block.BranchConditional (c, _, _) ->
+          let fed_by_two_uniform_loads =
+            List.exists
+              (fun (i : Instr.t) ->
+                i.Instr.result = Some c
+                && List.length
+                     (List.filter
+                        (fun u -> List.mem u uniform_load_results)
+                        (Instr.used_ids i))
+                   >= 2)
+              b.Block.instrs
+          in
+          if fed_by_two_uniform_loads then swap_branch b else b
+      | _ -> b)
 
 (* ------------------------------------------------------------------ *)
 (* The catalogue                                                       *)

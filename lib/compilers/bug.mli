@@ -30,7 +30,10 @@ type crash_spec = {
 
 type miscompile_spec = {
   mc_bug_id : string;
-  rewrite : Module_ir.t -> Module_ir.t;  (** identity when the shape is absent *)
+  rewrite : Module_ir.t -> Module_ir.t;
+      (** the input itself, physically ([rewrite m == m]), exactly when
+          the shape is absent and the rewrite changes nothing; only the
+          functions, blocks and instruction lists it edits are rebuilt *)
 }
 
 (** {1 Structural probes} (exposed for tests and target design) *)

@@ -3,10 +3,10 @@
     {!Compilers.Backend.run} with a bounded LRU eviction policy, an
     optional persistent {!Tbct_store.Cas} backend (read-through /
     write-through), the baseline cache, the per-configuration
-    target-optimizer memo shared by runs, TV blame and the clean [-O] step
-    (with the validator's verdict on each optimized module), the stage
-    memo of front-end crash signatures, counters and per-stage wall-clock
-    accounting.  One engine may be shared across domains. *)
+    target-optimizer memo shared by runs, TV blame and the clean [-O] step,
+    the validator's verdict per optimized module, the render memo, the
+    stage memo of front-end crash signatures, counters and per-stage
+    wall-clock accounting.  One engine may be shared across domains. *)
 
 open Spirv_ir
 module Lru = Tbct_store.Lru
@@ -17,12 +17,10 @@ let default_memo_capacity = 65536
 
 (* The target optimizer's outcome on one module, shared by every target
    with the same configuration.  [blame] stays [None] until translation
-   validation has run on the module, [valid] until [Validate.check] has
-   judged the optimized module; a crashed pipeline needs neither. *)
+   validation has run on the module; a crashed pipeline needs none. *)
 type pipeline_entry = {
   outcome : (Module_ir.t, string) result;
   blame : Compilers.Optimizer.pass_name option option;
-  valid : (unit, Validate.error list) result option;
 }
 
 type t = {
@@ -32,10 +30,14 @@ type t = {
       (* (target name, module digest, input digest) -> result *)
   mutable tv_memo : (string * string, Compilers.Tv.verdict) Lru.t;
       (* (before digest, after digest) -> translation-validation verdict *)
-  mutable compile_memo : (string, Compile.t) Lru.t;
-      (* module digest -> lowered program for the flat execution kernel *)
+  mutable render_memo :
+    (string * string, (Image.t, Interp.trap) result) Lru.t;
+      (* (post-miscompile module digest, input digest) -> the flat
+         kernel's render *)
   mutable pipeline_memo : (string * string, pipeline_entry) Lru.t;
       (* (Target.config_key, module digest) -> target optimizer outcome *)
+  mutable verdict_memo : (string, (unit, Validate.error list) result) Lru.t;
+      (* optimized module digest -> Validate.check verdict *)
   mutable stage_memo : (string * string, string option) Lru.t;
       (* (target name, module digest) -> front-end crash signature *)
   use_compiled : bool;
@@ -93,8 +95,9 @@ let create ?store ?(memo_capacity = default_memo_capacity) ?(compiled = true)
     lock = Mutex.create ();
     memo = Lru.create ~capacity:memo_capacity;
     tv_memo = Lru.create ~capacity:memo_capacity;
-    compile_memo = Lru.create ~capacity:memo_capacity;
+    render_memo = Lru.create ~capacity:memo_capacity;
     pipeline_memo = Lru.create ~capacity:memo_capacity;
+    verdict_memo = Lru.create ~capacity:memo_capacity;
     stage_memo = Lru.create ~capacity:memo_capacity;
     use_compiled = compiled;
     memo_capacity;
@@ -143,9 +146,10 @@ let tv_stage = "tv"
 (* the backend's stages, nested inside [execute_stage]: the front-end
    triggers (billed by stage-memo misses only; a full run does not split
    them out), the target optimizer on pipeline-memo misses, validation of
-   its output on entries without a verdict and the render (lowering
-   included).  They are named apart from [optimize_stage] and [tv_stage],
-   which clock work outside [execute_stage]. *)
+   its output on verdict-memo misses and the render hook (the render
+   memo's lookup, and lowering and the fragment grid on a miss).  They
+   are named apart from [optimize_stage] and [tv_stage], which clock work
+   outside [execute_stage]. *)
 let front_stage = "execute/front"
 let optimize_miss_stage = "execute/optimize"
 let validate_stage = "execute/validate"
@@ -166,24 +170,6 @@ let run_store_key (target, mdigest, idigest) =
 let opt_store_key (_config, mdigest) = Cas.key_of_string ("opt:" ^ mdigest)
 let tv_store_key (d1, d2) = Cas.key_of_string (Printf.sprintf "tv:%s:%s" d1 d2)
 
-(* The flat compiled kernel behind a per-digest program cache.  Lowered
-   programs are immutable and freely shareable across domains; the LRU is
-   consulted and updated under the engine lock, and the (pure) lowering
-   itself runs unlocked — a racing duplicate lowering is harmless. *)
-let compiled_program e (m : Module_ir.t) : Compile.t =
-  let d = Digest.of_module m in
-  let cached = locked e (fun () -> Lru.find e.compile_memo d) in
-  match cached with
-  | Some p ->
-      locked e (fun () -> e.compile_hits <- e.compile_hits + 1);
-      p
-  | None ->
-      let p = Compile.lower m in
-      locked e (fun () ->
-          Lru.set e.compile_memo d p;
-          e.compiles <- e.compiles + 1);
-      p
-
 (* [f x], its time added to [clock], a computation's list of (stage,
    seconds) that the caller bills with [bill_locked] in the locked section
    it takes anyway: the backend stages of every run cost no lock of their
@@ -197,30 +183,46 @@ let clock_into clock stage f x =
 let bill_locked e clock =
   List.iter (fun (stage, dt) -> add_stage_locked e stage dt) !clock
 
-(* The render hook handed to [Backend.run]: it receives the
-   post-miscompile module, which differs from the module the engine was
-   asked about, so it is digested and lowered (through the cache) on its
-   own. *)
-let compiled_render e clock m input =
+(* The render hook handed to [Backend.run], behind the render memo.  It
+   receives the post-miscompile module, which is the optimized module
+   itself when no rewrite fires (its digest then comes from the identity
+   ring) and is digested on its own otherwise; [idigest] is the input's
+   digest from [run]'s key.  Targets whose configurations and rewrites
+   produce one module render it once per input.  Images are never
+   mutated once rendered, so every run result may share one; the lookup
+   and the store take the engine lock, the lowering and the render run
+   unlocked — a racing duplicate render is harmless. *)
+let compiled_render e clock idigest m input =
   clock_into clock render_stage
-    (fun m -> Compile.render_batch (compiled_program e m) input)
+    (fun m ->
+      let key = (Digest.of_module m, idigest) in
+      let cached =
+        locked e (fun () ->
+            let r = Lru.find e.render_memo key in
+            if Option.is_some r then e.compile_hits <- e.compile_hits + 1;
+            r)
+      in
+      match cached with
+      | Some r -> r
+      | None ->
+          let r = Compile.render_batch (Compile.lower m) input in
+          locked e (fun () ->
+              Lru.set e.render_memo key r;
+              e.compiles <- e.compiles + 1);
+          r)
     m
 
 (* Store a pipeline entry, merged with the one already in the table (a
    racing domain's, or the one a later consumer learnt more about).  An
    optimized module already in the table is kept, so every consumer
-   shares one value (and its digest and lowered program by identity), and
-   a blame or verdict already known survives an entry that lacks it. *)
+   shares one value (and its digest by identity), and a blame already
+   known survives an entry that lacks it. *)
 let merge_pipeline_locked e key (entry : pipeline_entry) =
-  let known fresh old = match fresh with None -> old | Some _ -> fresh in
   let entry =
     match Lru.find e.pipeline_memo key with
-    | Some { outcome = Ok m; blame; valid } ->
-        {
-          outcome = Ok m;
-          blame = known entry.blame blame;
-          valid = known entry.valid valid;
-        }
+    | Some { outcome = Ok m; blame } ->
+        let blame = if Option.is_some entry.blame then entry.blame else blame in
+        { outcome = Ok m; blame }
     | Some _ | None -> entry
   in
   Lru.set e.pipeline_memo key entry
@@ -228,7 +230,7 @@ let merge_pipeline_locked e key (entry : pipeline_entry) =
 (* a pipeline the engine ran: its outcome, and the blame if TV ran it *)
 let record_pipeline e key ?blame outcome =
   locked e (fun () ->
-      merge_pipeline_locked e key { outcome; blame; valid = None };
+      merge_pipeline_locked e key { outcome; blame };
       bump_counter_locked e pipeline_runs_counter 1)
 
 let pipeline_hit e = bump_counter e pipeline_hits_counter 1
@@ -237,10 +239,12 @@ let pipeline_key (t : Compilers.Target.t) m =
   (Compilers.Target.config_key t, Digest.of_module m)
 
 (* The optimize and validate hooks handed to [Backend.run] and
-   [Backend.compile] for the module of [key]: any entry for the key
-   answers, whichever consumer stored it.  The verdict is a function of
-   the optimized module, so it lives in that module's entry and is
-   computed once per configuration, whichever run or probe asks first. *)
+   [Backend.compile].  The optimizer's outcome on the module of [key]:
+   any entry for the key answers, whichever consumer stored it.  The
+   verdict is a function of the optimized module alone, so it is keyed by
+   that module's digest and computed once per distinct module, whichever
+   configuration, run or probe produced it first; only [Validate.check]
+   on a miss is billed to [validate_stage]. *)
 let memo_optimize e clock (t : Compilers.Target.t) key (m : Module_ir.t) :
     (Module_ir.t, string) result =
   let cached = locked e (fun () -> Lru.find e.pipeline_memo key) in
@@ -257,15 +261,13 @@ let memo_optimize e clock (t : Compilers.Target.t) key (m : Module_ir.t) :
       record_pipeline e key outcome;
       outcome
 
-let memo_validate e clock key (optimized : Module_ir.t) =
-  let cached = locked e (fun () -> Lru.find e.pipeline_memo key) in
-  match cached with
-  | Some { valid = Some verdict; _ } -> verdict
-  | Some { valid = None; _ } | None ->
+let memo_validate e clock (optimized : Module_ir.t) =
+  let d = Digest.of_module optimized in
+  match locked e (fun () -> Lru.find e.verdict_memo d) with
+  | Some verdict -> verdict
+  | None ->
       let verdict = clock_into clock validate_stage Validate.check optimized in
-      locked e (fun () ->
-          merge_pipeline_locked e key
-            { outcome = Ok optimized; blame = None; valid = Some verdict });
+      locked e (fun () -> Lru.set e.verdict_memo d verdict);
       verdict
 
 (* The one read-through body behind [run], [optimize] and [tv_check]: the
@@ -328,6 +330,7 @@ let read_through e ~memo ~store_key ~decode ~encode ~hit ~computed ~stage
 let run e (t : Compilers.Target.t) (m : Module_ir.t) (input : Input.t) :
     Compilers.Backend.run_result =
   let clock = ref [] in
+  let idigest = Digest.of_input input in
   read_through e
     ~memo:(fun e -> e.memo)
     ~store_key:run_store_key ~decode:Run_codec.decode_run
@@ -342,15 +345,16 @@ let run e (t : Compilers.Target.t) (m : Module_ir.t) (input : Input.t) :
         (1 + Option.value ~default:0 (Hashtbl.find_opt e.domain_runs did));
       bill_locked e clock)
     ~stage:execute_stage ~keep:Option.some ~cached:Fun.id
-    (t.Compilers.Target.name, Digest.of_module m, Digest.of_input input)
+    (t.Compilers.Target.name, Digest.of_module m, idigest)
     (fun () ->
       (* the harness's one permitted backend call: everything else runs
          through here, behind the memo and the store *)
       if e.use_compiled then
-        let key = pipeline_key t m in
-        backend_run ~render:(compiled_render e clock)
-          ~validate:(memo_validate e clock key)
-          ~optimize:(memo_optimize e clock t key) t m input
+        backend_run
+          ~render:(compiled_render e clock idigest)
+          ~validate:(memo_validate e clock)
+          ~optimize:(memo_optimize e clock t (pipeline_key t m))
+          t m input
       else backend_run t m input)
 
 (* The stage memo: the crash signature, if any, of the target's front end
@@ -376,16 +380,17 @@ let front_end_crash e (t : Compilers.Target.t) m =
       crash
 
 (* The compile stage's crash signature, if any, of a module that passed
-   the front end, through the pipeline memo's hooks: a module a run has
-   already compiled costs only its [After_opt] triggers.  Billed to
-   [execute_stage] like a run. *)
+   the front end, through the pipeline and verdict memos' hooks: a module
+   a run has already compiled costs only its [After_opt] triggers and
+   the optimized module's digest.  Billed to [execute_stage] like a
+   run. *)
 let compile_crash e (t : Compilers.Target.t) m =
   let clock = ref [] in
   let key = pipeline_key t m in
   let t0 = Unix.gettimeofday () in
   let compiled =
     backend_compile ~optimize:(memo_optimize e clock t key)
-      ~validate:(memo_validate e clock key) t m
+      ~validate:(memo_validate e clock) t m
   in
   let dt = Unix.gettimeofday () -. t0 in
   locked e (fun () ->
@@ -433,7 +438,7 @@ let clean_config =
   Compilers.Target.key_of_config ~pipeline:Compilers.Optimizer.standard
     ~flags:Compilers.Passes.no_bugs
 
-let clean_entry m = { outcome = Ok m; blame = None; valid = None }
+let clean_entry m = { outcome = Ok m; blame = None }
 
 (** The clean [-O] step, in the pipeline memo under [clean_config]: an
     entry any consumer stored answers it, a memory miss reads the
@@ -556,13 +561,13 @@ let stats e : stats =
         compile_hits = e.compile_hits;
         memo_entries =
           Lru.length e.memo + Lru.length e.tv_memo
-          + Lru.length e.compile_memo + Lru.length e.pipeline_memo
-          + Lru.length e.stage_memo;
+          + Lru.length e.render_memo + Lru.length e.pipeline_memo
+          + Lru.length e.verdict_memo + Lru.length e.stage_memo;
         memo_capacity = e.memo_capacity;
         memo_evictions =
           Lru.evictions e.memo + Lru.evictions e.tv_memo
-          + Lru.evictions e.compile_memo + Lru.evictions e.pipeline_memo
-          + Lru.evictions e.stage_memo;
+          + Lru.evictions e.render_memo + Lru.evictions e.pipeline_memo
+          + Lru.evictions e.verdict_memo + Lru.evictions e.stage_memo;
         runs_saved;
         hit_rate =
           (if looked_up = 0 then 0.0
@@ -590,8 +595,9 @@ let reset e =
   locked e (fun () ->
       e.memo <- Lru.create ~capacity:e.memo_capacity;
       e.tv_memo <- Lru.create ~capacity:e.memo_capacity;
-      e.compile_memo <- Lru.create ~capacity:e.memo_capacity;
+      e.render_memo <- Lru.create ~capacity:e.memo_capacity;
       e.pipeline_memo <- Lru.create ~capacity:e.memo_capacity;
+      e.verdict_memo <- Lru.create ~capacity:e.memo_capacity;
       e.stage_memo <- Lru.create ~capacity:e.memo_capacity;
       Hashtbl.reset e.baselines;
       Hashtbl.reset e.stage_wall;
@@ -625,7 +631,7 @@ let pp_stats fmt (s : stats) =
       s.tv_checks s.tv_hits
       (100.0 *. float_of_int s.tv_hits /. float_of_int s.tv_checks);
   if s.compiles > 0 || s.compile_hits > 0 then
-    Format.fprintf fmt "@\ncompile: %d modules lowered, %d program-cache hits"
+    Format.fprintf fmt "@\ncompile: %d modules lowered, %d render-memo hits"
       s.compiles s.compile_hits;
   if s.stages <> [] then begin
     Format.fprintf fmt "@\nstage wall-clock:";

@@ -9,9 +9,7 @@
     [(target, reference name)]), a memo of translation-validation verdicts
     and a pipeline memo for the optimizer configurations:
     [(config key, module digest)] -> optimized module or crash signature,
-    plus the translation-validation blame once {!tv_blame} has run and
-    the {!Spirv_ir.Validate.check} verdict once a run or probe has
-    needed it.  The
+    plus the translation-validation blame once {!tv_blame} has run.  The
     key is {!Compilers.Target.config_key}, not the target name, so targets
     that share a pipeline and flags share every entry.  {!run} and
     {!tv_blame} read and fill it, and so does {!optimize}: the clean [-O]
@@ -20,6 +18,12 @@
     entries.  All stores are guarded by a mutex, so one
     engine may be shared by several OCaml 5 domains — the domain-parallel
     campaigns of {!Experiments} do exactly that.
+
+    Two more memos hold execute-stage facts, each keyed by what it
+    depends on: the verdict memo maps an optimized module's digest to
+    {!Spirv_ir.Validate.check}'s verdict, whichever configuration
+    produced the module, and the render memo (see {!create}) maps a
+    post-miscompile module's digest and an input's digest to the render.
 
     The stage memo serves crash-signature probes ({!crashes_with}): per
     [(target name, module digest)] it holds the crash signature, if any,
@@ -53,8 +57,9 @@
     ["execute/front"] (front-end triggers, clocked on stage-memo misses
     only, since a full run does not split them out), ["execute/optimize"]
     (the target optimizer on pipeline-memo misses), ["execute/validate"]
-    ({!Spirv_ir.Validate.check} of its output, on pipeline entries without
-    a verdict) and ["execute/render"] (lowering and the fragment grid). *)
+    ({!Spirv_ir.Validate.check} of its output, on verdict-memo misses)
+    and ["execute/render"] (the render memo's lookup, and lowering and the
+    fragment grid on a miss). *)
 
 open Spirv_ir
 
@@ -78,8 +83,12 @@ type stats = {
       (** pass steps handed to translation validation; a blame served by
           the pipeline memo re-validates nothing and adds none *)
   tv_hits : int;         (** TV verdicts served without re-validating *)
-  compiles : int;        (** modules lowered by the flat execution kernel *)
-  compile_hits : int;    (** renders served by an already-lowered program *)
+  compiles : int;
+      (** modules lowered by the flat execution kernel: the render memo's
+          misses, each lowered and rendered *)
+  compile_hits : int;
+      (** renders served by the render memo without lowering or
+          rendering *)
   memo_entries : int;    (** current entries across the memo tables *)
   memo_capacity : int;   (** the per-table LRU entry cap *)
   memo_evictions : int;  (** entries evicted by the LRU bound *)
@@ -125,16 +134,21 @@ val create :
     {!default_memo_capacity}) bounds each in-memory table.
 
     [compiled] (default [true]) selects the execution kernel for the hot
-    path: modules are lowered once by {!Spirv_ir.Compile.lower} into flat
-    programs, cached per module digest in an LRU ([compiles] /
-    [compile_hits] in {!stats}), and executed with
+    path: a post-miscompile module is lowered by
+    {!Spirv_ir.Compile.lower} into a flat program and executed with
     {!Spirv_ir.Compile.render_batch} — observably bit-identical to the
-    reference interpreter.  [~compiled:false] keeps every render on
-    {!Spirv_ir.Interp.render} and keeps the pipeline memo for {!optimize}
-    alone: {!run} takes [Backend.run]'s default optimizer and {!tv_blame}
-    runs [Optimizer.run_tv] every time.  It is the reference mode the CI
+    reference interpreter — and the render itself is memoized in an LRU
+    keyed by (post-miscompile module digest, input digest), so targets
+    that produce one module render it once per input ([compiles] /
+    [compile_hits] in {!stats}).  The lowered program is not kept.
+    Optimizer outcomes and validator verdicts come from the pipeline and
+    verdict memos.  [~compiled:false] keeps every render on
+    {!Spirv_ir.Interp.render}, uses none of the render, verdict or stage
+    memos and keeps the pipeline memo for {!optimize} alone: {!run} takes
+    [Backend.run]'s default optimizer and validator and {!tv_blame} runs
+    [Optimizer.run_tv] every time.  It is the reference mode the CI
     byte-equality gates run campaigns under (the differential oracle for
-    the kernel and the pipeline memo). *)
+    the kernel and the memos). *)
 
 val run : t -> Compilers.Target.t -> Module_ir.t -> Input.t ->
   Compilers.Backend.run_result
@@ -142,7 +156,9 @@ val run : t -> Compilers.Target.t -> Module_ir.t -> Input.t ->
     then execute-and-record (billing the ["execute"] stage).  The mutex is
     not held during execution, so concurrent misses proceed in parallel.
     An execution takes the target's optimizer output from the pipeline
-    memo ([Backend.run]'s [?optimize] hook).  A store write that
+    memo ([Backend.run]'s [?optimize] hook), the validator's verdict from
+    the verdict memo ([?validate]) and the render from the render memo
+    ([?render]).  A store write that
     fails with [Unix.Unix_error] or [Sys_error] is counted as
     [store-put-failures] and skipped: the result is still returned and
     kept in memory. *)
@@ -153,9 +169,9 @@ val crashes_with :
     at {!Compilers.Backend.stage_of_signature}[ t s]: a [Front_end]
     signature by the stage memo (a hit counts as a [cache_hits]); a
     [Compile] one by the stage memo's "front end passed", then
-    {!Compilers.Backend.compile} through the pipeline memo, so a module a
-    run has compiled costs only its [After_opt] triggers; an [Execute]
-    (["device lost (...)"]) one by {!run}.  A staged probe adds nothing to
+    {!Compilers.Backend.compile} through the pipeline and verdict memos,
+    so a module a run has compiled costs only its [After_opt] triggers;
+    an [Execute] (["device lost (...)"]) one by {!run}.  A staged probe adds nothing to
     [runs_executed], renders nothing and writes nothing to the store.  A
     reference engine ([~compiled:false]) always takes {!run}, so the
     reference-interpreter gates compare staged probes against it. *)
@@ -215,9 +231,9 @@ val pipeline_hits : stats -> int
 (** The [pipeline-hits] counter: pipeline-memo lookups that ran nothing. *)
 
 val reset : t -> unit
-(** Clear every cache (the pipeline and stage memos included) and zero
-    every counter and stage clock.  The disk store (if any) is left
-    untouched. *)
+(** Clear every cache (the pipeline, verdict, render and stage memos
+    included) and zero every counter and stage clock.  The disk store (if
+    any) is left untouched. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** Human-readable rendering of {!stats}. *)

@@ -1,5 +1,10 @@
 (** Rendered images: one pixel per fragment of the input grid.
 
+    An image is built by the renderer that returns it ({!Interp.render},
+    {!Compile.render_batch}) and never mutated once returned: the
+    harness shares one image across every run result and memo entry
+    that rendered it.
+
     A fragment that executes [OpKill] leaves its pixel unwritten
     ([Killed]), as on a real GPU — which is why ReplaceBranchWithKill in
     dead blocks keeps images identical while changing the CFG radically.

@@ -198,7 +198,7 @@ rm -rf "$WDIR"
 # dedup run's reduced tests must be byte-identical to the sequential ones
 # at any worker count (the Pool's task-id-ordered merge contract)
 ./_build/default/bin/tbct_cli.exe campaign --seeds 40 --domains 1 \
-    --hits-out "$STORE/hits-seq.txt" > /dev/null
+    --stats --hits-out "$STORE/hits-seq.txt" > "$STORE/stats-seq.txt"
 ./_build/default/bin/tbct_cli.exe campaign --seeds 40 --domains 4 \
     --hits-out "$STORE/hits-par.txt" > /dev/null
 if ! cmp -s "$STORE/hits-seq.txt" "$STORE/hits-par.txt"; then
@@ -240,7 +240,18 @@ fi
 # (the default) and the reference interpreter (--reference-interp), at
 # both --domains 1 and --domains 4.  The hits/tests files above came from
 # default (compiled) runs, so diffing against reference runs proves the
-# kernels agree on every fragment the campaign executes.
+# kernels agree on every fragment the campaign executes.  The compiled
+# runs take renders from the engine's render memo, shared by targets that
+# produce one post-miscompile module; the reference engine renders every
+# run afresh.  The sequential compiled campaign must report render-memo
+# hits > 0, or nothing was shared and the comparison proves nothing
+# about the memo.
+render_hits=$(awk '$1 == "compile:" && $6 == "render-memo" { print $5 }' \
+                "$STORE/stats-seq.txt")
+if [ "${render_hits:-0}" -le 0 ]; then
+  echo "CI: compiled campaign reports no render-memo hits" >&2
+  exit 1
+fi
 ./_build/default/bin/tbct_cli.exe campaign --seeds 40 --domains 1 \
     --reference-interp --hits-out "$STORE/hits-refint-seq.txt" > /dev/null
 if ! cmp -s "$STORE/hits-seq.txt" "$STORE/hits-refint-seq.txt"; then

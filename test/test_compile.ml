@@ -6,8 +6,8 @@
    tests drive both engines over the corpus, generated modules, corrupted
    modules (the engine executes post-miscompile modules that need not
    validate), step-limit sweeps and a trap-at-fragment-k regression —
-   plus the compiled-program cache in Harness.Engine and the binary run
-   codec in Tbct_store. *)
+   plus the render memo in Harness.Engine and the binary run codec in
+   Tbct_store. *)
 
 open Spirv_ir
 
@@ -122,7 +122,7 @@ let test_corpus_run_fragment () =
 (* Fragment throughput: the compiled kernel earns its place only if it is
    much faster than the interpreter it must match bit for bit.  Both sides
    render the full default grid of every corpus module (each program
-   lowered once, outside the clock, as the engine's program cache does)
+   lowered once, outside the clock)
    for the same number of sweeps, timed in process CPU time so a loaded
    machine does not skew the ratio; the best of three trials counts. *)
 
@@ -331,7 +331,8 @@ let test_trap_order_is_y_major () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Harness.Engine: the per-digest compiled-program cache *)
+(* Harness.Engine: the render memo, keyed by (post-miscompile module
+   digest, input digest) *)
 
 let run_eq (a : Compilers.Backend.run_result) (b : Compilers.Backend.run_result) =
   match (a, b) with
@@ -340,52 +341,71 @@ let run_eq (a : Compilers.Backend.run_result) (b : Compilers.Backend.run_result)
   | Compilers.Backend.Rendered x, Compilers.Backend.Rendered y -> image_eq x y
   | _, _ -> false
 
-let test_engine_program_cache () =
+let rendered what = function
+  | Compilers.Backend.Rendered img -> img
+  | Compilers.Backend.Compiled_ok | Compilers.Backend.Crashed _ ->
+      Alcotest.failf "%s: not rendered" what
+
+(* Mesa and Pixel-5 share an optimizer configuration and no miscompile
+   rewrite fires on a corpus module, so both render the same
+   post-miscompile module *)
+let test_engine_render_memo () =
   let m = snd (List.hd (Lazy.force Corpus.lowered_references)) in
-  let t = Compilers.Target.swiftshader in
+  let mesa, pixel = Compilers.Target.(mesa, pixel5) in
   let in1 = Corpus.default_input in
   let in2 = { in1 with Input.width = in1.Input.width + 1 } in
   let engine = Harness.Engine.create () in
-  let r1 = Harness.Engine.run engine t m in1 in
-  let s1 = Harness.Engine.stats engine in
-  Alcotest.(check int) "first render lowers the module" 1
-    s1.Harness.Engine.compiles;
-  Alcotest.(check int) "no program-cache hit yet" 0
-    s1.Harness.Engine.compile_hits;
-  (* a different input misses the run memo but reuses the lowered program *)
-  ignore (Harness.Engine.run engine t m in2);
-  let s2 = Harness.Engine.stats engine in
-  Alcotest.(check int) "second input reuses the program" 1
-    s2.Harness.Engine.compiles;
-  Alcotest.(check int) "one program-cache hit" 1
-    s2.Harness.Engine.compile_hits;
+  let counts () =
+    let s = Harness.Engine.stats engine in
+    (s.Harness.Engine.compiles, s.Harness.Engine.compile_hits)
+  in
+  let r1 = Harness.Engine.run engine mesa m in1 in
+  Alcotest.(check (pair int int)) "the first render lowers the module" (1, 0)
+    (counts ());
+  (* another target, the same post-miscompile module and input: the run
+     memo misses (its key names the target), the render memo answers *)
+  let r2 = Harness.Engine.run engine pixel m in1 in
+  Alcotest.(check (pair int int)) "the second target renders nothing" (1, 1)
+    (counts ());
+  Alcotest.(check bool) "both runs share one image" true
+    (rendered "Mesa" r1 == rendered "Pixel-5" r2);
+  Alcotest.(check int) "two runs executed" 2
+    (Harness.Engine.stats engine).Harness.Engine.runs_executed;
+  (* a second input is a different render *)
+  ignore (Harness.Engine.run engine mesa m in2);
+  Alcotest.(check (pair int int)) "a second input renders again" (2, 1)
+    (counts ());
   (* the reference-interpreter engine never lowers and agrees bit-exactly *)
   let ref_engine = Harness.Engine.create ~compiled:false () in
-  let r1' = Harness.Engine.run ref_engine t m in1 in
-  Alcotest.(check bool) "compiled engine == reference engine" true
-    (run_eq r1 r1');
+  List.iter
+    (fun ((t : Compilers.Target.t), r) ->
+      Alcotest.(check bool)
+        (t.Compilers.Target.name ^ ": compiled engine == reference engine")
+        true
+        (run_eq r (Harness.Engine.run ref_engine t m in1)))
+    [ (mesa, r1); (pixel, r2) ];
   let sr = Harness.Engine.stats ref_engine in
-  Alcotest.(check int) "reference engine never lowers" 0
-    sr.Harness.Engine.compiles;
-  (* reset clears the program cache and its counters *)
+  Alcotest.(check (pair int int)) "reference engine never lowers" (0, 0)
+    (sr.Harness.Engine.compiles, sr.Harness.Engine.compile_hits);
+  (* reset clears the render memo and its counters *)
   Harness.Engine.reset engine;
-  let s3 = Harness.Engine.stats engine in
-  Alcotest.(check int) "reset zeroes compiles" 0 s3.Harness.Engine.compiles;
-  Alcotest.(check int) "reset zeroes compile_hits" 0
-    s3.Harness.Engine.compile_hits
+  Alcotest.(check (pair int int)) "reset zeroes compiles and compile_hits"
+    (0, 0) (counts ());
+  ignore (Harness.Engine.run engine pixel m in1);
+  Alcotest.(check (pair int int)) "a run after reset renders" (1, 0)
+    (counts ())
 
-let test_engine_program_eviction () =
+let test_engine_render_eviction () =
   let refs = Lazy.force Corpus.lowered_references in
   let m1 = snd (List.nth refs 0) and m2 = snd (List.nth refs 1) in
-  let t = Compilers.Target.swiftshader in
-  let in1 = Corpus.default_input in
-  let in2 = { in1 with Input.width = in1.Input.width + 1 } in
+  let mesa, pixel = Compilers.Target.(mesa, pixel5) in
+  let input = Corpus.default_input in
   let engine = Harness.Engine.create ~memo_capacity:1 () in
-  ignore (Harness.Engine.run engine t m1 in1);
-  ignore (Harness.Engine.run engine t m2 in1) (* evicts m1's program *);
-  ignore (Harness.Engine.run engine t m1 in2) (* must re-lower *);
+  ignore (Harness.Engine.run engine mesa m1 input);
+  ignore (Harness.Engine.run engine mesa m2 input) (* evicts m1's render *);
+  ignore (Harness.Engine.run engine pixel m1 input) (* must re-render *);
   let s = Harness.Engine.stats engine in
-  Alcotest.(check int) "capacity 1 re-lowers the evicted module" 3
+  Alcotest.(check int) "capacity 1 re-renders the evicted key" 3
     s.Harness.Engine.compiles;
   Alcotest.(check int) "no hit survives eviction" 0
     s.Harness.Engine.compile_hits;
@@ -557,10 +577,10 @@ let () =
         ] );
       ( "engine-cache",
         [
-          Alcotest.test_case "program cache hits" `Quick
-            test_engine_program_cache;
-          Alcotest.test_case "program cache eviction" `Quick
-            test_engine_program_eviction;
+          Alcotest.test_case "render memo hits" `Quick
+            test_engine_render_memo;
+          Alcotest.test_case "render memo eviction" `Quick
+            test_engine_render_eviction;
         ] );
       ( "run-codec",
         [

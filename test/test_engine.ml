@@ -567,8 +567,8 @@ let test_key_separates_pipeline () =
 let test_pipeline_memo_accounting () =
   let m = List.assoc "gradient" (Lazy.force Corpus.lowered_references) in
   let m2 = List.assoc "helper_distance" (Lazy.force Corpus.lowered_references) in
-  (* AMD-LLPC compiles without executing: no lowered program, so a run
-     fills the run memo and the pipeline memo only *)
+  (* AMD-LLPC compiles without executing: no render, so a run fills the
+     run memo, the pipeline memo and the verdict memo only *)
   let amd = Compilers.Target.amd_llpc in
   let run e m = ignore (Harness.Engine.run e amd m Corpus.default_input) in
   let e = Harness.Engine.create ~memo_capacity:1 () in
@@ -576,13 +576,13 @@ let test_pipeline_memo_accounting () =
   run e m;
   run reference m;
   let s = Harness.Engine.stats e and r = Harness.Engine.stats reference in
-  Alcotest.(check int) "memo_entries counts the pipeline table"
-    (r.Harness.Engine.memo_entries + 1) s.Harness.Engine.memo_entries;
+  Alcotest.(check int) "memo_entries counts the pipeline and verdict tables"
+    (r.Harness.Engine.memo_entries + 2) s.Harness.Engine.memo_entries;
   run e m2;
   run reference m2;
   let s = Harness.Engine.stats e and r = Harness.Engine.stats reference in
-  Alcotest.(check int) "memo_evictions counts the pipeline table"
-    (r.Harness.Engine.memo_evictions + 1) s.Harness.Engine.memo_evictions;
+  Alcotest.(check int) "memo_evictions counts the pipeline and verdict tables"
+    (r.Harness.Engine.memo_evictions + 2) s.Harness.Engine.memo_evictions;
   (* a blame on the same configuration reuses nothing of a plain run's
      entry but the module; a second one is a hit *)
   let mesa = Compilers.Target.mesa in
@@ -604,8 +604,8 @@ let stage_clock (s : Harness.Engine.stats) k =
   Option.value ~default:0.0 (List.assoc_opt k s.Harness.Engine.stages)
 
 (* The validator's verdict is a function of the optimized module, so it
-   lives in the pipeline entry: AMD-LLPC and Mesa share a configuration,
-   and the second target's run validates nothing. *)
+   is memoized by that module's digest: AMD-LLPC and Mesa share a
+   configuration, and the second target's run validates nothing. *)
 let test_validation_once_per_entry () =
   let m = List.assoc "gradient" (Lazy.force Corpus.lowered_references) in
   let e = Harness.Engine.create () in
@@ -626,6 +626,36 @@ let test_validation_once_per_entry () =
   Alcotest.(check (float 0.0)) "the second run validates nothing"
     (stage_clock s1 "execute/validate") (stage_clock s2 "execute/validate");
   Alcotest.(check int) "two runs" 2 s2.Harness.Engine.runs_executed
+
+(* Two configurations that optimize a module to the same value share its
+   verdict too: Mesa's clean flags and SwiftShader's inline bug agree on
+   a module whose calls take no constant arguments. *)
+let test_validation_once_per_module () =
+  let m = List.assoc "gradient" (Lazy.force Corpus.lowered_references) in
+  let mesa, swift = Compilers.Target.(mesa, swiftshader) in
+  Alcotest.(check bool) "two configurations" false
+    (String.equal
+       (Compilers.Target.config_key mesa)
+       (Compilers.Target.config_key swift));
+  (match
+     Compilers.Backend.(target_optimize mesa m, target_optimize swift m)
+   with
+  | Ok a, Ok b ->
+      Alcotest.(check bool) "one optimized module" true
+        (Spirv_ir.Module_ir.equal_exact a b)
+  | _ -> Alcotest.fail "an optimizer crashed");
+  let e = Harness.Engine.create () in
+  let run t = ignore (Harness.Engine.run e t m Corpus.default_input) in
+  run mesa;
+  let s1 = Harness.Engine.stats e in
+  run swift;
+  let s2 = Harness.Engine.stats e in
+  Alcotest.(check int) "each configuration runs its optimizer" 2
+    (Harness.Engine.pipeline_runs s2);
+  Alcotest.(check bool) "the first run validates" true
+    (stage_clock s1 "execute/validate" > 0.0);
+  Alcotest.(check (float 0.0)) "the second configuration validates nothing"
+    (stage_clock s1 "execute/validate") (stage_clock s2 "execute/validate")
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel campaigns *)
@@ -1149,6 +1179,8 @@ let () =
             test_pipeline_memo_accounting;
           Alcotest.test_case "validation once per config entry" `Quick
             test_validation_once_per_entry;
+          Alcotest.test_case "validation once per optimized module" `Quick
+            test_validation_once_per_module;
         ] );
       ( "parallel",
         [

@@ -394,6 +394,37 @@ let prop_unchanged_is_identity =
             configs)
         (sample s))
 
+(* A miscompile rewrite hands its input back physically exactly when the
+   bug's shape is absent (Bug's identity contract), on corpus modules,
+   fuzzed variants and every configuration's optimized output — the
+   modules a device target rewrites. *)
+let prop_rewrite_unchanged_is_identity =
+  QCheck.Test.make ~count:40 ~name:"rewrite returns input iff unchanged"
+    sample_arb (fun s ->
+      List.for_all
+        (fun (name, m0) ->
+          let optimized =
+            List.filter_map
+              (fun (pipeline, flags) ->
+                match Compilers.Optimizer.run ~flags pipeline m0 with
+                | m -> Some m
+                | exception Compilers.Opt_util.Compiler_crash _ -> None)
+              configs
+          in
+          List.for_all
+            (fun m ->
+              List.for_all
+                (fun (bug : Compilers.Bug.miscompile_spec) ->
+                  let m' = bug.Compilers.Bug.rewrite m in
+                  m' == m = Module_ir.equal_exact m m'
+                  || QCheck.Test.fail_reportf
+                       "%s: %s: returned input %b, unchanged %b" name
+                       bug.Compilers.Bug.mc_bug_id (m' == m)
+                       (Module_ir.equal_exact m m'))
+                Compilers.Bug.all_miscompile_bugs)
+            (m0 :: optimized))
+        (sample s))
+
 let test_inline_replaces_call () =
   let b = Builder.create () in
   let void_t = Builder.void_ty b in
@@ -613,5 +644,9 @@ let () =
          column keeps the longest case names whole *)
       ( "qcheck",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_cse_matches_string_key; prop_unchanged_is_identity ] );
+          [
+            prop_cse_matches_string_key;
+            prop_unchanged_is_identity;
+            prop_rewrite_unchanged_is_identity;
+          ] );
     ]

@@ -460,10 +460,10 @@ let test_engine_memo_eviction () =
   Alcotest.(check bool) "evicted entries recompute to identical results" true
     (first = again);
   let s = Harness.Engine.stats engine in
-  (* three tables fill here, each capped: runs, target pipelines and
-     lowered programs *)
+  (* four tables fill here, each capped: runs, target pipelines,
+     validator verdicts and renders *)
   Alcotest.(check bool) "entry count bounded by capacity" true
-    (s.Harness.Engine.memo_entries <= 3 * s.Harness.Engine.memo_capacity);
+    (s.Harness.Engine.memo_entries <= 4 * s.Harness.Engine.memo_capacity);
   Alcotest.(check int) "capacity reported" 2 s.Harness.Engine.memo_capacity;
   Alcotest.(check bool) "evictions counted" true
     (s.Harness.Engine.memo_evictions > 0)

@@ -407,8 +407,8 @@ let qcheck_tv_sound =
 (* ------------------------------------------------------------------ *)
 (* Carry-forward: a pass that changes nothing returns the input value
    itself, and run_tv hands it on as is.  It must change no TV result and
-   no engine counter, so it is compared against the plain fold over
-   run_pass.
+   no engine counter, so it is compared against a report built from
+   Optimizer.run on each prefix of the pipeline.
 
    The same sweep checks the invariant the engine's pipeline memo rests
    on: run_tv optimizes exactly as Optimizer.run does, so one stored
@@ -434,19 +434,25 @@ let check_agrees_with_run label got plain =
   | Error s, Ok _ ->
       Alcotest.failf "%s: run_tv crashed (%s), Optimizer.run finished" label s
 
+(* The reference report, built from [Optimizer.run] alone: step [i]
+   checks the output of the pipeline's first [i - 1] passes against the
+   output of its first [i], each optimized from [m] afresh.  No module is
+   handed from one pass to the next as [run_tv] hands it, so a step
+   [run_tv] pairs with the wrong [before] shows up as a different
+   verdict, blame or counter. *)
 let reference_run_tv ~flags ~check pipeline m =
-  match
-    List.fold_left
-      (fun (m, steps) pass ->
-        let m' = Compilers.Optimizer.run_pass flags m pass in
-        (m', (pass, check m m') :: steps))
-      (m, []) pipeline
-  with
-  | m', rev_steps ->
-      let tv_steps = List.rev rev_steps in
+  let rec steps i before acc = function
+    | [] -> (before, List.rev acc)
+    | pass :: rest ->
+        let prefix = List.filteri (fun j _ -> j <= i) pipeline in
+        let after = Compilers.Optimizer.run ~flags prefix m in
+        steps (i + 1) after ((pass, check before after) :: acc) rest
+  in
+  match steps 0 m [] pipeline with
+  | tv_module, tv_steps ->
       Ok
         {
-          Compilers.Optimizer.tv_module = m';
+          Compilers.Optimizer.tv_module;
           tv_steps;
           tv_guilty =
             List.find_map
