@@ -4,9 +4,9 @@
     optional persistent {!Tbct_store.Cas} backend (read-through /
     write-through), the baseline cache, the per-configuration
     target-optimizer memo shared by runs, TV blame and the clean [-O] step,
-    the validator's verdict per optimized module, the render memo, the
-    stage memo of front-end crash signatures, counters and per-stage
-    wall-clock accounting.  One engine may be shared across domains. *)
+    the validator's verdict per optimized module, the render memo,
+    counters and per-stage wall-clock accounting.  One engine may be
+    shared across domains. *)
 
 open Spirv_ir
 module Lru = Tbct_store.Lru
@@ -38,8 +38,6 @@ type t = {
       (* (Target.config_key, module digest) -> target optimizer outcome *)
   mutable verdict_memo : (string, (unit, Validate.error list) result) Lru.t;
       (* optimized module digest -> Validate.check verdict *)
-  mutable stage_memo : (string * string, string option) Lru.t;
-      (* (target name, module digest) -> front-end crash signature *)
   use_compiled : bool;
       (* false: reference-interpreter mode (the differential oracle) *)
   memo_capacity : int;
@@ -98,7 +96,6 @@ let create ?store ?(memo_capacity = default_memo_capacity) ?(compiled = true)
     render_memo = Lru.create ~capacity:memo_capacity;
     pipeline_memo = Lru.create ~capacity:memo_capacity;
     verdict_memo = Lru.create ~capacity:memo_capacity;
-    stage_memo = Lru.create ~capacity:memo_capacity;
     use_compiled = compiled;
     memo_capacity;
     baselines = Hashtbl.create 64;
@@ -144,7 +141,7 @@ let optimize_stage = "optimize"
 let tv_stage = "tv"
 
 (* the backend's stages, nested inside [execute_stage]: the front-end
-   triggers (billed by stage-memo misses only; a full run does not split
+   triggers (billed by front-end probes only; a full run does not split
    them out), the target optimizer on pipeline-memo misses, validation of
    its output on verdict-memo misses and the render hook (the render
    memo's lookup, and lowering and the fragment grid on a miss).  They
@@ -155,10 +152,8 @@ let optimize_miss_stage = "execute/optimize"
 let validate_stage = "execute/validate"
 let render_stage = "execute/render"
 
-let front_hits_counter = "stage-memo:front-hits"
-let front_misses_counter = "stage-memo:front-misses"
-
-(* the harness's only calls of the backend, each behind a memo below *)
+(* the harness's only calls of the backend: [run] behind the run memo,
+   the front end and [compile] for [crashes_with]'s staged probes *)
 let backend_run = (Compilers.Backend.run [@alert "-unmemoized_run"])
 let backend_front_end = (Compilers.Backend.front_end [@alert "-unmemoized_run"])
 let backend_compile = (Compilers.Backend.compile [@alert "-unmemoized_run"])
@@ -357,27 +352,18 @@ let run e (t : Compilers.Target.t) (m : Module_ir.t) (input : Input.t) :
           t m input
       else backend_run t m input)
 
-(* The stage memo: the crash signature, if any, of the target's front end
-   on a module.  A hit counts as a [cache_hits]; a miss is billed to
-   [execute_stage] and [front_stage]. *)
+(* The crash signature, if any, of the target's front end on a module,
+   billed to [execute_stage] and [front_stage].  It is recomputed on every
+   probe: the front end's triggers cost less than digesting the probe's
+   fresh candidate to look them up. *)
 let front_end_crash e (t : Compilers.Target.t) m =
-  let key = (t.Compilers.Target.name, Digest.of_module m) in
-  match locked e (fun () -> Lru.find e.stage_memo key) with
-  | Some crash ->
-      locked e (fun () ->
-          e.cache_hits <- e.cache_hits + 1;
-          bump_counter_locked e front_hits_counter 1);
-      crash
-  | None ->
-      let t0 = Unix.gettimeofday () in
-      let crash = backend_front_end t m in
-      let dt = Unix.gettimeofday () -. t0 in
-      locked e (fun () ->
-          Lru.set e.stage_memo key crash;
-          bump_counter_locked e front_misses_counter 1;
-          add_stage_locked e execute_stage dt;
-          add_stage_locked e front_stage dt);
-      crash
+  let t0 = Unix.gettimeofday () in
+  let crash = backend_front_end t m in
+  let dt = Unix.gettimeofday () -. t0 in
+  locked e (fun () ->
+      add_stage_locked e execute_stage dt;
+      add_stage_locked e front_stage dt);
+  crash
 
 (* The compile stage's crash signature, if any, of a module that passed
    the front end, through the pipeline and verdict memos' hooks: a module
@@ -545,8 +531,7 @@ let timed e ~stage f =
 let stats e : stats =
   locked e (fun () ->
       let runs_saved = e.cache_hits + e.baseline_hits + e.store_hits in
-      let counter k = Option.value ~default:0 (Hashtbl.find_opt e.named_counters k) in
-      let looked_up = runs_saved + e.runs_executed + counter front_misses_counter in
+      let looked_up = runs_saved + e.runs_executed in
       {
         runs_executed = e.runs_executed;
         cache_hits = e.cache_hits;
@@ -562,12 +547,12 @@ let stats e : stats =
         memo_entries =
           Lru.length e.memo + Lru.length e.tv_memo
           + Lru.length e.render_memo + Lru.length e.pipeline_memo
-          + Lru.length e.verdict_memo + Lru.length e.stage_memo;
+          + Lru.length e.verdict_memo;
         memo_capacity = e.memo_capacity;
         memo_evictions =
           Lru.evictions e.memo + Lru.evictions e.tv_memo
           + Lru.evictions e.render_memo + Lru.evictions e.pipeline_memo
-          + Lru.evictions e.verdict_memo + Lru.evictions e.stage_memo;
+          + Lru.evictions e.verdict_memo;
         runs_saved;
         hit_rate =
           (if looked_up = 0 then 0.0
@@ -598,7 +583,6 @@ let reset e =
       e.render_memo <- Lru.create ~capacity:e.memo_capacity;
       e.pipeline_memo <- Lru.create ~capacity:e.memo_capacity;
       e.verdict_memo <- Lru.create ~capacity:e.memo_capacity;
-      e.stage_memo <- Lru.create ~capacity:e.memo_capacity;
       Hashtbl.reset e.baselines;
       Hashtbl.reset e.stage_wall;
       Hashtbl.reset e.domain_runs;

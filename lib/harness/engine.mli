@@ -25,11 +25,12 @@
     produced the module, and the render memo (see {!create}) maps a
     post-miscompile module's digest and an input's digest to the render.
 
-    The stage memo serves crash-signature probes ({!crashes_with}): per
-    [(target name, module digest)] it holds the crash signature, if any,
-    of the target's {!Compilers.Backend.front_end}, so a reduction probe
-    whose signature only the front end can produce runs neither the
-    optimizer nor validation nor the render (DESIGN.md §5).
+    Crash-signature probes ({!crashes_with}) run only the stages the
+    signature needs: a reduction probe whose signature only the target's
+    {!Compilers.Backend.front_end} can produce runs the front end and
+    neither the optimizer nor validation nor the render.  The front end is
+    not memoized, since its triggers cost less than digesting a probe's
+    fresh candidate to look them up (DESIGN.md §5).
 
     The in-memory tables are bounded: {!create}'s [memo_capacity] caps the
     entry count and least-recently-used entries are evicted past it
@@ -54,12 +55,12 @@
     ["execute"] stage, {!optimize} bills actual optimizer work to
     ["optimize"], and callers wrap other phases with {!timed}.  Inside
     ["execute"] four nested stages split the backend:
-    ["execute/front"] (front-end triggers, clocked on stage-memo misses
-    only, since a full run does not split them out), ["execute/optimize"]
-    (the target optimizer on pipeline-memo misses), ["execute/validate"]
-    ({!Spirv_ir.Validate.check} of its output, on verdict-memo misses)
-    and ["execute/render"] (the render memo's lookup, and lowering and the
-    fragment grid on a miss). *)
+    ["execute/front"] (front-end triggers, clocked on every front-end
+    probe of {!crashes_with}, since a full run does not split them out),
+    ["execute/optimize"] (the target optimizer on pipeline-memo misses),
+    ["execute/validate"] ({!Spirv_ir.Validate.check} of its output, on
+    verdict-memo misses) and ["execute/render"] (the render memo's
+    lookup, and lowering and the fragment grid on a miss). *)
 
 open Spirv_ir
 
@@ -70,7 +71,7 @@ type stats = {
       (** full backend executions actually performed by {!run}; a
           staged probe of {!crashes_with} is not one *)
   cache_hits : int;
-      (** in-memory hits of the run memo and of the stage memo *)
+      (** in-memory hits of the run memo *)
   baseline_hits : int;   (** baseline (target, reference) cache hits *)
   opt_runs : int;        (** clean [-O] requests the optimizer ran for *)
   opt_hits : int;
@@ -94,8 +95,9 @@ type stats = {
   memo_evictions : int;  (** entries evicted by the LRU bound *)
   runs_saved : int;      (** [cache_hits + baseline_hits + store_hits] *)
   hit_rate : float;
-      (** [runs_saved / (runs_saved + runs_executed + stage-memo misses)]:
-          a stage-memo miss runs the front end without being a full run *)
+      (** [runs_saved / (runs_saved + runs_executed)]: the share of
+          backend run requests served without a full run; staged probes
+          of {!crashes_with} count on neither side *)
   execute_wall : float;
       (** seconds spent inside the backend stages, pipeline memo lookups
           and misses included *)
@@ -118,9 +120,8 @@ type stats = {
           results) and the engine's own: [pipeline-runs] (target
           optimizer pipelines actually run, by {!run} or {!tv_blame}),
           [pipeline-hits] (optimizer outcomes and blames served by the
-          pipeline memo), [stage-memo:front-hits] and
-          [stage-memo:front-misses] ({!crashes_with}'s front-end lookups),
-          [store-put-failures] (write-throughs the store refused), and [tv-abstain:*] and [mem-proofs], which,
+          pipeline memo), [store-put-failures] (write-throughs the
+          store refused), and [tv-abstain:*] and [mem-proofs], which,
           like [tv_checks], count only steps actually validated *)
 }
 
@@ -143,8 +144,9 @@ val create :
     [compile_hits] in {!stats}).  The lowered program is not kept.
     Optimizer outcomes and validator verdicts come from the pipeline and
     verdict memos.  [~compiled:false] keeps every render on
-    {!Spirv_ir.Interp.render}, uses none of the render, verdict or stage
-    memos and keeps the pipeline memo for {!optimize} alone: {!run} takes
+    {!Spirv_ir.Interp.render}, uses neither the render nor the verdict
+    memo, answers every {!crashes_with} probe with a full {!run} and
+    keeps the pipeline memo for {!optimize} alone: {!run} takes
     [Backend.run]'s default optimizer and validator and {!tv_blame} runs
     [Optimizer.run_tv] every time.  It is the reference mode the CI
     byte-equality gates run campaigns under (the differential oracle for
@@ -167,14 +169,15 @@ val crashes_with :
   t -> Compilers.Target.t -> Module_ir.t -> Input.t -> string -> bool
 (** [crashes_with e t m input s] is [run e t m input = Crashed s], decided
     at {!Compilers.Backend.stage_of_signature}[ t s]: a [Front_end]
-    signature by the stage memo (a hit counts as a [cache_hits]); a
-    [Compile] one by the stage memo's "front end passed", then
+    signature by {!Compilers.Backend.front_end}, run on every probe; a
+    [Compile] one by the front end and, if it passes,
     {!Compilers.Backend.compile} through the pipeline and verdict memos,
     so a module a run has compiled costs only its [After_opt] triggers;
-    an [Execute] (["device lost (...)"]) one by {!run}.  A staged probe adds nothing to
-    [runs_executed], renders nothing and writes nothing to the store.  A
-    reference engine ([~compiled:false]) always takes {!run}, so the
-    reference-interpreter gates compare staged probes against it. *)
+    an [Execute] (["device lost (...)"]) one by {!run}.  A staged probe
+    adds nothing to [runs_executed] or [cache_hits], renders nothing and
+    writes nothing to the store.  A reference engine ([~compiled:false])
+    always takes {!run}, so the reference-interpreter gates compare staged
+    probes against it. *)
 
 val baseline : t -> Compilers.Target.t -> ref_name:string ->
   Module_ir.t -> Input.t -> Compilers.Backend.run_result
@@ -231,7 +234,7 @@ val pipeline_hits : stats -> int
 (** The [pipeline-hits] counter: pipeline-memo lookups that ran nothing. *)
 
 val reset : t -> unit
-(** Clear every cache (the pipeline, verdict, render and stage memos
+(** Clear every cache (the pipeline, verdict and render memos
     included) and zero every counter and stage clock.  The disk store (if
     any) is left untouched. *)
 

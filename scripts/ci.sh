@@ -245,7 +245,9 @@ fi
 # produce one post-miscompile module; the reference engine renders every
 # run afresh.  The sequential compiled campaign must report render-memo
 # hits > 0, or nothing was shared and the comparison proves nothing
-# about the memo.
+# about the memo.  The reference engine also answers every crash probe
+# with a full run, so the two dedup comparisons are CI's proof that the
+# default engine's staged probes give the full run's verdict.
 render_hits=$(awk '$1 == "compile:" && $6 == "render-memo" { print $5 }' \
                 "$STORE/stats-seq.txt")
 if [ "${render_hits:-0}" -le 0 ]; then

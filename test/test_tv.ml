@@ -818,7 +818,7 @@ let () =
       ("soundness", [ QCheck_alcotest.to_alcotest qcheck_tv_sound ]);
       ( "carry",
         [
-          Alcotest.test_case "run_tv = plain fold: verdicts, blame, counters"
+          Alcotest.test_case "run_tv = Optimizer.run per prefix"
             `Slow test_carry_forward_changes_nothing;
         ] );
       ( "pinned",
