@@ -36,8 +36,8 @@ type stage =
 
 val front_end : Target.t -> Module_ir.t -> string option
 [@@alert unmemoized_run
-  "runs in the harness flow through Harness.Engine (memo, store and \
-   compiled kernel)"]
+  "in the harness only Harness.Engine calls this, for staged crash probes: \
+   unmemoized, without store or compiled kernel"]
 (** The signature of the first of the target's [Before_opt] crash bugs
     (in roster order) whose trigger fires on the submitted module. *)
 
@@ -48,8 +48,9 @@ val compile :
   Module_ir.t ->
   (Module_ir.t, string) result
 [@@alert unmemoized_run
-  "runs in the harness flow through Harness.Engine (memo, store and \
-   compiled kernel)"]
+  "in the harness only Harness.Engine calls this, for staged crash probes: \
+   its result unmemoized, without store or compiled kernel (its optimizer \
+   and validator hooks are the engine's memos)"]
 (** The compile stage of a module that passed {!front_end}: the optimized
     module, or the crash signature of an optimizer crash, of the first
     [After_opt] bug whose trigger fires on the optimized module, or of

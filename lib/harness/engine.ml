@@ -4,9 +4,9 @@
     optional persistent {!Tbct_store.Cas} backend (read-through /
     write-through), the baseline cache, the per-configuration
     target-optimizer memo shared by runs, TV blame and the clean [-O] step,
-    the validator's verdict per optimized module, the render memo,
-    counters and per-stage wall-clock accounting.  One engine may be
-    shared across domains. *)
+    the validator's verdict per optimized module, the render memo, the
+    fuzzer's result per generation key, counters and per-stage wall-clock
+    accounting.  One engine may be shared across domains. *)
 
 open Spirv_ir
 module Lru = Tbct_store.Lru
@@ -38,6 +38,8 @@ type t = {
       (* (Target.config_key, module digest) -> target optimizer outcome *)
   mutable verdict_memo : (string, (unit, Validate.error list) result) Lru.t;
       (* optimized module digest -> Validate.check verdict *)
+  mutable generation_memo : (string, Spirv_fuzz.Fuzzer.result) Lru.t;
+      (* generation key -> the fuzzer's result (see [fuzz]) *)
   use_compiled : bool;
       (* false: reference-interpreter mode (the differential oracle) *)
   memo_capacity : int;
@@ -96,6 +98,7 @@ let create ?store ?(memo_capacity = default_memo_capacity) ?(compiled = true)
     render_memo = Lru.create ~capacity:memo_capacity;
     pipeline_memo = Lru.create ~capacity:memo_capacity;
     verdict_memo = Lru.create ~capacity:memo_capacity;
+    generation_memo = Lru.create ~capacity:memo_capacity;
     use_compiled = compiled;
     memo_capacity;
     baselines = Hashtbl.create 64;
@@ -135,6 +138,8 @@ let add_stage_locked e stage dt =
 
 let pipeline_runs_counter = "pipeline-runs"
 let pipeline_hits_counter = "pipeline-hits"
+let generation_runs_counter = "generation-runs"
+let generation_hits_counter = "generation-hits"
 let store_put_failures_counter = "store-put-failures"
 let execute_stage = "execute"
 let optimize_stage = "optimize"
@@ -520,6 +525,29 @@ let tv_blame e (t : Compilers.Target.t) (m : Module_ir.t) :
             record_pipeline e key (Error signature);
             Error signature)
 
+(* The fuzzer's result for a generation key, behind the generation memo;
+   the lookup and the store take the engine lock, the fuzzer runs
+   unlocked — a racing duplicate run is harmless, since the fuzzer is
+   deterministic and its result immutable.  A reference engine runs the
+   fuzzer every time. *)
+let fuzz e ~key run =
+  let cached =
+    if not e.use_compiled then None
+    else
+      locked e (fun () ->
+          let r = Lru.find e.generation_memo key in
+          if Option.is_some r then bump_counter_locked e generation_hits_counter 1;
+          r)
+  in
+  match cached with
+  | Some r -> r
+  | None ->
+      let r = run () in
+      locked e (fun () ->
+          if e.use_compiled then Lru.set e.generation_memo key r;
+          bump_counter_locked e generation_runs_counter 1);
+      r
+
 let timed e ~stage f =
   let t0 = Unix.gettimeofday () in
   Fun.protect
@@ -547,12 +575,13 @@ let stats e : stats =
         memo_entries =
           Lru.length e.memo + Lru.length e.tv_memo
           + Lru.length e.render_memo + Lru.length e.pipeline_memo
-          + Lru.length e.verdict_memo;
+          + Lru.length e.verdict_memo + Lru.length e.generation_memo;
         memo_capacity = e.memo_capacity;
         memo_evictions =
           Lru.evictions e.memo + Lru.evictions e.tv_memo
           + Lru.evictions e.render_memo + Lru.evictions e.pipeline_memo
-          + Lru.evictions e.verdict_memo;
+          + Lru.evictions e.verdict_memo
+          + Lru.evictions e.generation_memo;
         runs_saved;
         hit_rate =
           (if looked_up = 0 then 0.0
@@ -575,6 +604,8 @@ let counter (s : stats) name =
 
 let pipeline_runs s = counter s pipeline_runs_counter
 let pipeline_hits s = counter s pipeline_hits_counter
+let generation_runs s = counter s generation_runs_counter
+let generation_hits s = counter s generation_hits_counter
 
 let reset e =
   locked e (fun () ->
@@ -583,6 +614,7 @@ let reset e =
       e.render_memo <- Lru.create ~capacity:e.memo_capacity;
       e.pipeline_memo <- Lru.create ~capacity:e.memo_capacity;
       e.verdict_memo <- Lru.create ~capacity:e.memo_capacity;
+      e.generation_memo <- Lru.create ~capacity:e.memo_capacity;
       Hashtbl.reset e.baselines;
       Hashtbl.reset e.stage_wall;
       Hashtbl.reset e.domain_runs;

@@ -24,6 +24,9 @@
     {!Spirv_ir.Validate.check}'s verdict, whichever configuration
     produced the module, and the render memo (see {!create}) maps a
     post-miscompile module's digest and an input's digest to the render.
+    The generation memo ({!fuzz}) holds the fuzzer's result per
+    (tool, reference, input, seed, fuzzer configuration), so the hits of
+    one seed on several targets regenerate their variant once.
 
     Crash-signature probes ({!crashes_with}) run only the stages the
     signature needs: a reduction probe whose signature only the target's
@@ -120,9 +123,11 @@ type stats = {
           results) and the engine's own: [pipeline-runs] (target
           optimizer pipelines actually run, by {!run} or {!tv_blame}),
           [pipeline-hits] (optimizer outcomes and blames served by the
-          pipeline memo), [store-put-failures] (write-throughs the
-          store refused), and [tv-abstain:*] and [mem-proofs], which,
-          like [tv_checks], count only steps actually validated *)
+          pipeline memo), [generation-runs] and [generation-hits]
+          ({!fuzz}'s fuzzer runs and memo hits), [store-put-failures]
+          (write-throughs the store refused), and [tv-abstain:*] and
+          [mem-proofs], which, like [tv_checks], count only steps actually
+          validated *)
 }
 
 val default_memo_capacity : int
@@ -144,13 +149,26 @@ val create :
     [compile_hits] in {!stats}).  The lowered program is not kept.
     Optimizer outcomes and validator verdicts come from the pipeline and
     verdict memos.  [~compiled:false] keeps every render on
-    {!Spirv_ir.Interp.render}, uses neither the render nor the verdict
-    memo, answers every {!crashes_with} probe with a full {!run} and
-    keeps the pipeline memo for {!optimize} alone: {!run} takes
+    {!Spirv_ir.Interp.render}, uses neither the render, the verdict nor
+    the generation memo, answers every {!crashes_with} probe with a full
+    {!run} and keeps the pipeline memo for {!optimize} alone: {!run} takes
     [Backend.run]'s default optimizer and validator and {!tv_blame} runs
     [Optimizer.run_tv] every time.  It is the reference mode the CI
     byte-equality gates run campaigns under (the differential oracle for
     the kernel and the memos). *)
+
+val fuzz :
+  t -> key:string -> (unit -> Spirv_fuzz.Fuzzer.result) ->
+  Spirv_fuzz.Fuzzer.result
+(** [fuzz e ~key run] is [run ()], memoized under [key] in the
+    generation memo.  [key] must name everything the result depends on;
+    {!Pipeline.generate} builds it from the tool, the reference module's
+    and the input's digests, the seed and the fuzzer configuration.  The
+    fuzzer is deterministic and its result immutable, so a memoized result
+    is the result.  Hits count as [generation-hits] and runs as
+    [generation-runs] in {!stats}' counters; a reference engine
+    ([~compiled:false]) runs [run] every time.  The caller bills the
+    time. *)
 
 val run : t -> Compilers.Target.t -> Module_ir.t -> Input.t ->
   Compilers.Backend.run_result
@@ -233,10 +251,17 @@ val pipeline_runs : stats -> int
 val pipeline_hits : stats -> int
 (** The [pipeline-hits] counter: pipeline-memo lookups that ran nothing. *)
 
+val generation_runs : stats -> int
+(** The [generation-runs] counter: fuzzer runs made by {!fuzz}. *)
+
+val generation_hits : stats -> int
+(** The [generation-hits] counter: {!fuzz} calls the generation memo
+    answered. *)
+
 val reset : t -> unit
-(** Clear every cache (the pipeline, verdict and render memos
-    included) and zero every counter and stage clock.  The disk store (if
-    any) is left untouched. *)
+(** Clear every cache (the pipeline, verdict, render and generation
+    memos included) and zero every counter and stage clock.  The disk
+    store (if any) is left untouched. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** Human-readable rendering of {!stats}. *)

@@ -335,7 +335,9 @@ type reduction_outcome = {
    reference module, the regenerated variant, ddmin's result and the
    number of interestingness queries the reduction made.  The engine
    memoizes the repeated prefix replays of ddmin's interestingness queries,
-   so reduction no longer pays one full compile-and-execute per query *)
+   so reduction no longer pays one full compile-and-execute per query, and
+   the variant itself, so the hits of one seed on several targets run the
+   fuzzer once *)
 let regenerate_and_reduce (engine : Engine.t) (t : Compilers.Target.t) (h : hit) =
   match
     List.find_opt (fun (n, _, _) -> String.equal n h.hit_ref)
@@ -345,8 +347,8 @@ let regenerate_and_reduce (engine : Engine.t) (t : Compilers.Target.t) (h : hit)
   | Some (ref_name, ref_source, ref_module) ->
       let generated =
         Engine.timed engine ~stage:"generate" (fun () ->
-            Pipeline.generate h.hit_tool ~ref_source ~ref_module ~seed:h.hit_seed
-              ~input:Corpus.default_input)
+            Pipeline.generate ~engine h.hit_tool ~ref_source ~ref_module
+              ~seed:h.hit_seed ~input:Corpus.default_input)
       in
       let is_interesting =
         Pipeline.interestingness engine t ~ref_name ~original:ref_module

@@ -145,12 +145,27 @@ let fuzz_config ?(check_contracts = false) ?(weights = []) ~recommendations ()
     Spirv_fuzz.Fuzzer.weights = weights;
   }
 
+(* the generation memo's key: everything [Fuzzer.run] depends on but the
+   donors, which are the corpus's for every caller *)
+let generation_key tool ~check_contracts ~weights ~ref_module ~input ~seed =
+  String.concat ":"
+    [
+      tool_name tool; Digest.of_module ref_module; Digest.of_input input;
+      string_of_int seed; string_of_bool check_contracts;
+      String.concat ","
+        (List.map
+           (fun (f, w) -> Printf.sprintf "%s=%d" (Spirv_fuzz.Registry.family_to_string f) w)
+           weights);
+    ]
+
 (** Generate the variant a tool produces for (reference, seed).  For
     spirv-fuzz the reference is the lowered module; for glsl-fuzz the source
     program is fuzzed and then lowered.  [check_contracts] (spirv tools
     only) runs the {!Spirv_fuzz.Contract} checker after every applied
-    transformation; it never changes which variant is generated. *)
-let generate ?(check_contracts = false) ?(weights = []) (tool : tool)
+    transformation; it never changes which variant is generated.  With
+    [engine], the spirv tools take the fuzzer's result from its
+    generation memo ({!Engine.fuzz}). *)
+let generate ?(check_contracts = false) ?(weights = []) ?engine (tool : tool)
     ~(ref_source : Glsl_like.Ast.program) ~(ref_module : Module_ir.t) ~seed
     ~input : generated =
   match tool with
@@ -160,7 +175,17 @@ let generate ?(check_contracts = false) ?(weights = []) (tool : tool)
         fuzz_config ~check_contracts ~weights
           ~recommendations:(tool = Spirv_fuzz_tool) ()
       in
-      let result = Spirv_fuzz.Fuzzer.run ~config ~seed ctx in
+      let run () = Spirv_fuzz.Fuzzer.run ~config ~seed ctx in
+      let result =
+        match engine with
+        | None -> run ()
+        | Some e ->
+            Engine.fuzz e
+              ~key:
+                (generation_key tool ~check_contracts ~weights ~ref_module
+                   ~input ~seed)
+              run
+      in
       {
         gen_variant = result.Spirv_fuzz.Fuzzer.final.Spirv_fuzz.Context.m;
         gen_input = result.Spirv_fuzz.Fuzzer.final.Spirv_fuzz.Context.input;

@@ -78,6 +78,7 @@ type generated = {
 val generate :
   ?check_contracts:bool ->
   ?weights:(Spirv_fuzz.Registry.family * int) list ->
+  ?engine:Engine.t ->
   tool ->
   ref_source:Glsl_like.Ast.program ->
   ref_module:Module_ir.t ->
@@ -88,7 +89,11 @@ val generate :
     spirv-fuzz the reference is the lowered module; for glsl-fuzz the
     source program is fuzzed and then lowered.  [check_contracts] (spirv
     tools only) runs the {!Spirv_fuzz.Contract} checker after every
-    applied transformation; it never changes which variant is generated. *)
+    applied transformation; it never changes which variant is generated.
+    With [engine], the spirv tools take the fuzzer's result from the
+    engine's generation memo ({!Engine.fuzz}), keyed by the tool, the
+    digests of [ref_module] and [input], the seed and the configuration;
+    glsl-fuzz regenerates every time. *)
 
 val warmup : unit -> unit
 (** Force the lazily-lowered corpus before spawning domains: concurrently

@@ -87,8 +87,14 @@ let reduce ~(original : Context.t) ~is_interesting ts =
    transformations, so its donated function bodies are shrunk directly:
    delta debugging over the body's instructions, testing that the module
    still validates and the interestingness test still passes.  Each test
-   folds the candidate and the suffix from [before], the checkpointed
-   context in front of the AddFunction. *)
+   folds the candidate from [before], the checkpointed context in front of
+   the AddFunction, and rejects it unless the shrunk function is then
+   present and validates, as spirv-fuzz's own AddFunction applicability
+   check does: a body that lost a definition may not validate, and one
+   that stores through a lost local variable does not apply at all.  Only
+   then is the suffix folded, so every context its preconditions see
+   validates, which the local validation of MoveBlockDown and
+   ReplaceBranchWithKill ({!Rules.precondition}) relies on. *)
 
 let shrink_function_payload ~is_interesting ~before ~suffix
     (p : Transformation.add_function_payload) =
@@ -116,9 +122,13 @@ let shrink_function_payload ~is_interesting ~before ~suffix
       Transformation.af_function = { p.Transformation.af_function with Func.blocks = blocks };
     }
   in
+  let fn = p.Transformation.af_function.Func.id in
   let test kept_atoms =
     let candidate = payload_with kept_atoms in
-    let ctx = Lang.replay before (Transformation.Add_function candidate :: suffix) in
+    let added = Lang.replay before [ Transformation.Add_function candidate ] in
+    Validate.function_is_valid added.Context.m fn
+    &&
+    let ctx = Lang.replay added suffix in
     Validate.is_valid ctx.Context.m && is_interesting ctx
   in
   if not (test atoms) then None (* shrinking unavailable: keep the original *)

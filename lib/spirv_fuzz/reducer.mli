@@ -49,8 +49,11 @@ val shrink_add_functions :
 (** "After delta debugging, the reducer applies spirv-reduce to any
     remaining AddFunction transformations": delta debugging over each
     donated function's body instructions, testing validity plus the
-    interestingness test.  Each test folds only the AddFunction and its
-    suffix, from the checkpointed context in front of it. *)
+    interestingness test.  Each test folds the shrunk AddFunction from the
+    checkpointed context in front of it and rejects the candidate unless
+    the function is then present and validates
+    ({!Spirv_ir.Validate.function_is_valid}); only then does it fold the
+    suffix, so every context a replayed precondition sees validates. *)
 
 val delta_size : original:Context.t -> Context.t -> int
 (** Instruction-count difference — the section 4.2 reduction-quality

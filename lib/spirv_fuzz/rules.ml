@@ -6,10 +6,15 @@
     constructor added to the type does not compile until both of its arms
     exist.  Every consumer (the fuzzer passes, replay, the contract checker,
     the registry's opportunity generators) calls these two functions; there
-    is no other dispatch.  A handful of CFG transformations (MoveBlockDown,
+    is no other dispatch.  Two CFG transformations (MoveBlockDown,
     ReplaceBranchWithKill) fold "the result still respects the dominance
-    ordering rules" into the precondition by validating the candidate
-    module, exactly as spirv-fuzz's IsApplicable checks do. *)
+    ordering rules" into the precondition by validating the one function
+    they edit in the candidate module ({!Spirv_ir.Validate.function_is_valid}),
+    as spirv-fuzz's IsApplicable checks do.  That equals validating the
+    whole candidate because every context a precondition sees validates:
+    each transformation preserves validity, and the reducer rejects a
+    shrunk AddFunction whose function does not validate before anything
+    is replayed after it. *)
 
 open Spirv_ir
 open Transformation
@@ -48,8 +53,6 @@ let is_bool_constant ctx id v =
   match Module_ir.find_constant (module_of ctx) id with
   | Some { Module_ir.cd_value = Constant.Bool b; _ } -> Bool.equal b v
   | Some _ | None -> false
-
-let validates m = Validate.is_valid m
 
 (* Find the instruction and its offset designated by a use site. *)
 let resolve_use_site ctx (site : use_site) =
@@ -211,7 +214,8 @@ let has_syntactic_successor (f : Func.t) block =
 
 (* ------------------------------------------------------------------ *)
 (* Module-level effect helpers shared between a precondition (which
-   validates the candidate module) and the corresponding apply           *)
+   validates the edited function of the candidate module) and the
+   corresponding apply                                                   *)
 
 let replace_branch_with_kill_m ctx ~fn ~block =
   let m = module_of ctx in
@@ -361,7 +365,7 @@ let precondition ctx t =
       && (match lookup_block ctx ~fn ~block with
          | Some (_, b) -> Block.successors b <> []
          | None -> false)
-      && validates (replace_branch_with_kill_m ctx ~fn ~block)
+      && Validate.function_is_valid (replace_branch_with_kill_m ctx ~fn ~block) fn
   | Move_block_down { fn; block } -> (
       match Module_ir.find_function (module_of ctx) fn with
       | None -> false
@@ -371,7 +375,7 @@ let precondition ctx t =
           | entry :: _ ->
               (not (Id.equal entry.Block.label block))
               && has_syntactic_successor f block
-              && validates (move_block_down_m ctx ~fn ~block)))
+              && Validate.function_is_valid (move_block_down_m ctx ~fn ~block) fn))
   | Wrap_region_in_selection { fn; block; cond; branch_on_true; _ } -> (
       is_bool_constant ctx cond branch_on_true
       &&

@@ -755,3 +755,11 @@ let check m =
   | errors -> Error errors
 
 let is_valid m = match check m with Ok () -> true | Error _ -> false
+
+let function_is_valid m fn =
+  match Module_ir.find_function m fn with
+  | None -> false
+  | Some f ->
+      let ctx = { m; errors = Queue.create () } in
+      check_function ctx f;
+      Queue.is_empty ctx.errors

@@ -31,3 +31,13 @@ val check : Module_ir.t -> (unit, error list) result
 (** All validation errors, or [Ok ()] for a valid module. *)
 
 val is_valid : Module_ir.t -> bool
+
+val function_is_valid : Module_ir.t -> Id.t -> bool
+(** [function_is_valid m fn] runs {!check}'s per-function checks on
+    function [fn] alone; [false] when [m] has no such function.  It equals
+    [is_valid m] whenever [m] differs from a module that [is_valid]
+    accepts only inside [fn]'s blocks, with the same ids defined and the
+    same calls made: the module-level checks and every other function's
+    checks then see what they saw in the valid module.  CFG edits that
+    reorder [fn]'s blocks or rewrite its terminators and φ-entries are
+    such changes. *)

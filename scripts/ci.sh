@@ -206,7 +206,7 @@ if ! cmp -s "$STORE/hits-seq.txt" "$STORE/hits-par.txt"; then
   exit 1
 fi
 ./_build/default/bin/tbct_cli.exe dedup --seeds 40 --domains 1 \
-    --tests-out "$STORE/tests-seq.txt" > /dev/null
+    --tests-out "$STORE/tests-seq.txt" > "$STORE/dedup-seq.txt"
 ./_build/default/bin/tbct_cli.exe dedup --seeds 40 --domains 4 \
     --tests-out "$STORE/tests-par.txt" > /dev/null
 if ! cmp -s "$STORE/tests-seq.txt" "$STORE/tests-par.txt"; then
@@ -247,11 +247,21 @@ fi
 # hits > 0, or nothing was shared and the comparison proves nothing
 # about the memo.  The reference engine also answers every crash probe
 # with a full run, so the two dedup comparisons are CI's proof that the
-# default engine's staged probes give the full run's verdict.
+# default engine's staged probes give the full run's verdict.  The
+# reference engine also runs the fuzzer for every hit it reduces, while
+# the sequential default dedup run must report generation-memo hits > 0,
+# so the same comparisons prove that a memoized variant reduces exactly
+# as a regenerated one does.
 render_hits=$(awk '$1 == "compile:" && $6 == "render-memo" { print $5 }' \
                 "$STORE/stats-seq.txt")
 if [ "${render_hits:-0}" -le 0 ]; then
   echo "CI: compiled campaign reports no render-memo hits" >&2
+  exit 1
+fi
+generation_hits=$(awk '$1 == "generation-hits" { print $2 }' \
+                    "$STORE/dedup-seq.txt")
+if [ "${generation_hits:-0}" -le 0 ]; then
+  echo "CI: dedup reports no generation-memo hits" >&2
   exit 1
 fi
 ./_build/default/bin/tbct_cli.exe campaign --seeds 40 --domains 1 \

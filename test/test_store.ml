@@ -459,11 +459,22 @@ let test_engine_memo_eviction () =
   let again = List.map (fun (_, m) -> Harness.Engine.run engine t m input) refs in
   Alcotest.(check bool) "evicted entries recompute to identical results" true
     (first = again);
+  let tool = Harness.Pipeline.Spirv_fuzz_tool in
+  let _, ref_source, ref_module = List.hd (Harness.Experiments.references_for tool) in
+  let variants () =
+    List.map
+      (fun seed ->
+        (Harness.Pipeline.generate ~engine tool ~ref_source ~ref_module ~seed
+           ~input).Harness.Pipeline.gen_variant)
+      [ 0; 1; 2 ]
+  in
+  Alcotest.(check bool) "evicted variants regenerate identically" true
+    (List.for_all2 Spirv_ir.Module_ir.equal_exact (variants ()) (variants ()));
   let s = Harness.Engine.stats engine in
-  (* four tables fill here, each capped: runs, target pipelines,
-     validator verdicts and renders *)
+  (* five tables fill here, each capped: runs, target pipelines,
+     validator verdicts, renders and generated variants *)
   Alcotest.(check bool) "entry count bounded by capacity" true
-    (s.Harness.Engine.memo_entries <= 4 * s.Harness.Engine.memo_capacity);
+    (s.Harness.Engine.memo_entries <= 5 * s.Harness.Engine.memo_capacity);
   Alcotest.(check int) "capacity reported" 2 s.Harness.Engine.memo_capacity;
   Alcotest.(check bool) "evictions counted" true
     (s.Harness.Engine.memo_evictions > 0)
