@@ -1,12 +1,6 @@
-(** The execution engine (see the interface for the full story): a
-    mutex-guarded, content-addressed memo table over
-    {!Compilers.Backend.run} with a bounded LRU eviction policy, an
-    optional persistent {!Tbct_store.Cas} backend (read-through /
-    write-through), the baseline cache, the per-configuration
-    target-optimizer memo shared by runs, TV blame and the clean [-O] step,
-    the validator's verdict per optimized module, the render memo, the
-    fuzzer's result per generation key, counters and per-stage wall-clock
-    accounting.  One engine may be shared across domains. *)
+(** The execution engine: its memo tables, the one memo body behind them,
+    counters and per-stage wall-clock accounting.  The interface tells the
+    full story. *)
 
 open Spirv_ir
 module Lru = Tbct_store.Lru
@@ -25,24 +19,21 @@ type pipeline_entry = {
 
 type t = {
   lock : Mutex.t;
-  mutable memo :
-    (string * string * string, Compilers.Backend.run_result) Lru.t;
+  memo : (string * string * string, Compilers.Backend.run_result) Lru.t;
       (* (target name, module digest, input digest) -> result *)
-  mutable tv_memo : (string * string, Compilers.Tv.verdict) Lru.t;
+  tv_memo : (string * string, Compilers.Tv.verdict) Lru.t;
       (* (before digest, after digest) -> translation-validation verdict *)
-  mutable render_memo :
-    (string * string, (Image.t, Interp.trap) result) Lru.t;
+  render_memo : (string * string, (Image.t, Interp.trap) result) Lru.t;
       (* (post-miscompile module digest, input digest) -> the flat
          kernel's render *)
-  mutable pipeline_memo : (string * string, pipeline_entry) Lru.t;
+  pipeline_memo : (string * string, pipeline_entry) Lru.t;
       (* (Target.config_key, module digest) -> target optimizer outcome *)
-  mutable verdict_memo : (string, (unit, Validate.error list) result) Lru.t;
+  verdict_memo : (string, (unit, Validate.error list) result) Lru.t;
       (* optimized module digest -> Validate.check verdict *)
-  mutable generation_memo : (string, Spirv_fuzz.Fuzzer.result) Lru.t;
+  generation_memo : (string, Spirv_fuzz.Fuzzer.result) Lru.t;
       (* generation key -> the fuzzer's result (see [fuzz]) *)
   use_compiled : bool;
       (* false: reference-interpreter mode (the differential oracle) *)
-  memo_capacity : int;
   baselines : (string * string, Compilers.Backend.run_result) Hashtbl.t;
       (* (target name, reference name) -> result *)
   store : Cas.t option;
@@ -100,7 +91,6 @@ let create ?store ?(memo_capacity = default_memo_capacity) ?(compiled = true)
     verdict_memo = Lru.create ~capacity:memo_capacity;
     generation_memo = Lru.create ~capacity:memo_capacity;
     use_compiled = compiled;
-    memo_capacity;
     baselines = Hashtbl.create 64;
     store;
     stage_wall = Hashtbl.create 8;
@@ -170,135 +160,56 @@ let run_store_key (target, mdigest, idigest) =
 let opt_store_key (_config, mdigest) = Cas.key_of_string ("opt:" ^ mdigest)
 let tv_store_key (d1, d2) = Cas.key_of_string (Printf.sprintf "tv:%s:%s" d1 d2)
 
-(* [f x], its time added to [clock], a computation's list of (stage,
-   seconds) that the caller bills with [bill_locked] in the locked section
-   it takes anyway: the backend stages of every run cost no lock of their
-   own *)
-let clock_into clock stage f x =
+(* [f x] and the seconds it took *)
+let time f x =
   let t0 = Unix.gettimeofday () in
   let r = f x in
-  clock := (stage, Unix.gettimeofday () -. t0) :: !clock;
+  (r, Unix.gettimeofday () -. t0)
+
+(* A computation's list of (stage, seconds), which the caller bills with
+   [bill_locked] in the locked section it takes anyway: the backend stages
+   of every run cost no lock of their own.  [clock_into] runs [f x] and
+   adds its time to it. *)
+let clock_into clock stage f x =
+  let r, dt = time f x in
+  clock := (stage, dt) :: !clock;
   r
 
 let bill_locked e clock =
   List.iter (fun (stage, dt) -> add_stage_locked e stage dt) !clock
 
-(* The render hook handed to [Backend.run], behind the render memo.  It
-   receives the post-miscompile module, which is the optimized module
-   itself when no rewrite fires (its digest then comes from the identity
-   ring) and is digested on its own otherwise; [idigest] is the input's
-   digest from [run]'s key.  Targets whose configurations and rewrites
-   produce one module render it once per input.  Images are never
-   mutated once rendered, so every run result may share one; the lookup
-   and the store take the engine lock, the lowering and the render run
-   unlocked — a racing duplicate render is harmless. *)
-let compiled_render e clock idigest m input =
-  clock_into clock render_stage
-    (fun m ->
-      let key = (Digest.of_module m, idigest) in
-      let cached =
-        locked e (fun () ->
-            let r = Lru.find e.render_memo key in
-            if Option.is_some r then e.compile_hits <- e.compile_hits + 1;
-            r)
-      in
-      match cached with
-      | Some r -> r
-      | None ->
-          let r = Compile.render_batch (Compile.lower m) input in
-          locked e (fun () ->
-              Lru.set e.render_memo key r;
-              e.compiles <- e.compiles + 1);
-          r)
-    m
-
-(* Store a pipeline entry, merged with the one already in the table (a
-   racing domain's, or the one a later consumer learnt more about).  An
-   optimized module already in the table is kept, so every consumer
-   shares one value (and its digest by identity), and a blame already
-   known survives an entry that lacks it. *)
-let merge_pipeline_locked e key (entry : pipeline_entry) =
-  let entry =
-    match Lru.find e.pipeline_memo key with
-    | Some { outcome = Ok m; blame } ->
-        let blame = if Option.is_some entry.blame then entry.blame else blame in
-        { outcome = Ok m; blame }
-    | Some _ | None -> entry
-  in
-  Lru.set e.pipeline_memo key entry
-
-(* a pipeline the engine ran: its outcome, and the blame if TV ran it *)
-let record_pipeline e key ?blame outcome =
-  locked e (fun () ->
-      merge_pipeline_locked e key { outcome; blame };
-      bump_counter_locked e pipeline_runs_counter 1)
-
-let pipeline_hit e = bump_counter e pipeline_hits_counter 1
-
-let pipeline_key (t : Compilers.Target.t) m =
-  (Compilers.Target.config_key t, Digest.of_module m)
-
-(* The optimize and validate hooks handed to [Backend.run] and
-   [Backend.compile].  The optimizer's outcome on the module of [key]:
-   any entry for the key answers, whichever consumer stored it.  The
-   verdict is a function of the optimized module alone, so it is keyed by
-   that module's digest and computed once per distinct module, whichever
-   configuration, run or probe produced it first; only [Validate.check]
-   on a miss is billed to [validate_stage]. *)
-let memo_optimize e clock (t : Compilers.Target.t) key (m : Module_ir.t) :
-    (Module_ir.t, string) result =
-  let cached = locked e (fun () -> Lru.find e.pipeline_memo key) in
-  match cached with
-  | Some entry ->
-      pipeline_hit e;
-      entry.outcome
-  | None ->
-      let outcome =
-        clock_into clock optimize_miss_stage
-          (Compilers.Backend.target_optimize t)
-          m
-      in
-      record_pipeline e key outcome;
-      outcome
-
-let memo_validate e clock (optimized : Module_ir.t) =
-  let d = Digest.of_module optimized in
-  match locked e (fun () -> Lru.find e.verdict_memo d) with
-  | Some verdict -> verdict
-  | None ->
-      let verdict = clock_into clock validate_stage Validate.check optimized in
-      locked e (fun () -> Lru.set e.verdict_memo d verdict);
-      verdict
-
-(* The one read-through body behind [run], [optimize] and [tv_check]: the
-   in-memory LRU [memo], then the disk store under [store_key] (which drops
-   an object [decode] rejects, so the write-through below replaces it),
-   then [compute], billed to [stage].  [hit] counts a memory or disk hit
-   and [computed] a computation, both under the lock.  [keep] picks what
-   of a fresh result is cached — [None] is neither recorded nor written —
-   and [cached] turns a cached value back into a result.  The mutex is
-   released while decoding and computing: two domains missing on one key
-   may both compute, but every [compute] is deterministic, so the first
-   entry stored is kept (with whatever a pipeline entry has gained since,
-   such as a TV blame) and the table stays consistent. *)
-let read_through e ~memo ~store_key ~decode ~encode ~hit ~computed ~stage
-    ~keep ~cached key compute =
+(* The one memo body behind every engine cache: the in-memory LRU
+   [table], then, for a cache with a [disk] layer — its (store key,
+   decode, encode) triple — on an engine with a store, the disk object
+   (which [Cas.get] drops when [decode] rejects it, so the write-through
+   below replaces it), then [compute].  [hit] counts a memory or disk hit
+   and [computed] a computation, given its seconds, both under the lock.
+   [keep] picks what of a fresh result is cached — [None] is neither
+   recorded nor written — and [cached] turns a cached value back into a
+   result.  The mutex is released while decoding and computing: two
+   domains missing on one key may both compute, but every [compute] is
+   deterministic, so the first entry stored wins (a pipeline entry keeps
+   what [record_pipeline] adds later, such as a TV blame) and the table
+   stays consistent. *)
+let memo e table ?disk ~hit ~computed ~keep ~cached key compute =
   let in_memory =
     locked e (fun () ->
-        let v = Lru.find (memo e) key in
+        let v = Lru.find table key in
         if Option.is_some v then hit `Memory;
         v)
   in
-  let remember v =
-    let memo = memo e in
-    if not (Lru.mem memo key) then Lru.set memo key v
-  in
+  let remember v = if not (Lru.mem table key) then Lru.set table key v in
   match in_memory with
   | Some v -> cached v
   | None -> (
+      let disk =
+        match (e.store, disk) with
+        | Some cas, Some (store_key, decode, encode) ->
+            Some (cas, store_key key, decode, encode)
+        | _ -> None
+      in
       let from_disk =
-        Option.bind e.store (fun cas ->
-            Cas.get cas ~key:(store_key key) ~decode)
+        Option.bind disk (fun (cas, key, decode, _) -> Cas.get cas ~key ~decode)
       in
       match from_disk with
       | Some v ->
@@ -307,17 +218,14 @@ let read_through e ~memo ~store_key ~decode ~encode ~hit ~computed ~stage
               hit `Disk);
           cached v
       | None ->
-          let t0 = Unix.gettimeofday () in
-          let r = compute () in
-          let dt = Unix.gettimeofday () -. t0 in
+          let r, dt = time compute () in
           let kept = keep r in
           locked e (fun () ->
               Option.iter remember kept;
-              computed ();
-              add_stage_locked e stage dt);
-          (match (e.store, kept) with
-          | Some cas, Some v -> (
-              match Cas.put cas ~key:(store_key key) (encode v) with
+              computed dt);
+          (match (disk, kept) with
+          | Some (cas, key, _, encode), Some v -> (
+              match Cas.put cas ~key (encode v) with
               | () -> locked e (fun () -> e.store_writes <- e.store_writes + 1)
               | exception (Unix.Unix_error _ | Sys_error _) ->
                   (* store objects are recomputable: a write that fails
@@ -327,24 +235,87 @@ let read_through e ~memo ~store_key ~decode ~encode ~hit ~computed ~stage
           | _ -> ());
           r)
 
+(* The render hook handed to [Backend.run], behind the render memo.  It
+   receives the post-miscompile module, which is the optimized module
+   itself when no rewrite fires (its digest then comes from the identity
+   ring) and is digested on its own otherwise; [idigest] is the input's
+   digest from [run]'s key.  Targets whose configurations and rewrites
+   produce one module render it once per input.  Images are never
+   mutated once rendered, so every run result may share one.  The lookup
+   is clocked with the render. *)
+let compiled_render e clock idigest m input =
+  clock_into clock render_stage
+    (fun m ->
+      memo e e.render_memo
+        ~hit:(fun _ -> e.compile_hits <- e.compile_hits + 1)
+        ~computed:(fun _ -> e.compiles <- e.compiles + 1)
+        ~keep:Option.some ~cached:Fun.id (Digest.of_module m, idigest)
+        (fun () -> Compile.render_batch (Compile.lower m) input))
+    m
+
+(* A pipeline the engine ran under TV: its outcome, and the blame if the
+   pipeline did not crash, merged with the entry already in the table (a
+   racing domain's, or one a run stored).  An optimized module already in
+   the table is kept, so every consumer shares one value (and its digest
+   by identity), and a blame already known survives an entry that lacks
+   it. *)
+let record_pipeline e key ?blame outcome =
+  locked e (fun () ->
+      let entry =
+        match Lru.find e.pipeline_memo key with
+        | Some { outcome = Ok m; blame = known } ->
+            let blame = if Option.is_some blame then blame else known in
+            { outcome = Ok m; blame }
+        | Some _ | None -> { outcome; blame }
+      in
+      Lru.set e.pipeline_memo key entry;
+      bump_counter_locked e pipeline_runs_counter 1)
+
+let pipeline_key (t : Compilers.Target.t) m =
+  (Compilers.Target.config_key t, Digest.of_module m)
+
+(* The optimize and validate hooks handed to [Backend.run] and
+   [Backend.compile].  The optimizer's outcome on the module of [key]:
+   any entry for the key answers, whichever consumer stored it.  The
+   verdict is a function of the optimized module alone, so it is keyed by
+   that module's digest and computed once per distinct module, whichever
+   configuration, run or probe produced it first.  Only the work on a
+   miss is clocked, to [optimize_miss_stage] and [validate_stage]. *)
+let memo_optimize e clock (t : Compilers.Target.t) key (m : Module_ir.t) :
+    (Module_ir.t, string) result =
+  memo e e.pipeline_memo
+    ~hit:(fun _ -> bump_counter_locked e pipeline_hits_counter 1)
+    ~computed:(fun dt ->
+      clock := (optimize_miss_stage, dt) :: !clock;
+      bump_counter_locked e pipeline_runs_counter 1)
+    ~keep:(fun outcome -> Some { outcome; blame = None })
+    ~cached:(fun entry -> entry.outcome)
+    key
+    (fun () -> Compilers.Backend.target_optimize t m)
+
+let memo_validate e clock (optimized : Module_ir.t) =
+  memo e e.verdict_memo ~hit:ignore
+    ~computed:(fun dt -> clock := (validate_stage, dt) :: !clock)
+    ~keep:Option.some ~cached:Fun.id (Digest.of_module optimized)
+    (fun () -> Validate.check optimized)
+
 let run e (t : Compilers.Target.t) (m : Module_ir.t) (input : Input.t) :
     Compilers.Backend.run_result =
   let clock = ref [] in
   let idigest = Digest.of_input input in
-  read_through e
-    ~memo:(fun e -> e.memo)
-    ~store_key:run_store_key ~decode:Run_codec.decode_run
-    ~encode:Run_codec.encode_run
+  memo e e.memo
+    ~disk:(run_store_key, Run_codec.decode_run, Run_codec.encode_run)
     ~hit:(function
       | `Memory -> e.cache_hits <- e.cache_hits + 1
       | `Disk -> e.store_hits <- e.store_hits + 1)
-    ~computed:(fun () ->
+    ~computed:(fun dt ->
       let did = (Domain.self () :> int) in
       e.runs_executed <- e.runs_executed + 1;
       Hashtbl.replace e.domain_runs did
         (1 + Option.value ~default:0 (Hashtbl.find_opt e.domain_runs did));
+      add_stage_locked e execute_stage dt;
       bill_locked e clock)
-    ~stage:execute_stage ~keep:Option.some ~cached:Fun.id
+    ~keep:Option.some ~cached:Fun.id
     (t.Compilers.Target.name, Digest.of_module m, idigest)
     (fun () ->
       (* the harness's one permitted backend call: everything else runs
@@ -357,37 +328,33 @@ let run e (t : Compilers.Target.t) (m : Module_ir.t) (input : Input.t) :
           t m input
       else backend_run t m input)
 
-(* The crash signature, if any, of the target's front end on a module,
-   billed to [execute_stage] and [front_stage].  It is recomputed on every
-   probe: the front end's triggers cost less than digesting the probe's
-   fresh candidate to look them up. *)
-let front_end_crash e (t : Compilers.Target.t) m =
-  let t0 = Unix.gettimeofday () in
-  let crash = backend_front_end t m in
-  let dt = Unix.gettimeofday () -. t0 in
+(* A staged probe of [crashes_with]: [probe clock] is the crash signature,
+   if any, of the stages it runs, billed to [execute_stage] like a run,
+   with the nested stages its hooks put on [clock] *)
+let staged_probe e probe =
+  let clock = ref [] in
+  let crash, dt = time probe clock in
   locked e (fun () ->
       add_stage_locked e execute_stage dt;
-      add_stage_locked e front_stage dt);
+      bill_locked e clock);
   crash
+
+(* The front end's crash signature, clocked to [front_stage] too.  It is
+   recomputed on every probe: the front end's triggers cost less than
+   digesting the probe's fresh candidate to look them up. *)
+let front_end_crash e (t : Compilers.Target.t) m =
+  staged_probe e (fun clock -> clock_into clock front_stage (backend_front_end t) m)
 
 (* The compile stage's crash signature, if any, of a module that passed
    the front end, through the pipeline and verdict memos' hooks: a module
    a run has already compiled costs only its [After_opt] triggers and
-   the optimized module's digest.  Billed to [execute_stage] like a
-   run. *)
+   the optimized module's digest. *)
 let compile_crash e (t : Compilers.Target.t) m =
-  let clock = ref [] in
   let key = pipeline_key t m in
-  let t0 = Unix.gettimeofday () in
-  let compiled =
-    backend_compile ~optimize:(memo_optimize e clock t key)
-      ~validate:(memo_validate e clock) t m
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  locked e (fun () ->
-      add_stage_locked e execute_stage dt;
-      bill_locked e clock);
-  Result.fold ~ok:(fun _ -> None) ~error:Option.some compiled
+  staged_probe e (fun clock ->
+      backend_compile ~optimize:(memo_optimize e clock t key)
+        ~validate:(memo_validate e clock) t m
+      |> Result.fold ~ok:(fun _ -> None) ~error:Option.some)
 
 (* [run]'s crash as the stages up to the signature's decide it, the front
    end's first as in [Backend.run]; a reference engine runs in full *)
@@ -439,18 +406,23 @@ let clean_entry m = { outcome = Ok m; blame = None }
     Errors are not cached (the clean pipeline never fails in this
     build). *)
 let optimize e (m : Module_ir.t) : (Module_ir.t, string) result =
-  read_through e
-    ~memo:(fun e -> e.pipeline_memo)
-    ~store_key:opt_store_key
-    ~decode:(fun s -> Option.map clean_entry (Run_codec.decode_module s))
-    ~encode:(fun entry -> Run_codec.encode_module (Result.get_ok entry.outcome))
+  memo e e.pipeline_memo
+    ~disk:
+      ( opt_store_key,
+        (fun s -> Option.map clean_entry (Run_codec.decode_module s)),
+        fun entry -> Run_codec.encode_module (Result.get_ok entry.outcome) )
     ~hit:(fun _ -> e.opt_hits <- e.opt_hits + 1)
-    ~computed:(fun () -> e.opt_runs <- e.opt_runs + 1)
-    ~stage:optimize_stage
+    ~computed:(fun dt ->
+      e.opt_runs <- e.opt_runs + 1;
+      add_stage_locked e optimize_stage dt)
     ~keep:(fun r -> Option.map clean_entry (Result.to_option r))
     ~cached:(fun entry -> entry.outcome)
     (clean_config, Digest.of_module m)
     (fun () -> Compilers.Optimizer.optimize m)
+
+let count_tv_check (e : t) ~hit =
+  e.tv_checks <- e.tv_checks + 1;
+  if hit then e.tv_hits <- e.tv_hits + 1
 
 (** Memoized translation validation, keyed by the (before, after) module
     digest pair through memory and then the disk store.  Verdict soundness
@@ -459,41 +431,37 @@ let optimize e (m : Module_ir.t) : (Module_ir.t, string) result =
     content-addressing makes the digest pair a faithful key — so a cached
     verdict is the verdict.  Equal digests short-circuit to [Equivalent]
     (a pass that changed nothing proved itself). *)
-let tv_check_uncounted e ~(before : Module_ir.t) ~(after : Module_ir.t) :
+let tv_check e ~(before : Module_ir.t) ~(after : Module_ir.t) :
     Compilers.Tv.verdict =
   let d1 = Digest.of_module before in
   let d2 = Digest.of_module after in
-  locked e (fun () -> e.tv_checks <- e.tv_checks + 1);
   if String.equal d1 d2 then begin
-    locked e (fun () -> e.tv_hits <- e.tv_hits + 1);
+    locked e (fun () -> count_tv_check e ~hit:true);
     Compilers.Tv.Equivalent
   end
   else
     let proofs = ref 0 in
-    read_through e
-      ~memo:(fun e -> e.tv_memo)
-      ~store_key:tv_store_key ~decode:Run_codec.decode_verdict
-      ~encode:Run_codec.encode_verdict
-      ~hit:(fun _ -> e.tv_hits <- e.tv_hits + 1)
-      ~computed:(fun () ->
-        (* fresh computes only: a memoized verdict re-proves nothing *)
-        if !proofs > 0 then bump_counter_locked e "mem-proofs" !proofs)
-      ~stage:tv_stage ~keep:Option.some ~cached:Fun.id (d1, d2)
-      (fun () ->
-        let v, n = Compilers.Tv.check_pass_counted before after in
-        proofs := n;
-        v)
-
-let tv_check e ~(before : Module_ir.t) ~(after : Module_ir.t) :
-    Compilers.Tv.verdict =
-  let v = tv_check_uncounted e ~before ~after in
-  (* bucket abstentions by their structured Symval reason (the payload's
-     label prefix); bump_counter takes the engine lock itself, so this
-     must stay outside any [locked] block *)
-  (match Compilers.Tv.abstain_label v with
-  | Some label -> bump_counter e ("tv-abstain:" ^ label) 1
-  | None -> ());
-  v
+    let v =
+      memo e e.tv_memo
+        ~disk:(tv_store_key, Run_codec.decode_verdict, Run_codec.encode_verdict)
+        ~hit:(fun _ -> count_tv_check e ~hit:true)
+        ~computed:(fun dt ->
+          count_tv_check e ~hit:false;
+          add_stage_locked e tv_stage dt;
+          (* fresh computes only: a memoized verdict re-proves nothing *)
+          if !proofs > 0 then bump_counter_locked e "mem-proofs" !proofs)
+        ~keep:Option.some ~cached:Fun.id (d1, d2)
+        (fun () ->
+          let v, n = Compilers.Tv.check_pass_counted before after in
+          proofs := n;
+          v)
+    in
+    (* bucket abstentions, memoized or not, by their structured Symval
+       reason (the payload's label prefix) *)
+    Option.iter
+      (fun label -> bump_counter e ("tv-abstain:" ^ label) 1)
+      (Compilers.Tv.abstain_label v);
+    v
 
 let run_tv e (t : Compilers.Target.t) m =
   Compilers.Optimizer.run_tv ~flags:t.Compilers.Target.opt_flags
@@ -509,10 +477,10 @@ let tv_blame e (t : Compilers.Target.t) (m : Module_ir.t) :
     let cached = locked e (fun () -> Lru.find e.pipeline_memo key) in
     match cached with
     | Some { outcome = Error signature; _ } ->
-        pipeline_hit e;
+        bump_counter e pipeline_hits_counter 1;
         Error signature
     | Some { blame = Some guilty; _ } ->
-        pipeline_hit e;
+        bump_counter e pipeline_hits_counter 1;
         Ok guilty
     | Some { blame = None; _ } | None -> (
         match run_tv e t m with
@@ -526,35 +494,20 @@ let tv_blame e (t : Compilers.Target.t) (m : Module_ir.t) :
             Error signature)
 
 (* The fuzzer's result for a generation key, behind the generation memo;
-   the lookup and the store take the engine lock, the fuzzer runs
-   unlocked — a racing duplicate run is harmless, since the fuzzer is
-   deterministic and its result immutable.  A reference engine runs the
-   fuzzer every time. *)
+   the fuzzer is deterministic and its result immutable, so a racing
+   duplicate run is harmless.  A reference engine keeps no result, so it
+   runs the fuzzer every time. *)
 let fuzz e ~key run =
-  let cached =
-    if not e.use_compiled then None
-    else
-      locked e (fun () ->
-          let r = Lru.find e.generation_memo key in
-          if Option.is_some r then bump_counter_locked e generation_hits_counter 1;
-          r)
-  in
-  match cached with
-  | Some r -> r
-  | None ->
-      let r = run () in
-      locked e (fun () ->
-          if e.use_compiled then Lru.set e.generation_memo key r;
-          bump_counter_locked e generation_runs_counter 1);
-      r
+  memo e e.generation_memo
+    ~hit:(fun _ -> bump_counter_locked e generation_hits_counter 1)
+    ~computed:(fun _ -> bump_counter_locked e generation_runs_counter 1)
+    ~keep:(if e.use_compiled then Option.some else fun _ -> None)
+    ~cached:Fun.id key run
 
 let timed e ~stage f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () ->
-      let dt = Unix.gettimeofday () -. t0 in
-      locked e (fun () -> add_stage_locked e stage dt))
-    f
+  let r, dt = time f () in
+  locked e (fun () -> add_stage_locked e stage dt);
+  r
 
 let stats e : stats =
   locked e (fun () ->
@@ -576,7 +529,7 @@ let stats e : stats =
           Lru.length e.memo + Lru.length e.tv_memo
           + Lru.length e.render_memo + Lru.length e.pipeline_memo
           + Lru.length e.verdict_memo + Lru.length e.generation_memo;
-        memo_capacity = e.memo_capacity;
+        memo_capacity = Lru.capacity e.memo;
         memo_evictions =
           Lru.evictions e.memo + Lru.evictions e.tv_memo
           + Lru.evictions e.render_memo + Lru.evictions e.pipeline_memo
@@ -606,30 +559,6 @@ let pipeline_runs s = counter s pipeline_runs_counter
 let pipeline_hits s = counter s pipeline_hits_counter
 let generation_runs s = counter s generation_runs_counter
 let generation_hits s = counter s generation_hits_counter
-
-let reset e =
-  locked e (fun () ->
-      e.memo <- Lru.create ~capacity:e.memo_capacity;
-      e.tv_memo <- Lru.create ~capacity:e.memo_capacity;
-      e.render_memo <- Lru.create ~capacity:e.memo_capacity;
-      e.pipeline_memo <- Lru.create ~capacity:e.memo_capacity;
-      e.verdict_memo <- Lru.create ~capacity:e.memo_capacity;
-      e.generation_memo <- Lru.create ~capacity:e.memo_capacity;
-      Hashtbl.reset e.baselines;
-      Hashtbl.reset e.stage_wall;
-      Hashtbl.reset e.domain_runs;
-      Hashtbl.reset e.named_counters;
-      e.runs_executed <- 0;
-      e.cache_hits <- 0;
-      e.baseline_hits <- 0;
-      e.opt_runs <- 0;
-      e.opt_hits <- 0;
-      e.store_hits <- 0;
-      e.store_writes <- 0;
-      e.tv_checks <- 0;
-      e.tv_hits <- 0;
-      e.compiles <- 0;
-      e.compile_hits <- 0)
 
 let pp_stats fmt (s : stats) =
   Format.fprintf fmt

@@ -1,32 +1,48 @@
 (** The execution engine: every compile-and-execute of the harness flows
     through an explicit [Engine.t] instead of calling
     {!Compilers.Backend.run} directly (an alert on [Backend.run], an error
-    in [lib/harness], leaves {!run} the one caller).
+    in [lib/harness], leaves {!run} the one caller).  One mutex guards its
+    tables, so one engine may be shared by several OCaml 5 domains, as the
+    domain-parallel campaigns of {!Experiments} do.
 
-    The engine holds a content-addressed memo table mapping
-    [(target, module digest, input digest)] to the backend's run result,
-    plus the baseline cache for original-program runs (keyed by
-    [(target, reference name)]), a memo of translation-validation verdicts
-    and a pipeline memo for the optimizer configurations:
-    [(config key, module digest)] -> optimized module or crash signature,
-    plus the translation-validation blame once {!tv_blame} has run.  The
-    key is {!Compilers.Target.config_key}, not the target name, so targets
-    that share a pipeline and flags share every entry.  {!run} and
-    {!tv_blame} read and fill it, and so does {!optimize}: the clean [-O]
-    step is the [(Optimizer.standard, Passes.no_bugs)] configuration that
-    AMD-LLPC, Mesa and the Pixel images run, so their runs hold its
-    entries.  All stores are guarded by a mutex, so one
-    engine may be shared by several OCaml 5 domains — the domain-parallel
-    campaigns of {!Experiments} do exactly that.
+    Its caches, each keyed by what its value depends on, and the counters
+    of their hits and computations:
 
-    Two more memos hold execute-stage facts, each keyed by what it
-    depends on: the verdict memo maps an optimized module's digest to
-    {!Spirv_ir.Validate.check}'s verdict, whichever configuration
-    produced the module, and the render memo (see {!create}) maps a
-    post-miscompile module's digest and an input's digest to the render.
-    The generation memo ({!fuzz}) holds the fuzzer's result per
-    (tool, reference, input, seed, fuzzer configuration), so the hits of
-    one seed on several targets regenerate their variant once.
+    - the run memo ({!run}): [(target, module digest, input digest)] ->
+      run result; [cache_hits] (memory), [store_hits] (disk) and
+      [runs_executed];
+    - the pipeline memo: [(config key, module digest)] -> the target
+      optimizer's module or crash signature, and the TV blame once
+      {!tv_blame} has run.  The key is {!Compilers.Target.config_key}, so
+      targets that share a pipeline and flags share every entry; {!run}
+      and {!tv_blame} count [pipeline-hits] and [pipeline-runs].  The
+      clean [-O] step ({!optimize}) is the configuration AMD-LLPC, Mesa
+      and the Pixel images run, so it reads their entries; it counts
+      [opt_hits] (memory or disk) and [opt_runs];
+    - the TV memo ({!tv_check}): [(before digest, after digest)] ->
+      verdict; [tv_hits] (memory, disk or equal digests) of [tv_checks];
+    - the verdict memo: an optimized module's digest ->
+      {!Spirv_ir.Validate.check}'s verdict; it counts nothing;
+    - the render memo (see {!create}): [(post-miscompile module digest,
+      input digest)] -> render; [compile_hits] and [compiles];
+    - the generation memo ({!fuzz}): the fuzzer's result per (tool,
+      reference, input, seed, configuration); [generation-hits] and
+      [generation-runs];
+    - the baseline cache ({!baseline}): [(target, reference name)] -> run
+      result; [baseline_hits].  It is not counted in [memo_entries].
+
+    Every cache but the baseline cache goes through one memo body: the
+    in-memory LRU, then, for the run memo, the clean [-O] step and TV on
+    an engine with a [?store], the {!Tbct_store.Cas} object, then the
+    computation, whose result is stored and, for those three, written
+    through.  A later campaign, or the same one resumed after a crash,
+    thus replays earlier work at disk-read cost; a corrupt object decodes
+    to [None] and is dropped, and the recomputed result replaces it.  No
+    lock is held while decoding or computing, so two domains that miss
+    on one key may both compute; every computation is deterministic, the
+    first entry stored wins, and only {!tv_blame} adds to a stored entry
+    (its blame).  {!create}'s [memo_capacity] bounds each LRU, which
+    evicts the least recently used entries past it ([memo_evictions]).
 
     Crash-signature probes ({!crashes_with}) run only the stages the
     signature needs: a reduction probe whose signature only the target's
@@ -34,17 +50,6 @@
     neither the optimizer nor validation nor the render.  The front end is
     not memoized, since its triggers cost less than digesting a probe's
     fresh candidate to look them up (DESIGN.md §5).
-
-    The in-memory tables are bounded: {!create}'s [memo_capacity] caps the
-    entry count and least-recently-used entries are evicted past it
-    (surfaced as [memo_evictions] in {!stats}), so a long-running service
-    no longer grows without bound.
-
-    With [?store] the engine becomes durable: misses read through to a
-    {!Tbct_store.Cas} on disk, and fresh results are written through, so a
-    later campaign — or the same one resumed after a crash — replays
-    previously-executed variants at disk-read cost.  Corrupt store objects
-    decode to [None] and are treated as misses.
 
     Memoization (memory or disk) is sound because {!Compilers.Backend.run}
     is a deterministic function of its arguments and the codecs are exact
@@ -257,11 +262,6 @@ val generation_runs : stats -> int
 val generation_hits : stats -> int
 (** The [generation-hits] counter: {!fuzz} calls the generation memo
     answered. *)
-
-val reset : t -> unit
-(** Clear every cache (the pipeline, verdict, render and generation
-    memos included) and zero every counter and stage clock.  The disk
-    store (if any) is left untouched. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** Human-readable rendering of {!stats}. *)

@@ -67,6 +67,23 @@ let references_for (tool : Pipeline.tool) =
           (name, src, m))
         (Lazy.force spirv_references)
 
+(* Lowering the corpus is lazy and lazies must not be forced
+   concurrently: force it once before a pool's workers start. *)
+let warm_up pool =
+  if Pool.workers pool > 1 then begin
+    Pipeline.warmup ();
+    ignore (Lazy.force spirv_references)
+  end
+
+(* [f] over [hits], one pool task per hit with [?pool], results in hit
+   order either way *)
+let map_hits ?pool f hits =
+  match pool with
+  | None -> List.map f hits
+  | Some pool ->
+      warm_up pool;
+      Pool.map_list pool f hits
+
 (** Run a fuzzing campaign: for each seed, generate one variant from a
     round-robin reference and test it against every target.
 
@@ -133,12 +150,7 @@ let run_campaign ?(scale = default_scale) ?(targets = Compilers.Target.all)
   in
   let total = scale.seeds in
   let run_in pool =
-    if Pool.workers pool > 1 then begin
-      (* lowering the corpus is lazy and lazies must not be forced
-         concurrently; do it once before the workers start *)
-      Pipeline.warmup ();
-      ignore (Lazy.force spirv_references)
-    end;
+    warm_up pool;
     (* honest progress: a global completion count plus per-worker seed and
        detection counters, so the log never phrases one worker's tally as
        the whole campaign's *)
@@ -191,6 +203,12 @@ let run_campaign ?(scale = default_scale) ?(targets = Compilers.Target.all)
 
 module String_set = Set.Make (String)
 
+module Pair_set = Set.Make (struct
+  type t = string * string
+
+  let compare = compare
+end)
+
 let signatures_of hits ~target =
   List.fold_left
     (fun acc h ->
@@ -214,78 +232,46 @@ let tools = [| Pipeline.Spirv_fuzz_tool; Pipeline.Spirv_fuzz_simple; Pipeline.Gl
 type table3 = { rows : table3_row list; all_row : table3_row }
 
 let table3 ?(scale = default_scale) ~(hits : hit list array) () : table3 =
-  (* hits.(i) corresponds to tools.(i) *)
-  let per_group_counts tool_idx target =
-    (* distinct signatures within each seed group *)
-    Array.init scale.groups (fun g ->
-        List.fold_left
-          (fun acc h ->
-            if
-              String.equal h.hit_target target
-              && group_of ~scale h.hit_seed = g
-            then String_set.add h.hit_detection.Pipeline.signature acc
-            else acc)
-          String_set.empty hits.(tool_idx)
-        |> String_set.cardinal |> float_of_int)
-  in
-  let row target =
-    let totals =
-      Array.init 3 (fun i -> String_set.cardinal (signatures_of hits.(i) ~target))
+  (* hits.(i) corresponds to tools.(i).  A row counts the distinct
+     (target, signature) pairs of its targets: a target's own signatures,
+     and for the All row signatures qualified by target, so its counts are
+     the sums of the target rows' *)
+  let row name in_row =
+    let distinct tool_idx in_group =
+      List.fold_left
+        (fun acc h ->
+          if in_row h.hit_target && in_group h.hit_seed then
+            Pair_set.add (h.hit_target, h.hit_detection.Pipeline.signature) acc
+          else acc)
+        Pair_set.empty hits.(tool_idx)
+      |> Pair_set.cardinal
     in
-    let groups = Array.init 3 (fun i -> per_group_counts i target) in
-    let medians = Array.map (fun g -> Stats.median (Array.to_list g)) groups in
-    let mwu_simple =
-      Stats.mann_whitney_u (Array.to_list groups.(0)) (Array.to_list groups.(1))
-    in
-    let mwu_glsl =
-      Stats.mann_whitney_u (Array.to_list groups.(0)) (Array.to_list groups.(2))
-    in
-    {
-      t3_target = target;
-      t3_total = totals;
-      t3_median = medians;
-      t3_vs_simple = Stats.verdict mwu_simple.Stats.confidence_a_greater;
-      t3_vs_glsl = Stats.verdict mwu_glsl.Stats.confidence_a_greater;
-    }
-  in
-  let rows = List.map (fun (t : Compilers.Target.t) -> row t.Compilers.Target.name) Compilers.Target.all in
-  (* the All row: signatures qualified by target, groupwise sums *)
-  let all_row =
-    let totals =
+    (* distinct pairs within each seed group *)
+    let groups =
       Array.init 3 (fun i ->
-          List.fold_left (fun acc r -> acc + r.t3_total.(i)) 0 rows |> fun x -> x)
+          List.init scale.groups (fun g ->
+              float_of_int (distinct i (fun seed -> group_of ~scale seed = g))))
     in
-    let per_group tool_idx =
-      Array.init scale.groups (fun g ->
-          List.fold_left
-            (fun acc (t : Compilers.Target.t) ->
-              let s =
-                List.fold_left
-                  (fun acc h ->
-                    if
-                      String.equal h.hit_target t.Compilers.Target.name
-                      && group_of ~scale h.hit_seed = g
-                    then String_set.add h.hit_detection.Pipeline.signature acc
-                    else acc)
-                  String_set.empty hits.(tool_idx)
-              in
-              acc + String_set.cardinal s)
-            0 Compilers.Target.all
-          |> float_of_int)
+    let verdict other =
+      (Stats.mann_whitney_u groups.(0) groups.(other)).Stats.confidence_a_greater
+      |> Stats.verdict
     in
-    let groups = Array.init 3 (fun i -> per_group i) in
-    let medians = Array.map (fun g -> Stats.median (Array.to_list g)) groups in
-    let mwu_simple = Stats.mann_whitney_u (Array.to_list groups.(0)) (Array.to_list groups.(1)) in
-    let mwu_glsl = Stats.mann_whitney_u (Array.to_list groups.(0)) (Array.to_list groups.(2)) in
     {
-      t3_target = "All";
-      t3_total = totals;
-      t3_median = medians;
-      t3_vs_simple = Stats.verdict mwu_simple.Stats.confidence_a_greater;
-      t3_vs_glsl = Stats.verdict mwu_glsl.Stats.confidence_a_greater;
+      t3_target = name;
+      t3_total = Array.init 3 (fun i -> distinct i (fun _ -> true));
+      t3_median = Array.map Stats.median groups;
+      t3_vs_simple = verdict 1;
+      t3_vs_glsl = verdict 2;
     }
   in
-  { rows; all_row }
+  let names =
+    List.map (fun (t : Compilers.Target.t) -> t.Compilers.Target.name)
+      Compilers.Target.all
+  in
+  {
+    rows = List.map (fun name -> row name (String.equal name)) names;
+    all_row = row "All" (fun target -> List.mem target names);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Figure 7: complementarity                                           *)
@@ -418,14 +404,7 @@ let cap_hits ~per_signature hits =
     unknown) are [None], mirroring the sequential [List.filter_map]. *)
 let reduce_hits ?pool (engine : Engine.t) (hits : hit list) :
     reduction_outcome option list =
-  match pool with
-  | None -> List.map (reduce_hit engine) hits
-  | Some pool ->
-      if Pool.workers pool > 1 then begin
-        Pipeline.warmup ();
-        ignore (Lazy.force spirv_references)
-      end;
-      Pool.map_list pool (reduce_hit engine) hits
+  map_hits ?pool (reduce_hit engine) hits
 
 type rq2 = {
   rq2_spirv : reduction_outcome list;
@@ -525,15 +504,8 @@ let reduced_crash_tests ?(scale = default_scale) ~engine ?pool ?known
       hits
     |> cap_hits ~per_signature:scale.max_reductions_per_signature
   in
-  match pool with
-  | None -> List.filter_map (reduce_crash_hit ?known engine) crash_hits
-  | Some pool ->
-      if Pool.workers pool > 1 then begin
-        Pipeline.warmup ();
-        ignore (Lazy.force spirv_references)
-      end;
-      Pool.map_list pool (reduce_crash_hit ?known engine) crash_hits
-      |> List.filter_map Fun.id
+  map_hits ?pool (reduce_crash_hit ?known engine) crash_hits
+  |> List.filter_map Fun.id
 
 let table4 ?(scale = default_scale) ?ignored ~engine ?pool ?tests
     ~(hits : hit list array) () : table4_row list * table4_row =

@@ -122,10 +122,9 @@ let decode_seed_record ~tool record : (int * Experiments.hit list) option =
 (* Campaign journals *)
 
 type campaign = {
-  dir : string;
   journal : Journal.t;
   completed : (int, Experiments.hit list) Hashtbl.t;
-  recovered_seeds : int;
+      (** seeds recovered from the journal *)
   journal_dropped : bool;
   prior_seeds : int option;
       (** the seed count the resumed journal was recorded at (header, or
@@ -144,10 +143,8 @@ let open_campaign ?(resume = false) ?(fsync = false) ~dir ~tool ~targets
     Journal.append journal (encode_header ~tool ~targets ~scale);
     Ok
       {
-        dir;
         journal;
         completed;
-        recovered_seeds = 0;
         journal_dropped = false;
         prior_seeds = None;
       }
@@ -203,10 +200,8 @@ let open_campaign ?(resume = false) ?(fsync = false) ~dir ~tool ~targets
                   (encode_scale_record scale.Experiments.seeds);
               Ok
                 {
-                  dir;
                   journal;
                   completed;
-                  recovered_seeds = Hashtbl.length completed;
                   journal_dropped = replay.Journal.dropped;
                   prior_seeds = Some !recorded_seeds;
                 }
@@ -220,9 +215,6 @@ let on_seed c seed hits =
   Journal.append c.journal (encode_seed_record seed hits)
 
 let close c = Journal.close c.journal
-
-(* alias: [run_campaign]'s ?on_seed parameter shadows the hook above *)
-let on_seed_journal = on_seed
 
 (* ------------------------------------------------------------------ *)
 (* The one-call wrapper the CLI and tests use *)
@@ -255,7 +247,8 @@ let hit_line (h : Experiments.hit) =
 let run_campaign ?(scale = Experiments.default_scale)
     ?(targets = Compilers.Target.all) ?domains ?pool ~engine ?check_contracts
     ?tv ?weights ?(resume = false) ?(fsync = false) ?stop
-    ?(on_seed = fun (_ : int) (_ : Experiments.hit list) -> ()) ~dir tool :
+    ?on_seed:(user_on_seed = fun (_ : int) (_ : Experiments.hit list) -> ())
+    ~dir tool :
     (outcome, string) result =
   match open_campaign ~resume ~fsync ~dir ~tool ~targets ~scale () with
   | Error _ as e -> e
@@ -279,9 +272,9 @@ let run_campaign ?(scale = Experiments.default_scale)
           (* journal first, user hook second: a raising user hook still
              leaves the seed it saw recorded *)
           let seed_hook seed hits =
-            on_seed_journal c seed hits;
+            on_seed c seed hits;
             Atomic.incr fresh;
-            on_seed seed hits
+            user_on_seed seed hits
           in
           let hits =
             Experiments.run_campaign ~scale ~targets ?domains ?pool ~engine

@@ -35,50 +35,6 @@ val open_cas :
   ?fsync:bool -> ?max_bytes:int -> dir:string -> unit -> Tbct_store.Cas.t
 (** Open the store directory's CAS (for {!Engine.create}'s [?store]). *)
 
-(** {1 Campaign journals} *)
-
-type campaign = {
-  dir : string;
-  journal : Tbct_store.Journal.t;
-  completed : (int, Experiments.hit list) Hashtbl.t;
-      (** seeds recovered from the journal *)
-  recovered_seeds : int;
-  journal_dropped : bool;
-      (** the journal ended in a truncated/corrupted record *)
-  prior_seeds : int option;
-      (** the seed count the resumed journal was recorded at (its header,
-          or its last scale record); [None] for a fresh campaign *)
-}
-
-val open_campaign :
-  ?resume:bool ->
-  ?fsync:bool ->
-  dir:string ->
-  tool:Pipeline.tool ->
-  targets:Compilers.Target.t list ->
-  scale:Experiments.scale ->
-  unit ->
-  (campaign, string) result
-(** Without [resume], any existing journal is discarded and a fresh one is
-    started (header record included).  With [resume], the valid prefix is
-    replayed into [completed]; mismatched tool/targets are an error.
-
-    Resuming at a {e different} seed count is not an error but an
-    extension (or shrink): the journal header records the scale it was
-    started at, and a resume whose scale differs appends a scale record
-    re-stating the new extent.  Extending a finished campaign from [N] to
-    [M] seeds therefore replays seeds [0..N-1] from the journal, computes
-    only [N..M-1], and returns a hit list bit-identical to a fresh
-    [M]-seed run (tested). *)
-
-val skip : campaign -> int -> Experiments.hit list option
-(** The [?skip] hook for {!Experiments.run_campaign}. *)
-
-val on_seed : campaign -> int -> Experiments.hit list -> unit
-(** The [?on_seed] hook: appends one journal record (thread-safe). *)
-
-val close : campaign -> unit
-
 (** {1 One-call wrapper} *)
 
 type outcome = {
@@ -121,6 +77,15 @@ val run_campaign :
     the journal hooks plugged in, close the journal.  The hit list is
     bit-identical to an uninterrupted {!Experiments.run_campaign} at the
     same scale.
+
+    Without [resume], any existing journal is discarded and a fresh one
+    is started.  With [resume], the journal's valid prefix is replayed and
+    a journal of another tool or target list is an [Error].  Resuming at
+    a {e different} seed count extends (or shrinks) the campaign: a scale
+    record re-states the new extent, so extending a finished campaign
+    from [N] to [M] seeds replays seeds [0..N-1] from the journal,
+    computes only [N..M-1], and returns a hit list bit-identical to a
+    fresh [M]-seed run (tested).
 
     [?domains]/[?pool] parallelize exactly as in
     {!Experiments.run_campaign}.  [?on_seed] is an extra user hook called

@@ -127,7 +127,14 @@ fi
 
 # store repair: overwrite every CAS object with garbage.  The next campaign
 # drops each object it cannot decode and writes the recomputed one back, so
-# the campaign after it is served from disk alone; both keep the hit list
+# the campaign after it is served from disk alone; both keep the hit list.
+# A --tv campaign puts tv: (verdict) objects in the store before the
+# overwrite; its passes must keep a storeless --tv run's hit list, and its
+# second pass must take every run and every TV verdict from the store
+./_build/default/bin/tbct_cli.exe campaign --tv --seeds 20 \
+    --hits-out "$STORE/hits-tv-nostore.txt" > /dev/null
+./_build/default/bin/tbct_cli.exe campaign --tv --seeds 20 --store "$STORE" \
+    > /dev/null
 find "$STORE/cas" -type f | while read -r f; do printf garbage > "$f"; done
 for pass in 1 2; do
   ./_build/default/bin/tbct_cli.exe campaign --seeds 20 --store "$STORE" \
@@ -137,10 +144,26 @@ for pass in 1 2; do
     echo "CI: campaign $pass on a corrupted store changed the hit list" >&2
     exit 1
   fi
+  ./_build/default/bin/tbct_cli.exe campaign --tv --seeds 20 --store "$STORE" \
+      --stats --hits-out "$STORE/hits-tv-repair-$pass.txt" \
+      > "$STORE/stats-tv-repair-$pass.txt"
+  if ! cmp -s "$STORE/hits-tv-nostore.txt" "$STORE/hits-tv-repair-$pass.txt"; then
+    echo "CI: --tv campaign $pass on a corrupted store changed the hit list" >&2
+    exit 1
+  fi
 done
-if ! grep -q "^engine: 0 runs executed" "$STORE/stats-repair-2.txt"; then
-  echo "CI: the corrupted store was not repaired: the second campaign" \
-       "still executed runs" >&2
+for stats in stats-repair-2 stats-tv-repair-2; do
+  if ! grep -q "^engine: 0 runs executed" "$STORE/$stats.txt"; then
+    echo "CI: the corrupted store was not repaired: the second campaign" \
+         "still executed runs ($stats)" >&2
+    exit 1
+  fi
+done
+# "tv: N checks, M memoized (...)": every check of pass 2 must be memoized
+if ! awk '$1 == "tv:" { found = 1; if ($2 == 0 || $2 != $4) bad = 1 }
+          END { exit (found && !bad) ? 0 : 1 }' "$STORE/stats-tv-repair-2.txt"; then
+  echo "CI: the corrupted store was not repaired: the second --tv campaign" \
+       "still validated pass steps" >&2
   exit 1
 fi
 

@@ -276,18 +276,60 @@ let test_table3_structure () =
         (r.Harness.Experiments.t3_total.(1) = 0 && r.Harness.Experiments.t3_total.(2) = 0))
     t3.Harness.Experiments.rows
 
-let test_cap_hits () =
-  let mk target signature seed =
-    {
-      Harness.Experiments.hit_tool = Harness.Pipeline.Spirv_fuzz_tool;
-      Harness.Experiments.hit_seed = seed;
-      Harness.Experiments.hit_ref = "r";
-      Harness.Experiments.hit_target = target;
-      Harness.Experiments.hit_detection =
-        { Harness.Pipeline.signature; Harness.Pipeline.via_opt = false };
-    }
+let mk_hit target signature seed =
+  {
+    Harness.Experiments.hit_tool = Harness.Pipeline.Spirv_fuzz_tool;
+    Harness.Experiments.hit_seed = seed;
+    Harness.Experiments.hit_ref = "r";
+    Harness.Experiments.hit_target = target;
+    Harness.Experiments.hit_detection =
+      { Harness.Pipeline.signature; Harness.Pipeline.via_opt = false };
+  }
+
+(* Table 3 on a hand-made hit list: 4 seeds in 2 groups (seeds 0-1 and
+   2-3).  A target row counts its distinct signatures; the All row counts
+   signatures qualified by target, so NVIDIA's "a" is not Mesa's "a" and
+   its totals and per-group counts are the sums of the target rows'. *)
+let test_table3_hand_made () =
+  let scale = { Harness.Experiments.seeds = 4; groups = 2; max_reductions_per_signature = 1 } in
+  let spirv =
+    [ mk_hit "Mesa" "a" 0; mk_hit "Mesa" "a" 1; mk_hit "Mesa" "b" 1;
+      mk_hit "Mesa" "a" 2; mk_hit "NVIDIA" "a" 3; mk_hit "NVIDIA" "c" 3 ]
   in
-  let hits = List.init 10 (mk "T" "sig-a") @ List.init 3 (mk "T" "sig-b") in
+  let t3 =
+    Harness.Experiments.table3 ~scale ~hits:[| spirv; [ mk_hit "Mesa" "a" 0 ]; [] |] ()
+  in
+  let verdict a b =
+    Harness.Stats.verdict (Harness.Stats.mann_whitney_u a b).Harness.Stats.confidence_a_greater
+  in
+  let check (r : Harness.Experiments.table3_row) ~totals ~medians ~groups =
+    let name = r.Harness.Experiments.t3_target in
+    Alcotest.(check (array int)) (name ^ " totals") totals r.Harness.Experiments.t3_total;
+    Alcotest.(check (array (float 0.0))) (name ^ " medians") medians
+      r.Harness.Experiments.t3_median;
+    let g0, g1, g2 = groups in
+    Alcotest.(check string) (name ^ " beats simple?") (verdict g0 g1)
+      r.Harness.Experiments.t3_vs_simple;
+    Alcotest.(check string) (name ^ " beats glsl?") (verdict g0 g2)
+      r.Harness.Experiments.t3_vs_glsl
+  in
+  let row name =
+    List.find
+      (fun r -> String.equal r.Harness.Experiments.t3_target name)
+      t3.Harness.Experiments.rows
+  in
+  check (row "Mesa") ~totals:[| 2; 1; 0 |] ~medians:[| 1.5; 0.5; 0.0 |]
+    ~groups:([ 2.; 1. ], [ 1.; 0. ], [ 0.; 0. ]);
+  check (row "NVIDIA") ~totals:[| 2; 0; 0 |] ~medians:[| 1.0; 0.0; 0.0 |]
+    ~groups:([ 0.; 2. ], [ 0.; 0. ], [ 0.; 0. ]);
+  check (row "SwiftShader") ~totals:[| 0; 0; 0 |] ~medians:[| 0.0; 0.0; 0.0 |]
+    ~groups:([ 0.; 0. ], [ 0.; 0. ], [ 0.; 0. ]);
+  check t3.Harness.Experiments.all_row ~totals:[| 4; 1; 0 |]
+    ~medians:[| 2.5; 0.5; 0.0 |]
+    ~groups:([ 2.; 3. ], [ 1.; 0. ], [ 0.; 0. ])
+
+let test_cap_hits () =
+  let hits = List.init 10 (mk_hit "T" "sig-a") @ List.init 3 (mk_hit "T" "sig-b") in
   let capped = Harness.Experiments.cap_hits ~per_signature:2 hits in
   Alcotest.(check int) "2 + 2" 4 (List.length capped)
 
@@ -353,5 +395,6 @@ let () =
           Alcotest.test_case "figure 8 reproduces" `Slow test_figure8;
           Alcotest.test_case "unknown hit_ref is not reduced" `Slow
             test_unknown_ref_is_not_reduced;
+          Alcotest.test_case "table3 on hand-made hits" `Quick test_table3_hand_made;
         ] );
     ]
